@@ -17,6 +17,7 @@ from .bounds import (
     GameReport,
     HypothesisViolationError,
     analyze,
+    bound_from_norms,
     classical_value,
     game_matrix,
     lemma1_bound,
@@ -68,6 +69,8 @@ from .numerics import (
     hermitian_eigen,
     matmul_adjoint,
     numerical_rank,
+    singular_value_rank,
+    singular_values,
     spectral_norm,
 )
 from .rng import SplitMix64

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .games import Box, LinearGame, evaluate_box, game_from_tables
-from .numerics import DEFAULT_RANK_TOL, numerical_rank, spectral_norm
+from .numerics import DEFAULT_RANK_TOL, numerical_rank, singular_value_rank, singular_values, spectral_norm
 
 __all__ = [
     "EnumerationBudgetError",
@@ -31,6 +32,7 @@ __all__ = [
     "GameReport",
     "game_matrix",
     "phi_norms",
+    "bound_from_norms",
     "quantum_bound",
     "classical_value",
     "lemma1_bound",
@@ -59,6 +61,14 @@ class ChainViolationError(RuntimeError):
     """The value ordering lemma1 <= classical <= bound <= ns failed."""
 
 
+def _game_matrices(game: LinearGame):
+    """Yield Phi_x for x = 1..|G|-1 in canonical order, one at a time, from a
+    single character table."""
+    chars = game.group.character_table()
+    for row in chars[1:]:
+        yield game.q * row[game.f_idx]
+
+
 def game_matrix(game: LinearGame, x) -> np.ndarray:
     """Game matrix Phi_x with entries q(u, v) * chi_x(f(u, v)), x nonidentity.
 
@@ -71,19 +81,22 @@ def game_matrix(game: LinearGame, x) -> np.ndarray:
             "the identity element has no game matrix; its contribution is the "
             "normalization term 1"
         )
-    chars = group.character_table()
-    return game.q * chars[ix][game.f_idx]
+    return next(islice(_game_matrices(game), ix - 1, None))
 
 
 def phi_norms(game: LinearGame) -> list[float]:
     """Spectral norms ||Phi_x|| for each nonidentity x, in canonical element order."""
-    return [spectral_norm(game_matrix(game, ix)) for ix in range(1, game.order)]
+    return [spectral_norm(phi) for phi in _game_matrices(game)]
+
+
+def bound_from_norms(game: LinearGame, norms) -> float:
+    """The quantum bound expression evaluated on the norms ||Phi_x||, x != e."""
+    return (1.0 + float(np.sqrt(game.mA * game.mB)) * sum(norms)) / game.order
 
 
 def quantum_bound(game: LinearGame) -> float:
     """Upper bound on the quantum value; may exceed 1 (callers clamp for reports)."""
-    norms = phi_norms(game)
-    return (1.0 + float(np.sqrt(game.mA * game.mB)) * sum(norms)) / game.order
+    return bound_from_norms(game, phi_norms(game))
 
 
 def lemma1_bound(game: LinearGame) -> float:
@@ -142,25 +155,26 @@ def classical_value(
     v_ix = np.arange(game.mB)[None, None, :]
     targets = np.arange(n)
 
+    def bob_scores(ids):
+        """Alice's assignments for `ids`, and per (id, v, b) the weight Bob wins."""
+        assign = _assignment_digits(ids, n, game.mA)
+        diff = sub_from_f[u_ix, v_ix, assign[:, :, None]]
+        onehot = (diff[..., None] == targets).astype(weights.dtype)
+        return assign, np.einsum("uv,cuvg->cvg", weights, onehot)
+
     best_val = None
     best_id = -1
     for start in range(0, total, chunk_size):
         ids = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        assign = _assignment_digits(ids, n, game.mA)
-        diff = sub_from_f[u_ix, v_ix, assign[:, :, None]]
-        onehot = (diff[..., None] == targets).astype(weights.dtype)
-        per_question = np.einsum("uv,cuvg->cvg", weights, onehot)
+        _, per_question = bob_scores(ids)
         vals = per_question.max(axis=2).sum(axis=1)
         i = int(np.argmax(vals))
         if best_val is None or vals[i] > best_val:
             best_val = vals[i]
             best_id = start + i
 
-    assign = _assignment_digits(np.array([best_id], dtype=np.int64), n, game.mA)
-    diff = sub_from_f[u_ix, v_ix, assign[:, :, None]]
-    onehot = (diff[..., None] == targets).astype(weights.dtype)
-    per_question = np.einsum("uv,cuvg->cvg", weights, onehot)[0]
-    bob_idx = per_question.argmax(axis=1)
+    assign, per_question = bob_scores(np.array([best_id], dtype=np.int64))
+    bob_idx = per_question[0].argmax(axis=1)
 
     alice = tuple(game.group.elements[i] for i in assign[0])
     bob = tuple(game.group.elements[i] for i in bob_idx)
@@ -300,14 +314,16 @@ def analyze(
 
     Enforces the ordering chain lemma1 <= classical <= min(1, bound) and the
     unit no-signaling value; a violation means an internal defect and raises.
+    The enumeration budget is checked before any spectral solve.
     """
-    norms = phi_norms(game)
-    raw = (1.0 + float(np.sqrt(game.mA * game.mB)) * sum(norms)) / game.order
-    clamped = min(1.0, raw)
     optimum = classical_value(game, budget=budget)
+    spectra = [singular_values(phi) for phi in _game_matrices(game)]
+    rank1 = singular_value_rank(spectra[0], rank_tol)
+    norms = [float(s[0]) for s in spectra]
+    raw = bound_from_norms(game, norms)
+    clamped = min(1.0, raw)
     lemma1 = lemma1_bound(game)
     ns_value = evaluate_box(game, ns_winning_box(game))
-    rank1 = numerical_rank(game_matrix(game, 1), rank_tol)
 
     if optimum.value < lemma1 - 1e-12:
         raise ChainViolationError(

@@ -1,9 +1,10 @@
 """Command-line front end: analyze game files, check closed forms, verify
 no-quantum-advantage games, scan random corpora, and run the acceptance suite.
 
-Exit codes: 0 success, 1 validation or verification failure, 2 parse error,
-3 enumeration budget exceeded.  Floats print with 12 significant digits and
-rationals as "num/den (decimal)", so runs with the same inputs and seed are
+Exit codes: 0 success, 1 validation or verification failure or a Jacobi
+solve that did not converge (ArithmeticError), 2 parse error, 3 enumeration
+budget exceeded.  Floats print with 12 significant digits and rationals as
+"num/den (decimal)", so runs with the same inputs and seed are
 byte-identical.
 """
 
@@ -14,14 +15,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import EnumerationBudgetError, GameReport, analyze, phi_norms
+from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
 from .games import GameFormatError, GameValidationError, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import (
+    MAX_STRUCTURE_QUESTIONS,
     lambda_profile,
     nlc_classical_strategy,
     nlc_quantum_bound,
@@ -29,6 +30,7 @@ from .nlc import (
     verify_block_circulant,
     verify_theorem3,
 )
+from .numerics import DEFAULT_RANK_TOL
 from .rng import SplitMix64
 from .selftest import run_all
 
@@ -51,22 +53,6 @@ SCAN_COLUMNS = [
     "rank_phi1",
     "pseudo_telepathy_possible",
 ]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    path: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    count: int = 0
-    d: int = 2
-    m: int = 2
-    p: int = 2
-    r: int = 1
-    verify: bool = False
-    rank_tol: float = 1e-8
-    eq_tol: float = 1e-10
 
 
 def fmt_float(x: float) -> str:
@@ -139,18 +125,18 @@ def _print_report(report: GameReport, fmt: str) -> None:
     print(f"pseudo_telepathy_possible: {report.pseudo_telepathy_possible}")
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    game = game_from_json(_load_json(cfg.path))
-    report = analyze(game, rank_tol=cfg.rank_tol)
-    _print_report(report, cfg.fmt)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    game = game_from_json(_load_json(args.path))
+    report = analyze(game, rank_tol=args.rank_tol)
+    _print_report(report, args.format)
     return EXIT_OK
 
 
-def cmd_chsh(cfg: RunConfig) -> int:
-    game = chsh_d(cfg.p, cfg.r)
+def cmd_chsh(args: argparse.Namespace) -> int:
+    game = chsh_d(args.p, args.r)
     d = game.order
     norms = phi_norms(game)
-    bound = (1.0 + float(np.sqrt(game.mA * game.mB)) * sum(norms)) / d
+    bound = bound_from_norms(game, norms)
     closed = 1.0 / d + (d - 1) / (d * np.sqrt(d))
     diff = abs(bound - closed)
     print(f"d: {d}")
@@ -158,7 +144,7 @@ def cmd_chsh(cfg: RunConfig) -> int:
     print(f"bound: {fmt_float(bound)}")
     print(f"closed_form: {fmt_float(closed)}")
     print(f"difference: {fmt_float(diff)}")
-    if diff >= cfg.eq_tol:
+    if diff >= args.eq_tol:
         print(
             f"error: bound differs from the closed form by {diff!r}",
             file=sys.stderr,
@@ -167,8 +153,8 @@ def cmd_chsh(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_nlc(cfg: RunConfig) -> int:
-    spec = nlc_spec_from_json(_load_json(cfg.path))
+def cmd_nlc(args: argparse.Namespace) -> int:
+    spec = nlc_spec_from_json(_load_json(args.path))
     profile = lambda_profile(spec)
     strategy = nlc_classical_strategy(spec)
     bound = nlc_quantum_bound(spec)
@@ -181,7 +167,7 @@ def cmd_nlc(cfg: RunConfig) -> int:
     print(f"mu: {profile.mu}")
     print(f"strategy_value: {fmt_fraction(strategy.value)}")
     print(f"quantum_bound: {fmt_fraction(bound)}")
-    if cfg.verify:
+    if args.verify:
         report = verify_theorem3(spec)
         brute = (
             fmt_fraction(report.brute_force_value)
@@ -192,7 +178,7 @@ def cmd_nlc(cfg: RunConfig) -> int:
             f"verify theorem: ok (strategy {fmt_fraction(report.strategy_value)}, "
             f"brute force {brute}, spectral {fmt_float(report.spectral_bound)})"
         )
-        if spec.d**spec.n <= 81:
+        if spec.d**spec.n <= MAX_STRUCTURE_QUESTIONS:
             for k in range(1, spec.d):
                 block = verify_block_circulant(spec, k)
                 print(
@@ -205,15 +191,15 @@ def cmd_nlc(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    rng = SplitMix64(cfg.seed)
+def cmd_scan(args: argparse.Namespace) -> int:
+    rng = SplitMix64(args.seed)
     writer = csv.DictWriter(sys.stdout, fieldnames=SCAN_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for index in range(cfg.count):
-        game = random_xor_game(rng, cfg.d, cfg.m)
+    for index in range(args.count):
+        game = random_xor_game(rng, args.d, args.m)
         try:
-            report = analyze(game, rank_tol=cfg.rank_tol)
-        except Exception:
+            report = analyze(game, rank_tol=args.rank_tol)
+        except ChainViolationError:
             print(
                 "chain violation; offending game: " + json.dumps(game_to_json(game)),
                 file=sys.stderr,
@@ -223,7 +209,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     results = run_all(sys.stdout)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
@@ -237,70 +223,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze_p = sub.add_parser("analyze", help="full report for a game JSON file")
+    analyze_p.set_defaults(run=cmd_analyze)
     analyze_p.add_argument("path")
     analyze_p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    analyze_p.add_argument("--rank-tol", type=float, default=1e-8)
+    analyze_p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
     chsh_p = sub.add_parser("chsh", help="field-multiplication game closed form")
+    chsh_p.set_defaults(run=cmd_chsh)
     chsh_p.add_argument("p", type=int)
     chsh_p.add_argument("r", type=int, nargs="?", default=1)
     chsh_p.add_argument("--eq-tol", type=float, default=1e-10)
 
     nlc_p = sub.add_parser("nlc", help="analyze an NLC spec JSON file")
+    nlc_p.set_defaults(run=cmd_nlc)
     nlc_p.add_argument("path")
     nlc_p.add_argument("--verify", action="store_true")
 
     scan_p = sub.add_parser("scan", help="CSV reports for seeded random games")
+    scan_p.set_defaults(run=cmd_scan)
     scan_p.add_argument("--seed", type=int, default=0)
     scan_p.add_argument("--count", type=int, default=10)
     scan_p.add_argument("--d", type=int, default=2)
     scan_p.add_argument("--m", type=int, default=3)
-    scan_p.add_argument("--rank-tol", type=float, default=1e-8)
+    scan_p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
-    sub.add_parser("selftest", help="run the acceptance suite")
+    sub.add_parser("selftest", help="run the acceptance suite").set_defaults(run=cmd_selftest)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("path", "seed", "count", "d", "m", "p", "r", "verify"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "format"):
-        cfg.fmt = args.format
-    if hasattr(args, "rank_tol"):
-        cfg.rank_tol = args.rank_tol
-    if hasattr(args, "eq_tol"):
-        cfg.eq_tol = args.eq_tol
-    if cfg.rank_tol <= 0 or cfg.eq_tol <= 0:
-        raise GameFormatError("tolerances must be positive")
-    return cfg
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "chsh": cmd_chsh,
-    "nlc": cmd_nlc,
-    "scan": cmd_scan,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
-    except (json.JSONDecodeError, GameFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+        if getattr(args, "rank_tol", 1.0) <= 0 or getattr(args, "eq_tol", 1.0) <= 0:
+            raise GameFormatError("tolerances must be positive")
+        return args.run(args)
+    except (json.JSONDecodeError, GameFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GameValidationError, ValueError, RuntimeError) as exc:
+    except (GameValidationError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import FiniteAbelianGroup, is_prime
 from .bounds import classical_value, game_matrix, quantum_bound
 from .games import GameFormatError, LinearGame, game_from_tables
-from .numerics import hermitian_eigen, matmul_adjoint, spectral_norm
+from .numerics import matmul_adjoint, singular_values
 
 __all__ = [
     "NlcValidationError",
@@ -261,14 +261,17 @@ def nlc_classical_strategy(spec: NlcSpec, mu: int | None = None) -> NlcStrategy:
     profile; any maximizer achieves the same value.  The score is evaluated
     directly on the materialized game, not read off a closed form.
     """
-    d = spec.d
     if mu is None:
         mu = lambda_profile(spec).mu
-    elif not 0 <= int(mu) < d:
-        raise NlcValidationError(f"mu must lie in [0, {d}), got {mu}")
-    game = nlc_game(spec)
-    m = game.mA
-    answers = np.array([(mu * (x % d)) % d for x in range(m)], dtype=np.int64)
+    elif not 0 <= int(mu) < spec.d:
+        raise NlcValidationError(f"mu must lie in [0, {spec.d}), got {mu}")
+    return _score_strategy(nlc_game(spec), mu)
+
+
+def _score_strategy(game: LinearGame, mu: int) -> NlcStrategy:
+    """Exact value of a = mu*x_n, b = mu*y_n on the materialized game."""
+    d = game.order
+    answers = np.array([(mu * (x % d)) % d for x in range(game.mA)], dtype=np.int64)
     win = (answers[:, None] + answers[None, :]) % d
     mask = game.f_idx == win
     value = Fraction(int(game.q_num[mask].sum()), game.q_den)
@@ -299,13 +302,13 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
     raises `TheoremVerificationError` naming it.
     """
     bound = nlc_quantum_bound(spec)
-    strategy = nlc_classical_strategy(spec)
+    game = nlc_game(spec)
+    strategy = _score_strategy(game, lambda_profile(spec).mu)
     if strategy.value != bound:
         raise TheoremVerificationError(
             f"strategy-vs-bound leg failed: strategy scores {strategy.value}, "
             f"bound is {bound}"
         )
-    game = nlc_game(spec)
     brute = None
     brute_forced = False
     if game.order**game.mA <= budget:
@@ -387,8 +390,7 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
     phi = game_matrix(game, k)
     gram = matmul_adjoint(phi)
 
-    f_mat = np.array([[cmath.exp(2j * cmath.pi * (x * j) / d) for j in range(d)] for x in range(d)])
-    f_mat /= np.sqrt(d)
+    f_mat = np.array([fourier_vector(d, j, normalized=True) for j in range(d)]).T
     basis = np.array([[1.0]])
     for _ in range(n):
         basis = np.kron(basis, f_mat)
@@ -404,8 +406,8 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
 
     # Columns 0..d-1 of the tensor basis are f_0 x ... x f_0 x f_j.
     candidates = tuple(float(x) for x in diag[:d])
-    eigenvalues, _ = hermitian_eigen(gram)
-    top = float(eigenvalues[0])
+    snorm = float(singular_values(phi)[0])
+    top = snorm * snorm
     if abs(max(candidates) - top) > 1e-10:
         raise BlockStructureError(
             f"top eigenvalue {top!r} is not attained within the expected "
@@ -426,7 +428,6 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
                 f"{expected!r} from the multiplicity profile"
             )
 
-    snorm = spectral_norm(phi)
     expected_norm = float(prof.weighted_max * norm_scale)
     if abs(snorm - expected_norm) > 1e-10:
         raise BlockStructureError(
@@ -478,10 +479,7 @@ def nlc_spec_from_json(obj) -> NlcSpec:
     p = obj["p"]
     if not (p == "uniform" or isinstance(p, list)):
         raise GameFormatError("'p' must be \"uniform\" or a list of [num, den] pairs")
-    try:
-        return nlc_spec(obj["d"], obj["n"], obj["g"], p)
-    except NlcValidationError:
-        raise
+    return nlc_spec(obj["d"], obj["n"], obj["g"], p)
 
 
 def nlc_spec_to_json(spec: NlcSpec) -> dict:

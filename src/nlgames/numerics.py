@@ -14,6 +14,8 @@ __all__ = [
     "as_cmatrix",
     "matmul_adjoint",
     "hermitian_eigen",
+    "singular_values",
+    "singular_value_rank",
     "spectral_norm",
     "numerical_rank",
 ]
@@ -124,20 +126,27 @@ def hermitian_eigen(m, hermiticity_tol: float = HERMITICITY_TOL):
     return _jacobi(0.5 * (a + a.conj().T), want_vectors=True)
 
 
+def singular_values(a) -> np.ndarray:
+    """Singular values in descending order: one Jacobi solve of A^dagger A,
+    without eigenvectors."""
+    w, _ = _jacobi(matmul_adjoint(a), want_vectors=False)
+    return np.sqrt(np.clip(w, 0.0, None))
+
+
+def singular_value_rank(s: np.ndarray, tol: float) -> int:
+    """Number of descending singular values `s` exceeding tol * s[0]; 0 when all vanish."""
+    if tol <= 0:
+        raise ValueError(f"rank tolerance must be positive, got {tol}")
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
 def spectral_norm(a) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(A^dagger A))."""
-    h = matmul_adjoint(a)
-    w, _ = _jacobi(h, want_vectors=False)
-    return float(np.sqrt(max(w[0], 0.0)))
+    """Largest singular value."""
+    return float(singular_values(a)[0])
 
 
 def numerical_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values exceeding tol * sigma_max; 0 for the zero matrix."""
-    if tol <= 0:
-        raise ValueError(f"rank tolerance must be positive, got {tol}")
-    h = matmul_adjoint(a)
-    w, _ = _jacobi(h, want_vectors=False)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return singular_value_rank(singular_values(a), tol)

@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import FiniteAbelianGroup
 from .bounds import (
     analyze,
+    bound_from_norms,
     classical_value,
     game_matrix,
     ns_winning_box,
@@ -65,10 +66,11 @@ def check_chsh_closed_form() -> CheckResult:
         game = chsh_d(p, r)
         d = game.order
         closed = 1.0 / d + (d - 1) / (d * np.sqrt(d))
-        bound = quantum_bound(game)
+        norms = phi_norms(game)
+        bound = bound_from_norms(game, norms)
         if abs(bound - closed) > 1e-10:
             failures.append(f"d={d}: bound {bound!r} vs closed form {closed!r}")
-        for k, norm in enumerate(phi_norms(game), start=1):
+        for k, norm in enumerate(norms, start=1):
             if abs(norm - 1.0 / (d * np.sqrt(d))) > 1e-10:
                 failures.append(f"d={d}, k={k}: norm {norm!r}")
     return _result(

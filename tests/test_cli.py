@@ -182,3 +182,44 @@ def test_scan_chain_holds(capsys):
 
 def test_bad_tolerance_exits_2(chsh2_file):
     assert main(["analyze", chsh2_file, "--rank-tol", "-1"]) == EXIT_PARSE
+
+
+def test_bad_eq_tolerance_exits_2(capsys):
+    assert main(["chsh", "3", "--eq-tol", "0"]) == EXIT_PARSE
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
+def test_scan_over_budget_is_not_a_chain_violation(capsys):
+    assert main(["scan", "--d", "2", "--m", "21", "--count", "1"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert "chain violation" not in err
+
+
+def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsys):
+    from nlgames import numerics
+    from nlgames.algebra import Group
+
+    started = []
+    monkeypatch.setattr(numerics, "_jacobi", lambda *args: started.append("solve"))
+    monkeypatch.setattr(Group, "character_table", lambda self: started.append("table"))
+    doc = {
+        "group": {"factors": [2]},
+        "mA": 21,
+        "mB": 2,
+        "q": [[[1, 42]] * 2 for _ in range(21)],
+        "f": [[(u + v) % 2 for v in range(2)] for u in range(21)],
+    }
+    path = tmp_path / "over_budget.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
+    assert started == []
+
+
+def test_nonconverging_eigensolver_exits_1(chsh2_file, monkeypatch, capsys):
+    from nlgames import numerics
+
+    monkeypatch.setattr(numerics, "_MAX_SWEEPS", 0)
+    assert main(["analyze", chsh2_file]) == EXIT_FAILURE
+    assert "did not converge" in capsys.readouterr().err

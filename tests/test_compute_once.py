@@ -1,0 +1,57 @@
+"""Each expensive object is built once per result: one character table per
+bound or report, one eigen solve per game matrix, one NLC game per check."""
+
+from nlgames import bounds, nlc, numerics
+from nlgames.algebra import FiniteAbelianGroup, Group
+from nlgames.games import chsh_d, game_from_tables, random_xor_game
+from nlgames.rng import SplitMix64
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_quantum_bound_builds_one_character_table(monkeypatch):
+    tables = count_calls(monkeypatch, Group, "character_table")
+    solves = count_calls(monkeypatch, numerics, "_jacobi")
+    bounds.quantum_bound(chsh_d(7, 1))
+    assert len(tables) == 1
+    assert len(solves) == 6
+
+
+def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
+    z2z3 = game_from_tables(
+        FiniteAbelianGroup([2, 3]), [[0.25, 0.25], [0.25, 0.25]], [[0, 1], [4, 5]]
+    )
+    for game in (random_xor_game(SplitMix64(3), 5, 3), z2z3, chsh_d(2, 2)):
+        tables = count_calls(monkeypatch, Group, "character_table")
+        solves = count_calls(monkeypatch, numerics, "_jacobi")
+        bounds.analyze(game)
+        assert len(tables) == 1
+        assert len(solves) == game.order - 1
+        monkeypatch.undo()
+
+
+def test_verify_theorem3_builds_the_game_once(monkeypatch):
+    # d=2, n=2 fits the brute-force budget, so every leg runs.
+    for spec in (nlc.nlc_spec(2, 2, [0, 1]), nlc.nlc_spec(3, 2, [0, 2, 2])):
+        games = count_calls(monkeypatch, nlc, "nlc_game")
+        solves = count_calls(monkeypatch, numerics, "_jacobi")
+        nlc.verify_theorem3(spec)
+        assert len(games) == 1
+        assert len(solves) == spec.d - 1
+        monkeypatch.undo()
+
+
+def test_verify_block_circulant_solves_once(monkeypatch):
+    solves = count_calls(monkeypatch, numerics, "_jacobi")
+    nlc.verify_block_circulant(nlc.nlc_spec(3, 2, [0, 2, 2]), 1)
+    assert len(solves) == 1
