@@ -63,14 +63,34 @@ class GroupElement:
 class Group:
     """Finite Abelian group presented through an indexed element list.
 
-    Subclasses fix a canonical element order (`elements`, identity first)
-    and a character indexing `character(a, x)` for a, x in the group.  The
-    index of an element in `elements` is its canonical position, used for
-    tables, boxes, and tie-breaking.
+    A subclass states its arithmetic once, as integers, by calling
+    `Group.__init__` with:
+
+    - `elements`, the canonical element order, identity first;
+    - `coords`, an order x k integer array of element coordinates;
+    - `moduli`, the k coordinate moduli (addition is componentwise mod these);
+    - `place`, k place values with index == coords @ place;
+    - `pairing`, a k x k integer matrix P, and `exponent` N, so that the
+      character indexed by a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N).
+
+    Every table and `character` derive from these by array arithmetic.  The
+    subclass keeps the per-element `element`, `add`, `neg` and `describe`.
+    The index of an element in `elements` is its canonical position, used
+    for tables, boxes, and tie-breaking.
     """
 
     order: int
     elements: tuple
+
+    def __init__(self, elements, coords, moduli, place, pairing, exponent: int):
+        self.order = len(elements)
+        self.elements = tuple(elements)
+        self._index = {el: i for i, el in enumerate(self.elements)}
+        self._coords = np.array(coords, dtype=np.int64)
+        self._moduli = np.array(moduli, dtype=np.int64)
+        self._place = np.array(place, dtype=np.int64)
+        self._pairing = np.array(pairing, dtype=np.int64)
+        self._exponent = int(exponent)
 
     @property
     def identity(self):
@@ -83,9 +103,6 @@ class Group:
         raise NotImplementedError
 
     def neg(self, x):
-        raise NotImplementedError
-
-    def character(self, a, x) -> complex:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -101,38 +118,32 @@ class Group:
         except KeyError:
             raise ValueError(f"{x!r} is not an element of {self!r}") from None
 
+    def character(self, a, x) -> complex:
+        """chi_a(x) from the exact integer exponent of exp(2*pi*i/N)."""
+        c = self._coords
+        m = int(c[self.index(a)] @ self._pairing @ c[self.index(x)]) % self._exponent
+        return cmath.exp(2j * cmath.pi * m / self._exponent)
+
     def addition_table(self) -> np.ndarray:
         """Index table T[i, j] = index(elements[i] + elements[j])."""
-        n = self.order
-        table = np.empty((n, n), dtype=np.int64)
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                table[i, j] = self.index(self.add(x, y))
-        return table
-
-    def subtraction_table(self) -> np.ndarray:
-        """Index table T[i, j] = index(elements[i] - elements[j])."""
-        n = self.order
-        table = np.empty((n, n), dtype=np.int64)
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                table[i, j] = self.index(self.sub(x, y))
+        table = np.zeros((self.order, self.order), dtype=np.int64)
+        for c, modulus, place in zip(self._coords.T, self._moduli, self._place):
+            table += (c[:, None] + c[None, :]) % modulus * place
         return table
 
     def negation_table(self) -> np.ndarray:
-        return np.array([self.index(self.neg(x)) for x in self.elements], dtype=np.int64)
+        return (-self._coords) % self._moduli @ self._place
+
+    def subtraction_table(self) -> np.ndarray:
+        """Index table T[i, j] = index(elements[i] - elements[j])."""
+        return self.addition_table()[:, self.negation_table()]
 
     def character_table(self) -> np.ndarray:
-        """Matrix X[i, j] = character of elements[i] evaluated at elements[j].
-
-        Rebuilt from exact integer exponents on every call; nothing is cached.
-        """
-        n = self.order
-        table = np.empty((n, n), dtype=np.complex128)
-        for i, a in enumerate(self.elements):
-            for j, x in enumerate(self.elements):
-                table[i, j] = self.character(a, x)
-        return table
+        """Matrix X[i, j] = character of elements[i] evaluated at elements[j]."""
+        big_n = self._exponent
+        roots = np.array([cmath.exp(2j * cmath.pi * m / big_n) for m in range(big_n)])
+        c = self._coords
+        return roots[c @ self._pairing @ c.T % big_n]
 
 
 class FiniteAbelianGroup(Group):
@@ -155,12 +166,16 @@ class FiniteAbelianGroup(Group):
         if order > MAX_ORDER:
             raise ValueError(f"group order {order} exceeds the supported cap {MAX_ORDER}")
         self.factors = factors
-        self.order = order
-        self.elements = tuple(
-            GroupElement(coords) for coords in itertools.product(*(range(n) for n in factors))
+        coords = list(itertools.product(*(range(n) for n in factors)))
+        big_n = lcm(*factors)
+        super().__init__(
+            elements=[GroupElement(c) for c in coords],
+            coords=coords,
+            moduli=factors,
+            place=[prod(factors[j + 1 :]) for j in range(len(factors))],
+            pairing=np.diag([big_n // n for n in factors]),
+            exponent=big_n,
         )
-        self._index = {el: i for i, el in enumerate(self.elements)}
-        self._exponent = lcm(*factors)
 
     def __repr__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
@@ -192,17 +207,6 @@ class FiniteAbelianGroup(Group):
         self._check_dims(x)
         return GroupElement(tuple((-a) % n for a, n in zip(x.coords, self.factors)))
 
-    def character(self, a: GroupElement, x: GroupElement) -> complex:
-        # Exact integer exponent m of the primitive root exp(2*pi*i/N).
-        self.index(a)
-        self.index(x)
-        big_n = self._exponent
-        m = 0
-        for aj, xj, nj in zip(a.coords, x.coords, self.factors):
-            m += aj * xj * (big_n // nj)
-        m %= big_n
-        return cmath.exp(2j * cmath.pi * m / big_n)
-
     def describe(self) -> dict:
         return {"factors": list(self.factors)}
 
@@ -230,11 +234,7 @@ class FieldElement:
 
     def __int__(self) -> int:
         """Canonical integer encoding sum_i c_i * p^i."""
-        p = self.field.p
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * p + c
-        return value
+        return self.field._encode(self.coeffs)
 
     def __repr__(self) -> str:
         return f"FieldElement{self.coeffs}"
@@ -242,21 +242,13 @@ class FieldElement:
 
 def _poly_mul_mod(a, b, modulus, p):
     """Product of little-endian coefficient tuples, reduced mod (modulus, p)."""
-    r = len(modulus) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, r - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(r):
-                out[i - r + j] = (out[i - r + j] - c * modulus[j]) % p
-    out = out[:r] + [0] * max(0, r - len(out))
-    return tuple(out)
+    return _poly_rem(out, modulus, p)
 
 
 def _poly_rem(a, b, p):
@@ -463,15 +455,24 @@ class FieldAdditiveGroup(Group):
     """Additive group of GF(p^r) with trace-based characters.
 
     Used as the answer group of field-multiplication games: the character
-    indexing follows the field elements themselves rather than coordinate
-    tuples, which is what the closed-form norm computations assume.
+    indexed by k is chi_k(x) = exp(2*pi*i * Tr(k*x) / p), the field's
+    `additive_character`, which is what the closed-form norm computations
+    assume.  Coordinates are the little-endian coefficients.
     """
 
     def __init__(self, field: FiniteField):
         self.field = field
-        self.order = field.size
-        self.elements = field.elements
-        self._index = {el: i for i, el in enumerate(self.elements)}
+        p, r = field.p, field.r
+        basis = [field.elements[p**i] for i in range(r)]
+        super().__init__(
+            elements=field.elements,
+            coords=[el.coeffs for el in field.elements],
+            moduli=[p] * r,
+            place=[p**i for i in range(r)],
+            # Tr is Z_p-linear, so Tr(a*x) = a P x^T with P[i][j] = Tr(x^i * x^j).
+            pairing=[[field.trace(field.mul(bi, bj)) for bj in basis] for bi in basis],
+            exponent=p,
+        )
 
     def __repr__(self) -> str:
         return f"{self.field!r}+"
@@ -484,9 +485,6 @@ class FieldAdditiveGroup(Group):
 
     def neg(self, x: FieldElement) -> FieldElement:
         return self.field.neg(x)
-
-    def character(self, a: FieldElement, x: FieldElement) -> complex:
-        return self.field.additive_character(a, x)
 
     def describe(self) -> dict:
         return {"field": {"p": self.field.p, "r": self.field.r}}

@@ -148,9 +148,7 @@ def classical_value(
         )
     exact = game.has_exact_q
     weights = game.q_num if exact else game.q
-    sub = game.group.subtraction_table()
-    # sub_from_f[u, v, a] = index of f(u, v) - a, Bob's winning answer.
-    sub_from_f = sub[game.f_idx]
+    winning = game.winning_answers()
     u_ix = np.arange(game.mA)[None, :, None]
     v_ix = np.arange(game.mB)[None, None, :]
     targets = np.arange(n)
@@ -158,7 +156,7 @@ def classical_value(
     def bob_scores(ids):
         """Alice's assignments for `ids`, and per (id, v, b) the weight Bob wins."""
         assign = _assignment_digits(ids, n, game.mA)
-        diff = sub_from_f[u_ix, v_ix, assign[:, :, None]]
+        diff = winning[u_ix, v_ix, assign[:, :, None]]
         onehot = (diff[..., None] == targets).astype(weights.dtype)
         return assign, np.einsum("uv,cuvg->cvg", weights, onehot)
 
@@ -191,13 +189,11 @@ def ns_winning_box(game: LinearGame) -> Box:
     uniform for every input, so nothing can be signaled.
     """
     n = game.order
-    sub = game.group.subtraction_table()
-    b_idx = sub[game.f_idx[:, :, None], np.arange(n)[None, None, :]]
     table = np.zeros((game.mA, game.mB, n, n))
     u_ix = np.arange(game.mA)[:, None, None]
     v_ix = np.arange(game.mB)[None, :, None]
     a_ix = np.arange(n)[None, None, :]
-    table[u_ix, v_ix, a_ix, b_idx] = 1.0 / n
+    table[u_ix, v_ix, a_ix, game.winning_answers()] = 1.0 / n
     return Box(table)
 
 

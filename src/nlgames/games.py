@@ -96,6 +96,10 @@ class LinearGame:
     def has_exact_q(self) -> bool:
         return self.q_num is not None
 
+    def winning_answers(self) -> np.ndarray:
+        """W[u, v, a] = index of f(u, v) - a, Bob's winning answer to Alice's a."""
+        return self.group.subtraction_table()[self.f_idx]
+
     def f_element(self, u: int, v: int):
         return self.group.elements[self.f_idx[u, v]]
 
@@ -299,14 +303,10 @@ def _check_shapes(game: LinearGame, box: Box) -> None:
 def evaluate_box(game: LinearGame, box: Box) -> float:
     """Game value sum_{u,v} q(u,v) * P(a + b = f(u,v) | u,v) of a box."""
     _check_shapes(game, box)
-    n = game.order
-    sub = game.group.subtraction_table()
-    # Winning partner index: b = f(u, v) - a.
-    b_idx = sub[game.f_idx[:, :, None], np.arange(n)[None, None, :]]
     u_ix = np.arange(game.mA)[:, None, None]
     v_ix = np.arange(game.mB)[None, :, None]
-    a_ix = np.arange(n)[None, None, :]
-    wins = box.table[u_ix, v_ix, a_ix, b_idx].sum(axis=2)
+    a_ix = np.arange(game.order)[None, None, :]
+    wins = box.table[u_ix, v_ix, a_ix, game.winning_answers()].sum(axis=2)
     return float((game.q * wins).sum())
 
 

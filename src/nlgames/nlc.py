@@ -20,7 +20,6 @@ so index = prefix_index * d + last_dit.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,37 +141,14 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     return NlcSpec(d=d, n=n, g=g, p=probs)
 
 
-def _prefix_add_table(d: int, n: int) -> np.ndarray:
-    """T[i, j] = index of the componentwise mod-d sum of prefix strings i and j."""
-    size = d ** (n - 1)
-    width = n - 1
-    table = np.empty((size, size), dtype=np.int64)
-    digits = list(itertools.product(range(d), repeat=width))
-    for i, zi in enumerate(digits):
-        for j, zj in enumerate(digits):
-            idx = 0
-            for a, b in zip(zi, zj):
-                idx = idx * d + (a + b) % d
-            table[i, j] = idx
-    return table
-
-
 def nlc_game(spec: NlcSpec) -> LinearGame:
     """Materialize the NLC game as a linear game over Z_d with exact weights."""
     d, n = spec.d, spec.n
-    m = d**n
-    padd = _prefix_add_table(d, n)
-    q = [[Fraction(0)] * m for _ in range(m)]
-    f = [[0] * m for _ in range(m)]
-    den = d ** (n + 1)
-    for x in range(m):
-        xp, xl = divmod(x, d)
-        for y in range(m):
-            yp, yl = divmod(y, d)
-            z = padd[xp, yp]
-            q[x][y] = spec.p[z] / den
-            f[x][y] = (spec.g[z] * (xl + yl)) % d
-    return game_from_tables(FiniteAbelianGroup([d]), q, f)
+    # Z_d^n lists its elements in the NLC input order: index = prefix * d + last.
+    z, last = divmod(FiniteAbelianGroup([d] * n).addition_table(), d)
+    weights = np.array([w / d ** (n + 1) for w in spec.p], dtype=object)
+    f = np.array(spec.g)[z] * last % d
+    return game_from_tables(FiniteAbelianGroup([d]), weights[z], f)
 
 
 @dataclass(frozen=True)
@@ -209,7 +185,7 @@ def lambda_profile(spec: NlcSpec) -> LambdaProfile:
     second row as an internal consistency check.
     """
     d = spec.d
-    padd = _prefix_add_table(spec.d, spec.n)
+    padd = FiniteAbelianGroup([d] * spec.n).addition_table()[::d, ::d] // d
     size = spec.prefix_count
 
     def profile_from_row(row: int):
@@ -233,15 +209,12 @@ def lambda_profile(spec: NlcSpec) -> LambdaProfile:
 def nlc_quantum_bound(spec: NlcSpec) -> Fraction:
     """Exact spectral bound on the quantum value of an NLC game.
 
-    Uniform inputs: (1/d) * (1 + (d-1) * Lambda / d^(n-1)) with Lambda the
-    largest multiplicity.  General inputs: (1/d) * (1 + d^2 (d-1) * Lw) with
-    Lw the largest weighted multiplicity; the two coincide on uniform p.
+    (1/d) * (1 + d^2 (d-1) * Lw) with Lw the largest weighted multiplicity.
+    On uniform inputs this is (1/d) * (1 + (d-1) * Lambda / d^(n-1)) with
+    Lambda the largest multiplicity.
     """
-    prof = lambda_profile(spec)
-    d, n = spec.d, spec.n
-    if spec.uniform:
-        return Fraction(d ** (n - 1) + (d - 1) * prof.count_max, d**n)
-    return Fraction(1, d) + d * (d - 1) * prof.weighted_max
+    d = spec.d
+    return Fraction(1, d) + d * (d - 1) * lambda_profile(spec).weighted_max
 
 
 @dataclass(frozen=True)

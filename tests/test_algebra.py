@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -135,16 +136,50 @@ def test_character_properties(factors):
         assert g.character(g.identity, x) == pytest.approx(1.0)
 
 
-def test_tables_are_consistent():
-    g = FiniteAbelianGroup([2, 3])
+def _table_group_and_characters(kind, args):
+    """A group and its character table written out from the definition."""
+    if kind == "GF":
+        field = FiniteField(*args)
+        group = field.additive_group()
+        chars = [[field.additive_character(a, x) for x in field.elements] for a in field.elements]
+        return group, np.array(chars)
+    group = FiniteAbelianGroup(args)
+    big_n = math.lcm(*args)
+
+    def chi(a, x):
+        m = sum(aj * xj * (big_n // nj) for aj, xj, nj in zip(a.coords, x.coords, args))
+        return cmath.exp(2j * cmath.pi * (m % big_n) / big_n)
+
+    return group, np.array([[chi(a, x) for x in group.elements] for a in group.elements])
+
+
+@pytest.mark.parametrize(
+    "kind,args",
+    [
+        ("Z", (5,)),
+        ("Z", (2, 3)),
+        ("Z", (2, 4)),
+        ("Z", (6, 4)),
+        ("GF", (2, 2)),
+        ("GF", (3, 2)),
+        ("GF", (2, 3)),
+        ("GF", (3, 4)),
+    ],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_tables_are_consistent(kind, args):
+    g, expected_chars = _table_group_and_characters(kind, args)
     add = g.addition_table()
     sub = g.subtraction_table()
     neg = g.negation_table()
+    chars = g.character_table()
     for i, x in enumerate(g.elements):
-        assert add[i, neg[i]] == 0
+        assert g.elements[neg[i]] == g.neg(x)
         for j, y in enumerate(g.elements):
             assert g.elements[add[i, j]] == g.add(x, y)
-            assert add[sub[i, j], j] == i
+            assert g.elements[sub[i, j]] == g.sub(x, y)
+            assert g.character(x, y) == chars[i, j]
+    assert np.array_equal(chars, expected_chars)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ COMMANDS = {
     "scan_d3_m4": ["scan", "--seed", "0", "--count", "50", "--d", "3", "--m", "4"],
     "analyze_z3_json": ["analyze", "z3.json", "--format", "json"],
     "analyze_z2xz3_json": ["analyze", "z2xz3.json", "--format", "json"],
+    "analyze_z2xz4_json": ["analyze", "z2xz4.json", "--format", "json"],
     "analyze_gf9_json": ["analyze", "gf9.json", "--format", "json"],
     "analyze_z3_text": ["analyze", "z3.json"],
     "analyze_z3_csv": ["analyze", "z3.json", "--format", "csv"],
     "chsh_7_2": ["chsh", "7", "2"],
     "chsh_61": ["chsh", "61"],
+    "chsh_3_4": ["chsh", "3", "4"],
     "nlc_d3_n3_verify": ["nlc", "nlc_d3_n3.json", "--verify"],
     "nlc_d2_n7_weighted_verify": ["nlc", "nlc_d2_n7_weighted.json", "--verify"],
 }
