@@ -33,6 +33,7 @@ from .games import (
     GameValidationError,
     LinearGame,
     box_from_correlators,
+    chsh_closed_form,
     chsh_d,
     correlators_from_box,
     evaluate_box,
@@ -62,7 +63,6 @@ from .nlc import (
     nlc_spec,
     nlc_spec_from_json,
     nlc_spec_to_json,
-    verify_block_circulant,
     verify_theorem3,
 )
 from .numerics import (

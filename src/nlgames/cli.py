@@ -17,17 +17,13 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
-from .games import GameFormatError, GameValidationError, chsh_d, game_from_json, game_to_json, random_xor_game
+from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import (
-    MAX_STRUCTURE_QUESTIONS,
     lambda_profile,
     nlc_classical_strategy,
     nlc_quantum_bound,
     nlc_spec_from_json,
-    verify_block_circulant,
     verify_theorem3,
 )
 from .numerics import DEFAULT_RANK_TOL
@@ -137,7 +133,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     d = game.order
     norms = phi_norms(game)
     bound = bound_from_norms(game, norms)
-    closed = 1.0 / d + (d - 1) / (d * np.sqrt(d))
+    closed = chsh_closed_form(d)
     diff = abs(bound - closed)
     print(f"d: {d}")
     print("norms: " + " ".join(fmt_float(x) for x in norms))
@@ -178,15 +174,13 @@ def cmd_nlc(args: argparse.Namespace) -> int:
             f"verify theorem: ok (strategy {fmt_fraction(report.strategy_value)}, "
             f"brute force {brute}, spectral {fmt_float(report.spectral_bound)})"
         )
-        if spec.d**spec.n <= MAX_STRUCTURE_QUESTIONS:
-            for k in range(1, spec.d):
-                block = verify_block_circulant(spec, k)
-                print(
-                    f"verify blocks k={k}: ok (off-diagonal "
-                    f"{fmt_float(block.off_diagonal_max)}, norm "
-                    f"{fmt_float(block.spectral_norm)})"
-                )
-        else:
+        for block in report.blocks:
+            print(
+                f"verify blocks k={block.k}: ok (off-diagonal "
+                f"{fmt_float(block.off_diagonal_max)}, norm "
+                f"{fmt_float(block.spectral_norm)})"
+            )
+        if not report.blocks:
             print("verify blocks: skipped (d^n above the structure-check cap)")
     return EXIT_OK
 

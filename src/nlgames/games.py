@@ -30,6 +30,7 @@ __all__ = [
     "CorrelatorTable",
     "game_from_tables",
     "chsh_d",
+    "chsh_closed_form",
     "uniform_box",
     "strategy_box",
     "random_xor_game",
@@ -200,6 +201,11 @@ def chsh_d(p: int, r: int = 1) -> LinearGame:
     q = [[weight] * d for _ in range(d)]
     f = [[field.mul(x, y) for y in field.elements] for x in field.elements]
     return game_from_tables(group, q, f)
+
+
+def chsh_closed_form(d: int) -> float:
+    """Quantum bound 1/d + (d-1)/(d*sqrt(d)) of the CHSH game over a field of order d."""
+    return 1.0 / d + (d - 1) / (d * np.sqrt(d))
 
 
 def random_xor_game(rng: SplitMix64, d: int, m_a: int, m_b: int | None = None) -> LinearGame:

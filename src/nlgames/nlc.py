@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
-from .bounds import classical_value, game_matrix, quantum_bound
+from .bounds import _game_matrices, bound_from_norms, classical_value
 from .games import GameFormatError, LinearGame, game_from_tables
 from .numerics import matmul_adjoint, singular_values
 
@@ -49,7 +49,6 @@ __all__ = [
     "building_block_matrix",
     "fourier_vector",
     "verify_theorem3",
-    "verify_block_circulant",
 ]
 
 MAX_QUESTIONS = 729  # d^n cap for building the full game
@@ -253,8 +252,21 @@ def _score_strategy(game: LinearGame, mu: int) -> NlcStrategy:
 
 
 @dataclass(frozen=True)
+class BlockCirculantReport:
+    """Numbers produced by the block-circulant structure check of one Phi_k."""
+
+    k: int
+    off_diagonal_max: float
+    top_eigenvalue: float
+    candidate_eigenvalues: tuple[float, ...]
+    spectral_norm: float
+    expected_norm: float
+
+
+@dataclass(frozen=True)
 class Theorem3Report:
-    """Outcome of the no-quantum-advantage verification for one game."""
+    """Outcome of the no-quantum-advantage verification for one game;
+    `blocks` is empty when d^n exceeds `MAX_STRUCTURE_QUESTIONS`."""
 
     spec: NlcSpec
     bound: Fraction
@@ -263,20 +275,27 @@ class Theorem3Report:
     brute_force_value: Fraction | None
     spectral_bound: float
     brute_forced: bool
+    lambda_by_k: tuple[int, ...]
+    blocks: tuple[BlockCirculantReport, ...]
 
 
 def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
-    Legs: (i) the prefix-ignoring strategy's exact value equals the exact
-    bound; (ii) when d^(d^n) fits the enumeration budget, the brute-force
-    classical optimum equals the same number; (iii) the generic spectral
-    bound computed from the game matrices agrees to 1e-10.  Any failing leg
-    raises `TheoremVerificationError` naming it.
+    Legs, all read off one game and one solve per Phi_k: (i) the prefix-
+    ignoring strategy's exact value equals the exact bound; (ii) when
+    d^(d^n) fits the enumeration budget, the brute-force classical optimum
+    equals the same number; (iii) when d^n <= MAX_STRUCTURE_QUESTIONS, each
+    Phi_k passes `_check_blocks`; (iv) the generic spectral bound from the
+    norms ||Phi_k|| agrees to 1e-10; (v) the multiplicity maximum is the same
+    for every nonzero k.  Legs (iii) and (v) raise `BlockStructureError`, the
+    others `TheoremVerificationError` naming the leg.
     """
+    d = spec.d
     bound = nlc_quantum_bound(spec)
+    prof = lambda_profile(spec)
     game = nlc_game(spec)
-    strategy = _score_strategy(game, lambda_profile(spec).mu)
+    strategy = _score_strategy(game, prof.mu)
     if strategy.value != bound:
         raise TheoremVerificationError(
             f"strategy-vs-bound leg failed: strategy scores {strategy.value}, "
@@ -293,11 +312,24 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
                 f"brute-force leg failed: exhaustive optimum {brute} differs "
                 f"from bound {bound}"
             )
-    spectral = quantum_bound(game)
+    norms, blocks = [], []
+    for k, phi in enumerate(_game_matrices(game), start=1):
+        norms.append(float(singular_values(phi)[0]))
+        if game.mA <= MAX_STRUCTURE_QUESTIONS:
+            blocks.append(_check_blocks(spec, prof, k, phi, norms[-1]))
+    spectral = bound_from_norms(game, norms)
     if abs(spectral - float(bound)) > 1e-10:
         raise TheoremVerificationError(
             f"spectral-bound leg failed: game matrices give {spectral!r}, "
             f"closed form gives {float(bound)!r}"
+        )
+    lambda_by_k = tuple(
+        max(prof.counts[(-j * pow(k, -1, d)) % d] for j in range(d))
+        for k in range(1, d)
+    )
+    if len(set(lambda_by_k)) > 1:
+        raise BlockStructureError(
+            f"multiplicity maximum varies with the character index: {lambda_by_k}"
         )
     return Theorem3Report(
         spec=spec,
@@ -307,6 +339,8 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
         brute_force_value=brute,
         spectral_bound=spectral,
         brute_forced=brute_forced,
+        lambda_by_k=lambda_by_k,
+        blocks=tuple(blocks),
     )
 
 
@@ -318,27 +352,15 @@ def fourier_vector(d: int, j: int, normalized: bool = False) -> np.ndarray:
 
 def building_block_matrix(d: int, k: int, t: int) -> np.ndarray:
     """Unnormalized single-dit game block with entries w^(k*t*(x+y mod d))."""
-    w = np.array(
+    return np.array(
         [[cmath.exp(2j * cmath.pi * (k * t * ((x + y) % d)) / d) for y in range(d)] for x in range(d)]
     )
-    return w
 
 
-@dataclass(frozen=True)
-class BlockCirculantReport:
-    """Numbers produced by the block-circulant structure verification."""
-
-    k: int
-    off_diagonal_max: float
-    top_eigenvalue: float
-    candidate_eigenvalues: tuple[float, ...]
-    spectral_norm: float
-    expected_norm: float
-    lambda_by_k: tuple[int, ...]
-
-
-def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
-    """Verify the Fourier eigenstructure of Phi_k^dagger Phi_k.
+def _check_blocks(
+    spec: NlcSpec, prof: LambdaProfile, k: int, phi: np.ndarray, snorm: float
+) -> BlockCirculantReport:
+    """Verify the Fourier eigenstructure of Phi_k^dagger Phi_k, ||Phi_k|| = snorm.
 
     Checks, raising `BlockStructureError` on the first failure:
       1. conjugating by the n-fold tensor of Fourier vectors leaves less
@@ -347,20 +369,9 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
          f_0^(x(n-1)) (x) f_j, whose eigenvalues match the weighted
          multiplicity profile;
       3. the spectral norm equals d^2 * Lw / d^n (uniform inputs:
-         d * Lambda / d^(2n)) to 1e-10;
-      4. the per-k multiplicity maximum is the same for every nonzero k.
+         d * Lambda / d^(2n)) to 1e-10.
     """
     d, n = spec.d, spec.n
-    if not 1 <= int(k) < d:
-        raise NlcValidationError(f"k must be a nonzero dit in [1, {d}), got {k}")
-    k = int(k)
-    if d**n > MAX_STRUCTURE_QUESTIONS:
-        raise NlcValidationError(
-            f"d^n = {d**n} exceeds the structure-check cap {MAX_STRUCTURE_QUESTIONS}"
-        )
-
-    game = nlc_game(spec)
-    phi = game_matrix(game, k)
     gram = matmul_adjoint(phi)
 
     f_mat = np.array([fourier_vector(d, j, normalized=True) for j in range(d)]).T
@@ -379,7 +390,6 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
 
     # Columns 0..d-1 of the tensor basis are f_0 x ... x f_0 x f_j.
     candidates = tuple(float(x) for x in diag[:d])
-    snorm = float(singular_values(phi)[0])
     top = snorm * snorm
     if abs(max(candidates) - top) > 1e-10:
         raise BlockStructureError(
@@ -389,7 +399,6 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
 
     # Candidate j pairs with the building block whose target satisfies
     # -k * t = j mod d, and its eigenvalue is (d^2 * weighted[t] / d^n)^2.
-    prof = lambda_profile(spec)
     k_inv = pow(k, -1, d)
     norm_scale = Fraction(d * d, d**n)
     for j, observed in enumerate(candidates):
@@ -408,15 +417,6 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
             f"profile value {expected_norm!r}"
         )
 
-    lambda_by_k = tuple(
-        max(prof.counts[(-j * pow(kk, -1, d)) % d] for j in range(d))
-        for kk in range(1, d)
-    )
-    if len(set(lambda_by_k)) != 1:
-        raise BlockStructureError(
-            f"multiplicity maximum varies with the character index: {lambda_by_k}"
-        )
-
     return BlockCirculantReport(
         k=k,
         off_diagonal_max=off_max,
@@ -424,7 +424,6 @@ def verify_block_circulant(spec: NlcSpec, k: int) -> BlockCirculantReport:
         candidate_eigenvalues=candidates,
         spectral_norm=snorm,
         expected_norm=expected_norm,
-        lambda_by_k=lambda_by_k,
     )
 
 

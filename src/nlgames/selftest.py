@@ -26,6 +26,7 @@ from .bounds import (
 from .games import (
     Box,
     box_from_correlators,
+    chsh_closed_form,
     chsh_d,
     correlators_from_box,
     evaluate_box,
@@ -33,7 +34,7 @@ from .games import (
     random_xor_game,
     win_prob_from_correlators,
 )
-from .nlc import nlc_spec, verify_block_circulant, verify_theorem3
+from .nlc import nlc_spec, verify_theorem3
 from .numerics import numerical_rank
 from .rng import SplitMix64
 
@@ -65,7 +66,7 @@ def check_chsh_closed_form() -> CheckResult:
     for p, r in cases:
         game = chsh_d(p, r)
         d = game.order
-        closed = 1.0 / d + (d - 1) / (d * np.sqrt(d))
+        closed = chsh_closed_form(d)
         norms = phi_norms(game)
         bound = bound_from_norms(game, norms)
         if abs(bound - closed) > 1e-10:
@@ -157,19 +158,18 @@ def check_block_circulant() -> CheckResult:
     start = time.perf_counter()
     failures = []
     for d in (2, 3):
-        spec = nlc_spec(d, 2, list(range(d)))
-        maxima = set()
-        for k in range(1, d):
-            try:
-                report = verify_block_circulant(spec, k)
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"d={d}, k={k}: {exc}")
-                continue
-            if report.off_diagonal_max >= 1e-10:
-                failures.append(f"d={d}, k={k}: off-diagonal {report.off_diagonal_max!r}")
-            maxima.add(report.lambda_by_k)
-        if len(maxima) > 1:
-            failures.append(f"d={d}: multiplicity maxima differ across k: {maxima}")
+        try:
+            report = verify_theorem3(nlc_spec(d, 2, list(range(d))))
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"d={d}: {exc}")
+            continue
+        if [block.k for block in report.blocks] != list(range(1, d)):
+            failures.append(f"d={d}: block checks ran for {len(report.blocks)} of {d - 1} k")
+        for block in report.blocks:
+            if block.off_diagonal_max >= 1e-10:
+                failures.append(f"d={d}, k={block.k}: off-diagonal {block.off_diagonal_max!r}")
+        if len(set(report.lambda_by_k)) > 1:
+            failures.append(f"d={d}: multiplicity maxima differ across k: {report.lambda_by_k}")
     return _result("block-circulant-structure", start, failures, "d=2,3 identity targets")
 
 

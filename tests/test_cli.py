@@ -137,6 +137,20 @@ def test_nlc_verify(nlc_file, capsys):
     assert "verify blocks k=1: ok" in out
 
 
+def test_nlc_verify_block_failure_exits_1_after_header(nlc_file, monkeypatch, capsys):
+    from nlgames import nlc
+
+    # Unnormalized Fourier vectors scale every eigenvalue candidate by d^n,
+    # so the top eigenvalue is no longer found in the expected Fourier span.
+    original = nlc.fourier_vector
+    monkeypatch.setattr(nlc, "fourier_vector", lambda d, j, normalized=False: original(d, j))
+    assert main(["nlc", nlc_file, "--verify"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert "error: top eigenvalue" in captured.err
+    assert "quantum_bound: 3/4 (0.75)" in captured.out
+    assert "verify" not in captured.out
+
+
 def test_nlc_rejects_composite_d(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"d": 4, "n": 1, "g": [0], "p": "uniform"}))

@@ -1,8 +1,11 @@
 """Each expensive object is built once per result: one character table per
 bound or report, one eigen solve per game matrix, one NLC game per check."""
 
+import json
+
 from nlgames import bounds, nlc, numerics
 from nlgames.algebra import FiniteAbelianGroup, Group
+from nlgames.cli import EXIT_OK, main
 from nlgames.games import chsh_d, game_from_tables, random_xor_game
 from nlgames.rng import SplitMix64
 
@@ -51,7 +54,14 @@ def test_verify_theorem3_builds_the_game_once(monkeypatch):
         monkeypatch.undo()
 
 
-def test_verify_block_circulant_solves_once(monkeypatch):
+def test_nlc_verify_builds_two_games_and_solves_each_phi_once(tmp_path, monkeypatch, capsys):
+    # One game for the header's strategy line, one for every verification
+    # leg; the block checks reuse the spectral leg's Phi_k and its solve.
+    path = tmp_path / "nlc.json"
+    path.write_text(json.dumps({"d": 3, "n": 2, "g": [0, 2, 2], "p": "uniform"}))
+    games = count_calls(monkeypatch, nlc, "nlc_game")
     solves = count_calls(monkeypatch, numerics, "_jacobi")
-    nlc.verify_block_circulant(nlc.nlc_spec(3, 2, [0, 2, 2]), 1)
-    assert len(solves) == 1
+    assert main(["nlc", str(path), "--verify"]) == EXIT_OK
+    assert "verify blocks k=2: ok" in capsys.readouterr().out
+    assert len(games) == 2
+    assert len(solves) == 2

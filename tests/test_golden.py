@@ -28,7 +28,9 @@ COMMANDS = {
     "chsh_7_2": ["chsh", "7", "2"],
     "chsh_61": ["chsh", "61"],
     "chsh_3_4": ["chsh", "3", "4"],
+    "nlc_d3_n3": ["nlc", "nlc_d3_n3.json"],
     "nlc_d3_n3_verify": ["nlc", "nlc_d3_n3.json", "--verify"],
+    "nlc_d5_n2_verify": ["nlc", "nlc_d5_n2.json", "--verify"],
     "nlc_d2_n7_weighted_verify": ["nlc", "nlc_d2_n7_weighted.json", "--verify"],
 }
 

@@ -17,7 +17,6 @@ from nlgames.nlc import (
     nlc_spec,
     nlc_spec_from_json,
     nlc_spec_to_json,
-    verify_block_circulant,
     verify_theorem3,
 )
 from nlgames.bounds import ns_winning_box
@@ -323,32 +322,32 @@ def test_building_block_eigen_identity():
     ids=str,
 )
 def test_block_circulant_structure(spec):
-    reports = [verify_block_circulant(spec, k) for k in range(1, spec.d)]
-    for report in reports:
-        assert report.off_diagonal_max < 1e-10
-        assert len(set(report.lambda_by_k)) == 1
-        assert report.spectral_norm == pytest.approx(report.expected_norm, abs=1e-10)
+    report = verify_theorem3(spec)
+    assert [block.k for block in report.blocks] == list(range(1, spec.d))
+    for block in report.blocks:
+        assert block.off_diagonal_max < 1e-10
+        assert block.spectral_norm == pytest.approx(block.expected_norm, abs=1e-10)
     # The multiplicity maximum is the same for every character index.
-    assert len({r.lambda_by_k for r in reports}) == 1
+    assert len(report.lambda_by_k) == spec.d - 1
+    assert len(set(report.lambda_by_k)) == 1
 
 
 def test_block_circulant_uniform_norm_bridging():
     # With uniform weight 1/d^(2n) on entries the norm is d * Lambda / d^(2n).
     spec = nlc_spec(3, 2, [0, 0, 1])
     prof = lambda_profile(spec)
-    report = verify_block_circulant(spec, 1)
     d, n = 3, 2
-    assert report.spectral_norm == pytest.approx(
-        d * prof.count_max / d ** (2 * n), abs=1e-12
-    )
+    for block in verify_theorem3(spec).blocks:
+        assert block.spectral_norm == pytest.approx(
+            d * prof.count_max / d ** (2 * n), abs=1e-12
+        )
 
 
-def test_block_circulant_rejects_bad_k():
-    spec = nlc_spec(3, 2, [0, 1, 2])
-    with pytest.raises(NlcValidationError):
-        verify_block_circulant(spec, 0)
-    with pytest.raises(NlcValidationError):
-        verify_block_circulant(spec, 3)
+def test_block_checks_run_up_to_the_structure_cap():
+    # 3^4 = 81 questions is the largest size with block checks; 2^7 = 128 has none.
+    at_cap = verify_theorem3(nlc_spec(3, 4, [i * i % 3 for i in range(27)]))
+    assert [block.k for block in at_cap.blocks] == [1, 2]
+    assert verify_theorem3(nlc_spec(2, 7, [i % 3 % 2 for i in range(64)])).blocks == ()
 
 
 # ---------------------------------------------------------------------------
