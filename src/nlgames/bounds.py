@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .games import Box, LinearGame, evaluate_box, game_from_tables
+from .games import Box, LinearGame, evaluate_box
 from .numerics import DEFAULT_RANK_TOL, numerical_rank, singular_value_rank, singular_values, spectral_norm
 
 __all__ = [
@@ -205,10 +205,7 @@ def _require_uniform_total(game: LinearGame) -> LinearGame:
         )
     if game.has_exact_q:
         return game
-    m_a, m_b = game.mA, game.mB
-    weight = Fraction(1, m_a * m_b)
-    f = [[game.f_element(u, v) for v in range(m_b)] for u in range(m_a)]
-    return game_from_tables(game.group, [[weight] * m_b for _ in range(m_a)], f)
+    return LinearGame(game.group, game.f_idx, q_num=np.ones_like(game.f_idx), q_den=game.f_idx.size)
 
 
 def pseudo_telepathy_check(

@@ -45,8 +45,8 @@ __all__ = [
 NORMALIZATION_TOL = 1e-12
 NO_SIGNALING_TOL = 1e-10
 
-# Above this common denominator the exact representation of q is dropped and
-# only the float table is kept.
+# Largest common denominator of exact input weights.  `LinearGame` rejects a
+# larger one; `game_from_tables` keeps such outside tables as floats.
 _MAX_EXACT_DENOMINATOR = 10**15
 
 
@@ -62,24 +62,50 @@ class GameFormatError(ValueError):
 class LinearGame:
     """Validated linear game; immutable after construction.
 
-    `q` is the float input distribution; when every input weight was given
-    exactly, `q_num`/`q_den` additionally hold integer numerators over a
-    common denominator so downstream optima can be reported as exact
-    rationals.  `f_idx` holds the winning element's canonical index per
-    question pair.
+    `f_idx` holds the winning element's canonical index per question pair.
+    The input distribution is given either exactly, as integer numerators
+    `q_num` over a common denominator `q_den` (then `q` is derived as
+    `q_num / q_den`, so downstream optima can be reported as exact
+    rationals), or as the float table `q` alone.
     """
 
     group: Group
-    q: np.ndarray
     f_idx: np.ndarray
-    q_num: np.ndarray | None
-    q_den: int | None
+    q: np.ndarray | None = None
+    q_num: np.ndarray | None = None
+    q_den: int | None = None
 
     def __post_init__(self):
+        if self.q_num is not None:
+            num, den = self.q_num, self.q_den
+            if not 0 < den <= _MAX_EXACT_DENOMINATOR:
+                raise GameValidationError(
+                    f"common denominator {den} of q is not in [1, {_MAX_EXACT_DENOMINATOR}]"
+                )
+            if num.dtype.kind not in "iu":
+                raise GameValidationError(f"q numerators must be int64 or uint64, not {num.dtype}")
+            if np.any(num < 0):
+                raise GameValidationError("input probabilities must be nonnegative")
+            total = int(num.sum(dtype=object))  # exact: an int64 sum could wrap
+            if total != den:
+                total = Fraction(total, den)
+                raise GameValidationError(f"input distribution sums to {total}, not 1")
+            object.__setattr__(self, "q", num / den)
+            num.setflags(write=False)
+        else:
+            if np.any(self.q < 0):
+                raise GameValidationError("input probabilities must be nonnegative")
+            total = float(self.q.sum())
+            if abs(total - 1.0) > NORMALIZATION_TOL:
+                raise GameValidationError(f"input distribution sums to {total!r}, not 1")
+        if self.q.ndim != 2 or self.q.size == 0:
+            raise GameValidationError("q must be a rectangular, nonempty table")
+        if self.f_idx.shape != self.q.shape:
+            raise GameValidationError("f table shape does not match q")
+        if np.any(self.f_idx < 0) or np.any(self.f_idx >= self.order):
+            raise GameValidationError(f"winning-function indices must lie in [0, {self.order})")
         self.q.setflags(write=False)
         self.f_idx.setflags(write=False)
-        if self.q_num is not None:
-            self.q_num.setflags(write=False)
 
     @property
     def mA(self) -> int:
@@ -138,54 +164,32 @@ def game_from_tables(group: Group, q, f) -> LinearGame:
 
     `q` is an mA x mB table whose entries may be floats, ints, Fractions, or
     (num, den) pairs; the exact rational form is kept when every entry is
-    exact.  `f` is an mA x mB table of group elements (element objects, int
-    indices, or coordinate sequences).
+    exact and their common denominator is at most 10**15.  `f` is an mA x mB
+    table of group elements (element objects, int indices, or coordinate
+    sequences).
     """
     rows = [list(row) for row in q]
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise GameValidationError("q must be a rectangular, nonempty table")
-    m_a, m_b = len(rows), len(rows[0])
-    if m_b == 0:
-        raise GameValidationError("q must have at least one column")
 
     weights = [[_parse_weight(entry) for entry in row] for row in rows]
-    exact = all(isinstance(w, Fraction) for row in weights for w in row)
-
-    q_num = None
-    q_den = None
-    if exact:
-        den = lcm(*(w.denominator for row in weights for w in row))
-        if den > _MAX_EXACT_DENOMINATOR:
-            exact = False
-        else:
-            nums = [[int(w * den) for w in row] for row in weights]
-            if any(n < 0 for row in nums for n in row):
-                raise GameValidationError("input probabilities must be nonnegative")
-            if sum(n for row in nums for n in row) != den:
-                total = sum(Fraction(n, den) for row in nums for n in row)
-                raise GameValidationError(f"input distribution sums to {total}, not 1")
-            q_num = np.array(nums, dtype=np.int64)
-            q_den = den
-
-    q_float = np.array([[float(w) for w in row] for row in weights], dtype=np.float64)
-    if np.any(q_float < 0):
-        raise GameValidationError("input probabilities must be nonnegative")
-    total = float(q_float.sum())
-    if not exact and abs(total - 1.0) > NORMALIZATION_TOL:
-        raise GameValidationError(f"input distribution sums to {total!r}, not 1")
-
-    f_rows = [list(row) for row in f]
-    if len(f_rows) != m_a or any(len(row) != m_b for row in f_rows):
-        raise GameValidationError("f table shape does not match q")
     try:
         f_idx = np.array(
-            [[group.index(group.element(entry)) for entry in row] for row in f_rows],
+            [[group.index(group.element(entry)) for entry in row] for row in f],
             dtype=np.int64,
         )
     except (TypeError, ValueError) as exc:
         raise GameValidationError(f"invalid winning-function entry: {exc}") from exc
 
-    return LinearGame(group=group, q=q_float, f_idx=f_idx, q_num=q_num, q_den=q_den)
+    # An entry outside [-1, 1] cannot be valid and its numerator may overflow
+    # int64, so such a table takes the float path, which names the fault.
+    if all(isinstance(w, Fraction) and abs(w) <= 1 for row in weights for w in row):
+        den = lcm(*(w.denominator for row in weights for w in row))
+        if den <= _MAX_EXACT_DENOMINATOR:
+            q_num = np.array([[int(w * den) for w in row] for row in weights], dtype=np.int64)
+            return LinearGame(group=group, f_idx=f_idx, q_num=q_num, q_den=den)
+    q_float = np.array([[float(w) for w in row] for row in weights], dtype=np.float64)
+    return LinearGame(group=group, f_idx=f_idx, q=q_float)
 
 
 def chsh_d(p: int, r: int = 1) -> LinearGame:
@@ -195,12 +199,8 @@ def chsh_d(p: int, r: int = 1) -> LinearGame:
     by the spectral bound are the trace characters.
     """
     field = FiniteField(p, r)
-    group = field.additive_group()
-    d = field.size
-    weight = Fraction(1, d * d)
-    q = [[weight] * d for _ in range(d)]
-    f = [[field.mul(x, y) for y in field.elements] for x in field.elements]
-    return game_from_tables(group, q, f)
+    f_idx = np.array([[int(field.mul(x, y)) for y in field.elements] for x in field.elements])
+    return LinearGame(field.additive_group(), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
 
 
 def chsh_closed_form(d: int) -> float:
@@ -218,11 +218,8 @@ def random_xor_game(rng: SplitMix64, d: int, m_a: int, m_b: int | None = None) -
 
     if m_b is None:
         m_b = m_a
-    group = FiniteAbelianGroup([d])
-    weight = Fraction(1, m_a * m_b)
-    q = [[weight] * m_b for _ in range(m_a)]
-    f = [[rng.randbelow(d) for _ in range(m_b)] for _ in range(m_a)]
-    return game_from_tables(group, q, f)
+    f_idx = np.array([[rng.randbelow(d) for _ in range(m_b)] for _ in range(m_a)])
+    return LinearGame(FiniteAbelianGroup([d]), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
 from .bounds import _game_matrices, bound_from_norms, classical_value
-from .games import GameFormatError, LinearGame, game_from_tables
+from .games import GameFormatError, GameValidationError, LinearGame, _parse_weight
 from .numerics import matmul_adjoint, singular_values
 
 __all__ = [
@@ -86,22 +87,6 @@ class NlcSpec:
         return all(w == Fraction(1, self.prefix_count) for w in self.p)
 
 
-def _parse_prob(entry) -> Fraction:
-    if isinstance(entry, Fraction):
-        return entry
-    if isinstance(entry, bool):
-        raise NlcValidationError(f"invalid probability entry {entry!r}")
-    if isinstance(entry, (int, np.integer)):
-        return Fraction(int(entry))
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
-        num, den = entry
-        if isinstance(num, (int, np.integer)) and isinstance(den, (int, np.integer)):
-            return Fraction(int(num), int(den))
-    raise NlcValidationError(
-        f"prefix probabilities must be exact rationals, got {entry!r}"
-    )
-
-
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     """Validate and build an NLC specification."""
     d = int(d)
@@ -128,7 +113,17 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
             raise NlcValidationError(f"unknown distribution keyword {p!r}")
         probs = tuple(Fraction(1, size) for _ in range(size))
     else:
-        probs = tuple(_parse_prob(entry) for entry in p)
+        try:
+            probs = tuple(_parse_weight(entry) for entry in p)
+        except GameValidationError as exc:
+            raise NlcValidationError(
+                f"prefix probabilities must be exact rationals: {exc}"
+            ) from exc
+        inexact = [w for w in probs if not isinstance(w, Fraction)]
+        if inexact:
+            raise NlcValidationError(
+                f"prefix probabilities must be exact rationals, not {inexact[0]!r}"
+            )
         if len(probs) != size:
             raise NlcValidationError(
                 f"p must have {size} entries to match the prefix strings"
@@ -145,9 +140,12 @@ def nlc_game(spec: NlcSpec) -> LinearGame:
     d, n = spec.d, spec.n
     # Z_d^n lists its elements in the NLC input order: index = prefix * d + last.
     z, last = divmod(FiniteAbelianGroup([d] * n).addition_table(), d)
-    weights = np.array([w / d ** (n + 1) for w in spec.p], dtype=object)
+    weights = [w / d ** (n + 1) for w in spec.p]
+    den = lcm(*(w.denominator for w in weights))
+    # Numerators are at most den: int64 whenever den passes LinearGame's cap.
+    p_num = np.array([w.numerator * (den // w.denominator) for w in weights])
     f = np.array(spec.g)[z] * last % d
-    return game_from_tables(FiniteAbelianGroup([d]), weights[z], f)
+    return LinearGame(group=FiniteAbelianGroup([d]), f_idx=f, q_num=p_num[z], q_den=den)
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,22 @@ def test_pseudo_telepathy_check_corpus_agreement():
     assert seen_win < 200  # corpus is not degenerate
 
 
+def test_pseudo_telepathy_check_float_q_matches_exact_q():
+    # A float uniform q is rebuilt with exact weights before the classical
+    # solve; the verdict must match the exact game's.
+    rng = SplitMix64(4)
+    games = [rank_one_game(Z3, [0, 1, 2], [1, 1, 0]), CHSH3]
+    games += [random_xor_game(rng, 3, 3) for _ in range(20)]
+    verdicts = set()
+    for exact in games:
+        as_float = game_from_tables(exact.group, exact.q.tolist(), exact.f_idx.tolist())
+        assert not as_float.has_exact_q
+        verdict = pseudo_telepathy_check(exact)
+        assert pseudo_telepathy_check(as_float) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {(True, True), (False, False)}
+
+
 def test_pseudo_telepathy_check_rejects_nonuniform_q():
     q = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 8)]]
     game = game_from_tables(Z2, q, [[0, 0], [0, 1]])

@@ -158,6 +158,17 @@ def test_nlc_rejects_composite_d(tmp_path, capsys):
     assert "prime" in capsys.readouterr().err
 
 
+def test_nlc_denominator_above_exact_cap_exits_1(tmp_path, capsys):
+    # The game weights p / d^(n+1) have common denominator 2.4e15 > 1e15.
+    path = tmp_path / "bigden.json"
+    p = [[1, 300000000000000], [299999999999999, 300000000000000]]
+    path.write_text(json.dumps({"d": 2, "n": 2, "g": [0, 1], "p": p}))
+    assert main(["nlc", str(path), "--verify"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: common denominator 2400000000000000")
+    assert "Traceback" not in err
+
+
 def test_scan_deterministic(capsys):
     assert main(["scan", "--seed", "0", "--count", "10", "--d", "2", "--m", "3"]) == EXIT_OK
     first = capsys.readouterr().out

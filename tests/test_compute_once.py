@@ -1,9 +1,10 @@
 """Each expensive object is built once per result: one character table per
-bound or report, one eigen solve per game matrix, one NLC game per check."""
+bound or report, one eigen solve per game matrix, one NLC game per check,
+and built-in games from integer arrays with no table parsing."""
 
 import json
 
-from nlgames import bounds, nlc, numerics
+from nlgames import bounds, games, nlc, numerics
 from nlgames.algebra import FiniteAbelianGroup, Group
 from nlgames.cli import EXIT_OK, main
 from nlgames.games import chsh_d, game_from_tables, random_xor_game
@@ -65,3 +66,35 @@ def test_nlc_verify_builds_two_games_and_solves_each_phi_once(tmp_path, monkeypa
     assert "verify blocks k=2: ok" in capsys.readouterr().out
     assert len(games) == 2
     assert len(solves) == 2
+
+
+def count_table_parses(monkeypatch) -> list:
+    # Patch every module that binds the name, so imported copies count too.
+    calls = []
+    original = games.game_from_tables
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (games, bounds, nlc):
+        if hasattr(module, "game_from_tables"):
+            monkeypatch.setattr(module, "game_from_tables", counted)
+    return calls
+
+
+def test_builtin_games_parse_no_tables(monkeypatch):
+    uniform_float = game_from_tables(
+        FiniteAbelianGroup([3]), [[0.25, 0.25], [0.25, 0.25]], [[0, 1], [1, 2]]
+    )
+    builds = [
+        lambda: chsh_d(5, 1),
+        lambda: random_xor_game(SplitMix64(0), 3, 4),
+        lambda: nlc.nlc_game(nlc.nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]])),
+        lambda: bounds.pseudo_telepathy_check(uniform_float),
+    ]
+    for build in builds:
+        parses = count_table_parses(monkeypatch)
+        build()
+        assert parses == []
+        monkeypatch.undo()

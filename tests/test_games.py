@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlgames.algebra import FiniteAbelianGroup
+from nlgames.algebra import FiniteAbelianGroup, FiniteField
 from nlgames.games import (
     Box,
     GameFormatError,
     GameValidationError,
+    LinearGame,
     box_from_correlators,
     chsh_d,
     correlators_from_box,
@@ -63,6 +64,8 @@ def test_unnormalized_q_rejected():
         small_game(Z2, [[0, 0], [0, 1]], q=[[0.225] * 2, [0.225] * 2])
     with pytest.raises(GameValidationError, match="sums to"):
         small_game(Z2, [[0, 0], [0, 1]], q=[[Fraction(9, 40)] * 2] * 2)
+    with pytest.raises(GameValidationError, match="sums to"):
+        small_game(Z2, [[0, 0], [0, 1]], q=[[10**20, 0], [0, 0]])
 
 
 def test_negative_q_rejected():
@@ -71,6 +74,8 @@ def test_negative_q_rejected():
     with pytest.raises(GameValidationError, match="nonnegative"):
         small_game(Z2, [[0, 0], [0, 1]], q=[[Fraction(3, 4), Fraction(-1, 4)],
                                             [Fraction(1, 4), Fraction(1, 4)]])
+    with pytest.raises(GameValidationError, match="nonnegative"):
+        small_game(Z2, [[0, 0], [0, 1]], q=[[-(10**20), 0], [0, 1]])
 
 
 def test_ragged_tables_rejected():
@@ -99,6 +104,62 @@ def test_tables_are_frozen():
         CHSH2.q[0, 0] = 0.5
     with pytest.raises(ValueError):
         CHSH2.f_idx[0, 0] = 1
+
+
+F22 = np.array([[0, 0], [0, 1]])
+ONES = np.ones((2, 2), dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"f_idx": F22, "q_num": np.array([[2, 1], [1, -1]]), "q_den": 3}, "nonnegative"),
+        ({"f_idx": F22, "q_num": ONES, "q_den": 5}, "sums to 4/5, not 1"),
+        ({"f_idx": F22, "q_num": ONES * 10**15, "q_den": 4 * 10**15}, "common denominator"),
+        ({"f_idx": F22, "q_num": ONES / 4, "q_den": 1}, "numerators must be int64"),
+        ({"f_idx": np.array([[0, 0], [0, 2]]), "q_num": ONES, "q_den": 4}, "winning-function"),
+        ({"f_idx": np.array([[0, -1], [0, 1]]), "q_num": ONES, "q_den": 4}, "winning-function"),
+        ({"f_idx": np.zeros((2, 3), dtype=np.int64), "q_num": ONES, "q_den": 4}, "shape"),
+        ({"f_idx": F22, "q": np.full((2, 2), 0.3)}, "sums to"),
+        ({"f_idx": F22, "q": np.array([[0.75, -0.25], [0.25, 0.25]])}, "nonnegative"),
+        ({"f_idx": F22[0], "q": np.full(2, 0.5)}, "rectangular"),
+    ],
+)
+def test_linear_game_validates_its_arrays(kwargs, message):
+    with pytest.raises(GameValidationError, match=message):
+        LinearGame(group=Z2, **kwargs)
+
+
+def test_linear_game_derives_q_from_exact_weights():
+    game = LinearGame(group=Z2, f_idx=F22, q_num=np.array([[1, 2], [3, 4]]), q_den=10)
+    assert np.array_equal(game.q, np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert game.q_fraction(1, 0) == Fraction(3, 10)
+    with pytest.raises(ValueError):
+        game.q_num[0, 0] = 0
+
+
+def assert_same_game(built, parsed):
+    for name in ("q", "f_idx", "q_num"):
+        assert np.array_equal(getattr(built, name), getattr(parsed, name)), name
+    assert built.q_den == parsed.q_den
+
+
+@pytest.mark.parametrize("d, m_a, m_b", [(2, 3, 3), (3, 4, 2), (5, 7, 3)])
+def test_random_xor_game_matches_parsed_tables(d, m_a, m_b):
+    rng = SplitMix64(11)
+    f = [[rng.randbelow(d) for _ in range(m_b)] for _ in range(m_a)]
+    game = random_xor_game(SplitMix64(11), d, m_a, m_b)
+    parsed = game_from_tables(game.group, [[Fraction(1, m_a * m_b)] * m_b] * m_a, f)
+    assert_same_game(game, parsed)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (5, 1), (2, 3), (3, 2)])
+def test_chsh_d_matches_parsed_tables(p, r):
+    field = FiniteField(p, r)
+    game = chsh_d(p, r)
+    f = [[field.mul(x, y) for y in field.elements] for x in field.elements]
+    parsed = game_from_tables(game.group, [[Fraction(1, field.size**2)] * field.size] * field.size, f)
+    assert_same_game(game, parsed)
 
 
 # ---------------------------------------------------------------------------

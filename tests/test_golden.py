@@ -1,10 +1,19 @@
 """Golden-output test: fixed CLI commands must print byte-identical stdout.
 
 Each expected file under `tests/golden/` holds the stdout of one command as
-printed before the spectral and NLC code was restructured to compute every
-character table, game and eigen solve once.  Refactors must leave these
-bytes unchanged.  Every command runs in a fresh interpreter under one and
-under two BLAS threads, because `matmul_adjoint` goes through BLAS zgemm.
+printed by the code before the change that added it, so a refactor must
+leave these bytes unchanged.  Every command runs in a fresh interpreter
+under one and under two BLAS threads, because `matmul_adjoint` goes through
+BLAS zgemm.
+
+To add a command, generate its expected file from the unchanged code, before
+editing `src/`, from the repository root:
+
+    cd tests/golden && OPENBLAS_NUM_THREADS=1 PYTHONPATH=../../src \
+        python -m nlgames.cli analyze z3_bigden.json --format json \
+        > analyze_z3_bigden_json.out
+
+and check that `OPENBLAS_NUM_THREADS=2` prints the same bytes.
 """
 
 import os
@@ -23,6 +32,8 @@ COMMANDS = {
     "analyze_z2xz3_json": ["analyze", "z2xz3.json", "--format", "json"],
     "analyze_z2xz4_json": ["analyze", "z2xz4.json", "--format", "json"],
     "analyze_gf9_json": ["analyze", "gf9.json", "--format", "json"],
+    # lcm of the weights' denominators is 2.1e15, above the exact cap.
+    "analyze_z3_bigden_json": ["analyze", "z3_bigden.json", "--format", "json"],
     "analyze_z3_text": ["analyze", "z3.json"],
     "analyze_z3_csv": ["analyze", "z3.json", "--format", "csv"],
     "chsh_7_2": ["chsh", "7", "2"],

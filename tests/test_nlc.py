@@ -1,5 +1,8 @@
 import itertools
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,8 @@ def test_spec_validation_errors():
         nlc_spec(2, 2, [0, 1], [[1, 2], [1, 3]])
     with pytest.raises(NlcValidationError, match="exact rationals"):
         nlc_spec(2, 2, [0, 1], [0.5, 0.5])
+    with pytest.raises(NlcValidationError, match="exact rationals"):
+        nlc_spec(2, 2, [0, 1], [["x", "y"], [1, 2]])
     with pytest.raises(NlcValidationError, match="keyword"):
         nlc_spec(2, 2, [0, 1], "flat")
     with pytest.raises(NlcValidationError, match="cap"):
@@ -91,6 +96,29 @@ def test_weighted_game_q_table():
     assert game.q_fraction(0, 0) == Fraction(3, 4) / 8
     assert game.q_fraction(0, 2) == Fraction(1, 4) / 8
     assert sum(game.q_fraction(u, v) for u in range(4) for v in range(4)) == 1
+
+
+def test_weighted_game_matches_fraction_entries():
+    # Reference: every entry's weight as a Fraction, its float, and the lcm
+    # of all denominators, with the prefix sums z taken digit by digit.
+    path = Path(__file__).parent / "golden" / "nlc_d2_n7_weighted.json"
+    spec = nlc_spec_from_json(json.loads(path.read_text()))
+    d, n = spec.d, spec.n
+    game = nlc_game(spec)
+    digits = [[(x // d**i) % d for i in reversed(range(n))] for x in range(d**n)]
+    weights = []
+    for x in digits:
+        row = []
+        for y in digits:
+            z = 0
+            for a, b in zip(x[:-1], y[:-1]):
+                z = z * d + (a + b) % d
+            row.append(spec.p[z] / d ** (n + 1))
+        weights.append(row)
+    den = math.lcm(*(w.denominator for row in weights for w in row))
+    assert game.q_den == den
+    assert np.array_equal(game.q_num, np.array([[int(w * den) for w in row] for row in weights]))
+    assert np.array_equal(game.q, np.array([[float(w) for w in row] for row in weights]))
 
 
 # ---------------------------------------------------------------------------
