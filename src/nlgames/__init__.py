@@ -66,7 +66,6 @@ from .nlc import (
     verify_theorem3,
 )
 from .numerics import (
-    hermitian_eigen,
     matmul_adjoint,
     numerical_rank,
     singular_value_rank,

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .games import Box, LinearGame, evaluate_box
-from .numerics import DEFAULT_RANK_TOL, numerical_rank, singular_value_rank, singular_values, spectral_norm
+from .numerics import DEFAULT_RANK_TOL, numerical_rank, singular_value_rank, singular_values
 
 __all__ = [
     "EnumerationBudgetError",
@@ -69,6 +69,23 @@ def _game_matrices(game: LinearGame):
         yield game.q * row[game.f_idx]
 
 
+def _phi_spectra(game: LinearGame):
+    """Yield (Phi_x, singular values of Phi_x) for x = 1..|G|-1 in canonical
+    order.
+
+    q is real, so Phi_{-x} = conj(Phi_x), and `singular_values` gives the same
+    bits on a conjugated matrix: each pair {x, -x} is solved once, at its
+    first member.  Only the current Phi_x is alive at a time.
+    """
+    negation = game.group.negation_table()
+    spectra = {}
+    for x, phi in enumerate(_game_matrices(game), start=1):
+        s = spectra.get(int(negation[x]))
+        if s is None:
+            s = spectra[x] = singular_values(phi)
+        yield phi, s
+
+
 def game_matrix(game: LinearGame, x) -> np.ndarray:
     """Game matrix Phi_x with entries q(u, v) * chi_x(f(u, v)), x nonidentity.
 
@@ -86,7 +103,7 @@ def game_matrix(game: LinearGame, x) -> np.ndarray:
 
 def phi_norms(game: LinearGame) -> list[float]:
     """Spectral norms ||Phi_x|| for each nonidentity x, in canonical element order."""
-    return [spectral_norm(phi) for phi in _game_matrices(game)]
+    return [float(s[0]) for _, s in _phi_spectra(game)]
 
 
 def bound_from_norms(game: LinearGame, norms) -> float:
@@ -310,7 +327,7 @@ def analyze(
     The enumeration budget is checked before any spectral solve.
     """
     optimum = classical_value(game, budget=budget)
-    spectra = [singular_values(phi) for phi in _game_matrices(game)]
+    spectra = [s for _, s in _phi_spectra(game)]
     rank1 = singular_value_rank(spectra[0], rank_tol)
     norms = [float(s[0]) for s in spectra]
     raw = bound_from_norms(game, norms)

@@ -27,9 +27,9 @@ from math import lcm
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
-from .bounds import _game_matrices, bound_from_norms, classical_value
+from .bounds import _phi_spectra, bound_from_norms, classical_value
 from .games import GameFormatError, GameValidationError, LinearGame, _parse_weight
-from .numerics import matmul_adjoint, singular_values
+from .numerics import matmul_adjoint
 
 __all__ = [
     "NlcValidationError",
@@ -280,13 +280,13 @@ class Theorem3Report:
 def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
-    Legs, all read off one game and one solve per Phi_k: (i) the prefix-
-    ignoring strategy's exact value equals the exact bound; (ii) when
-    d^(d^n) fits the enumeration budget, the brute-force classical optimum
-    equals the same number; (iii) when d^n <= MAX_STRUCTURE_QUESTIONS, each
-    Phi_k passes `_check_blocks`; (iv) the generic spectral bound from the
-    norms ||Phi_k|| agrees to 1e-10; (v) the multiplicity maximum is the same
-    for every nonzero k.  Legs (iii) and (v) raise `BlockStructureError`, the
+    Legs, all read off one game and one solve per conjugate pair {Phi_k,
+    Phi_(d-k)}: (i) the prefix-ignoring strategy's exact value equals the
+    exact bound; (ii) when d^(d^n) fits the enumeration budget, the
+    brute-force classical optimum equals the same number; (iii) when
+    d^n <= MAX_STRUCTURE_QUESTIONS, each Phi_k passes `_check_blocks`; (iv)
+    the generic spectral bound from the norms ||Phi_k|| agrees to 1e-10; (v)
+    the multiplicity maximum is the same for every nonzero k.  Legs (iii) and (v) raise `BlockStructureError`, the
     others `TheoremVerificationError` naming the leg.
     """
     d = spec.d
@@ -310,11 +310,12 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
                 f"brute-force leg failed: exhaustive optimum {brute} differs "
                 f"from bound {bound}"
             )
+    basis = _fourier_basis(d, spec.n) if game.mA <= MAX_STRUCTURE_QUESTIONS else None
     norms, blocks = [], []
-    for k, phi in enumerate(_game_matrices(game), start=1):
-        norms.append(float(singular_values(phi)[0]))
-        if game.mA <= MAX_STRUCTURE_QUESTIONS:
-            blocks.append(_check_blocks(spec, prof, k, phi, norms[-1]))
+    for k, (phi, s) in enumerate(_phi_spectra(game), start=1):
+        norms.append(float(s[0]))
+        if basis is not None:
+            blocks.append(_check_blocks(spec, prof, k, phi, norms[-1], basis))
     spectral = bound_from_norms(game, norms)
     if abs(spectral - float(bound)) > 1e-10:
         raise TheoremVerificationError(
@@ -355,10 +356,21 @@ def building_block_matrix(d: int, k: int, t: int) -> np.ndarray:
     )
 
 
+def _fourier_basis(d: int, n: int) -> np.ndarray:
+    """The n-fold tensor power of the normalized d-point Fourier basis; column
+    j, in base d with the last digit fastest, is f_(j_1) x ... x f_(j_n)."""
+    f_mat = np.array([fourier_vector(d, j, normalized=True) for j in range(d)]).T
+    basis = np.array([[1.0]])
+    for _ in range(n):
+        basis = np.kron(basis, f_mat)
+    return basis
+
+
 def _check_blocks(
-    spec: NlcSpec, prof: LambdaProfile, k: int, phi: np.ndarray, snorm: float
+    spec: NlcSpec, prof: LambdaProfile, k: int, phi: np.ndarray, snorm: float, basis: np.ndarray
 ) -> BlockCirculantReport:
-    """Verify the Fourier eigenstructure of Phi_k^dagger Phi_k, ||Phi_k|| = snorm.
+    """Verify the Fourier eigenstructure of Phi_k^dagger Phi_k, ||Phi_k|| = snorm,
+    in the tensor Fourier `basis` of `_fourier_basis`.
 
     Checks, raising `BlockStructureError` on the first failure:
       1. conjugating by the n-fold tensor of Fourier vectors leaves less
@@ -371,11 +383,6 @@ def _check_blocks(
     """
     d, n = spec.d, spec.n
     gram = matmul_adjoint(phi)
-
-    f_mat = np.array([fourier_vector(d, j, normalized=True) for j in range(d)]).T
-    basis = np.array([[1.0]])
-    for _ in range(n):
-        basis = np.kron(basis, f_mat)
     conj = basis.conj().T @ gram @ basis
 
     diag = conj.diagonal().real.copy()

@@ -1,30 +1,37 @@
 """Dense complex linear algebra used on game matrices.
 
-Matrices are plain 2-D numpy complex128 arrays.  The Hermitian eigensolver
-is a cyclic Jacobi iteration rather than a LAPACK call: the matrices here
-are at most a few hundred rows, and Jacobi gives the same result for the
-same input on every build, which keeps reports byte-reproducible.
+Matrices are plain 2-D numpy complex128 arrays.  Singular values come from
+one-sided (Hestenes) Jacobi on the matrix itself, which keeps small singular
+values accurate (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992)
+where the eigenvalues of A^dagger A cannot.  Pairs are rotated in a fixed
+round-robin order (Brent and Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985)
+with numpy elementwise arithmetic.  BLAS computes only the convergence
+gate's product A^dagger A, whose diagonal also gives the final norms.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 __all__ = [
     "as_cmatrix",
     "matmul_adjoint",
-    "hermitian_eigen",
     "singular_values",
     "singular_value_rank",
     "spectral_norm",
     "numerical_rank",
 ]
 
-HERMITICITY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
 
 _CONVERGENCE_EPS = 1e-14
 _MAX_SWEEPS = 100
+# Pairs whose inner product is below this fraction of ||A||_F^2 are left
+# alone: rotating them only stirs rounding noise, and the rotation formula
+# divides by the inner product.
+_FLOOR_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -44,93 +51,82 @@ def matmul_adjoint(a) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def _jacobi(h: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+@functools.cache
+def _round_robin(size: int) -> np.ndarray:
+    """Row permutation from one round of a round-robin tournament on `size`
+    (even) rows, where row i meets row i + size/2, to the next.  Row 0 stays
+    and the others circle, so `size - 1` rounds pair all rows once each."""
+    half = size // 2
+    following = [0, size - 1, *range(1, size - 1)]
 
-    Each rotation first phases the (p, q) entry real, then applies the real
-    Jacobi rotation that annihilates it.  Sweeps run in a fixed row-major
-    order until the off-diagonal Frobenius mass falls below a fixed multiple
-    of the matrix scale, so the result is deterministic for fixed input.
-    """
-    a = np.array(h, dtype=np.complex128, copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
-    scale = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    if scale == 0.0 or n == 1:
-        w = a.diagonal().real.copy()
-        order = np.argsort(-w, kind="stable")
-        return w[order], (v[:, order] if want_vectors else None)
+    def stored(order):
+        return order[:half] + order[::-1][:half]
 
-    diag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.sqrt(np.sum(np.abs(a[diag_mask]) ** 2)))
-        if off <= _CONVERGENCE_EPS * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                # Phase step: make a[p, q] real and nonnegative.
-                e = (apq / r).conjugate()
-                a[:, q] *= e
-                a[q, :] *= e.conjugate()
-                if want_vectors:
-                    v[:, q] *= e
-                # Real rotation annihilating the now-real off-diagonal entry.
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-
-    w = a.diagonal().real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], (v[:, order] if want_vectors else None)
+    position = {player: i for i, player in enumerate(stored(list(range(size))))}
+    return np.array([position[player] for player in stored(following)], dtype=np.intp)
 
 
-def hermitian_eigen(m, hermiticity_tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and eigenvectors as orthonormal columns in matching order.  Rejects
-    inputs whose deviation from Hermiticity exceeds `hermiticity_tol`.
-    """
-    a = as_cmatrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > hermiticity_tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return _jacobi(0.5 * (a + a.conj().T), want_vectors=True)
+def _sweep(rows: np.ndarray, floor: float):
+    """One round-robin sweep over `rows` in place, each round rotating its
+    disjoint pairs at once; returns whether any pair rotated."""
+    size = rows.shape[0]
+    half = size // 2
+    follow = _round_robin(size)
+    rotated = False
+    for _ in range(size - 1):
+        x, y = rows[:half], rows[half:]
+        flat = rows.view(np.float64)
+        norms2 = np.einsum("ij,ij->i", flat, flat)
+        alpha, beta = norms2[:half], norms2[half:]
+        gamma = np.einsum("ij,ij->i", x.conj(), y)
+        r = np.abs(gamma)
+        act = np.flatnonzero(r > np.maximum(_CONVERGENCE_EPS * np.sqrt(alpha * beta), floor))
+        if act.size:
+            rotated = True
+            # Phase y so that <x, y> is real and positive, then apply the
+            # real Jacobi rotation that annihilates it.
+            x, y, alpha, beta, r = x[act], y[act], alpha[act], beta[act], r[act]
+            y = y * (gamma[act].conj() / r)[:, None]
+            tau = (beta - alpha) / (2.0 * r)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s, c = (t * c)[:, None], c[:, None]
+            xf, yf = x.view(np.float64), y.view(np.float64)
+            rows[act] = (c * xf - s * yf).view(np.complex128)
+            rows[half + act] = (s * xf + c * yf).view(np.complex128)
+        rows[:] = rows[follow]
+    return rotated
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values in descending order: one Jacobi solve of A^dagger A,
-    without eigenvectors."""
-    w, _ = _jacobi(matmul_adjoint(a), want_vectors=False)
-    return np.sqrt(np.clip(w, 0.0, None))
+    """Singular values in descending order, by one-sided Jacobi.
+
+    The rows of `a`, or its columns when it is taller than wide, are rotated
+    pairwise until they are mutually orthogonal; the singular values are then
+    their norms.  Working on the rows is working on the columns of A^dagger
+    up to a conjugation, and a conjugated input gives bit-identical output.
+    Raises `ArithmeticError` after `_MAX_SWEEPS` sweeps without convergence.
+    """
+    m = as_cmatrix(a)
+    vectors = m if m.shape[0] < m.shape[1] else m.T
+    n = vectors.shape[0]
+    # An odd count gets a zero row, which never rotates.
+    rows = np.zeros((n + n % 2, vectors.shape[1]), dtype=np.complex128)
+    rows[:n] = vectors
+    for _ in range(_MAX_SWEEPS):
+        # Gate: stop when no pair would pass the rotation test on this product.
+        gram = rows.conj() @ rows.T
+        d = gram.diagonal().real
+        floor = _FLOOR_EPS * float(d.sum())
+        limit = np.maximum(_CONVERGENCE_EPS * np.sqrt(np.outer(d, d)), floor)
+        np.fill_diagonal(limit, np.inf)
+        if np.all(np.abs(gram) <= limit):
+            break
+        if not _sweep(rows, floor):
+            break
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge")
+    return np.sort(np.sqrt(d))[::-1][:n]
 
 
 def singular_value_rank(s: np.ndarray, tol: float) -> int:

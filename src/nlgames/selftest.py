@@ -25,12 +25,12 @@ from .bounds import (
 )
 from .games import (
     Box,
+    LinearGame,
     box_from_correlators,
     chsh_closed_form,
     chsh_d,
     correlators_from_box,
     evaluate_box,
-    game_from_tables,
     random_xor_game,
     win_prob_from_correlators,
 )
@@ -194,9 +194,8 @@ def check_fourier_machinery() -> CheckResult:
         n = group.order
         m_a = 2 + (i % 2)
         m_b = 2 + ((i // 2) % 2)
-        f = [[rng.randbelow(n) for _ in range(m_b)] for _ in range(m_a)]
-        q = [[Fraction(1, m_a * m_b)] * m_b for _ in range(m_a)]
-        game = game_from_tables(group, q, f)
+        f = np.array([[rng.randbelow(n) for _ in range(m_b)] for _ in range(m_a)])
+        game = LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
         box = _seeded_box(rng, m_a, m_b, n)
         table = correlators_from_box(game, box)
         back = box_from_correlators(game, table)
@@ -259,30 +258,48 @@ def check_ordering_chain() -> CheckResult:
     return _result("ordering-chain", start, failures, "500 seeded games")
 
 
+def _uniform_rank_one(f: np.ndarray, d: int) -> bool:
+    """Exact rank(Phi_1) <= 1 for a uniform game over Z_d with table f.
+
+    Every weight product is equal, so the 2 x 2 minor on rows u, u' and
+    columns v, v' vanishes exactly when f(u,v) + f(u',v') = f(u,v') + f(u',v)
+    mod d, since w = exp(2 pi i/d) is a primitive d-th root of unity.
+    """
+    main = f[:, None, :, None] + f[None, :, None, :]
+    anti = f[:, None, None, :] + f[None, :, :, None]
+    return bool(np.all((main - anti) % d == 0))
+
+
 def check_lemma2_equivalence() -> CheckResult:
-    """rank(Phi_1) = 1 iff the exact classical value is 1, with no exception."""
+    """rank(Phi_1) = 1 iff the exact classical value is 1 iff every 2 x 2
+    minor of Phi_1 vanishes, over Z_2..Z_6 with up to 5 questions a side."""
     start = time.perf_counter()
     failures = []
     z2 = FiniteAbelianGroup([2])
-    quarter = Fraction(1, 4)
-    checked = 0
+    games = []
     for code in range(16):
-        f = [[(code >> (2 * u + v)) & 1 for v in range(2)] for u in range(2)]
-        game = game_from_tables(z2, [[quarter] * 2] * 2, f)
-        rank1 = numerical_rank(game_matrix(game, 1)) == 1
-        win = classical_value(game).exact == 1
-        checked += 1
-        if rank1 != win:
-            failures.append(f"binary table {code}: rank1={rank1}, win={win}")
+        f = np.array([[(code >> (2 * u + v)) & 1 for v in range(2)] for u in range(2)])
+        games.append((f"binary table {code}", LinearGame(z2, f, q_num=np.ones_like(f), q_den=4)))
     rng = SplitMix64(8)
-    for i in range(200):
-        game = random_xor_game(rng, 3, 3)
+    for i in range(300):
+        d, m = 2 + i % 5, 2 + (i // 5) % 4
+        if i % 3 == 0:
+            alpha = [rng.randbelow(d) for _ in range(m)]
+            beta = [rng.randbelow(d) for _ in range(m)]
+            f = np.array([[(a + b) % d for b in beta] for a in alpha])
+            game = LinearGame(FiniteAbelianGroup([d]), f, q_num=np.ones_like(f), q_den=f.size)
+        else:
+            game = random_xor_game(rng, d, m)
+        games.append((f"game {i}", game))
+    for name, game in games:
         rank1 = numerical_rank(game_matrix(game, 1)) == 1
         win = classical_value(game).exact == 1
-        checked += 1
-        if rank1 != win:
-            failures.append(f"random game {i}: rank1={rank1}, win={win}")
-    return _result("lemma2-equivalence", start, failures, f"{checked} games")
+        minors = _uniform_rank_one(game.f_idx, game.order)
+        if not rank1 == win == minors:
+            failures.append(
+                f"{name} over Z_{game.order}: rank1={rank1}, win={win}, minors={minors}"
+            )
+    return _result("lemma2-equivalence", start, failures, f"{len(games)} games")
 
 
 ACCEPTANCE_CHECKS = [

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: norms come
 from power iteration, classical optima from full double enumeration over
-both players, win probabilities from direct sums over the constraint set.
+both players, win probabilities from direct sums over the constraint set,
+and the rank-1 test of Phi_1 from exact 2 x 2 minors in integers.
 """
 
 from __future__ import annotations
@@ -36,9 +37,25 @@ def power_iteration_norm(a, iters: int = 5000, seed: int = 7) -> float:
     return float(np.sqrt(max(rayleigh, 0.0)))
 
 
-def random_hermitian(rng, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (a + a.conj().T)
+def phi1_rank_at_most_one(game) -> bool:
+    """Exact test of rank(Phi_1) <= 1 for a game over Z_d with exact weights.
+
+    Phi_1 has entries q(u, v) * w^f(u, v) with w a primitive d-th root of
+    unity, so the 2 x 2 minor on rows u, u' and columns v, v' vanishes
+    exactly when q(u,v) q(u',v') = q(u,v') q(u',v) and either that product
+    is 0 or f(u,v) + f(u',v') = f(u,v') + f(u',v) mod d.  Integers only.
+    """
+    d = game.order
+    q = game.q_num.tolist()
+    f = game.f_idx.tolist()
+    for u, u2 in itertools.combinations(range(game.mA), 2):
+        for v, v2 in itertools.combinations(range(game.mB), 2):
+            product = q[u][v] * q[u2][v2]
+            if product != q[u][v2] * q[u2][v]:
+                return False
+            if product and (f[u][v] + f[u2][v2] - f[u][v2] - f[u2][v]) % d:
+                return False
+    return True
 
 
 def random_box_table(rng, m_a: int, m_b: int, n: int) -> np.ndarray:

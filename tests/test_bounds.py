@@ -17,6 +17,7 @@ from nlgames.bounds import (
     quantum_bound,
 )
 from nlgames.games import (
+    LinearGame,
     chsh_d,
     evaluate_box,
     game_from_tables,
@@ -25,7 +26,7 @@ from nlgames.games import (
 )
 from nlgames.numerics import matmul_adjoint, numerical_rank
 from nlgames.rng import SplitMix64
-from oracles import double_enumeration_optimum
+from oracles import double_enumeration_optimum, phi1_rank_at_most_one
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -291,6 +292,50 @@ def test_pseudo_telepathy_check_corpus_agreement():
         assert rank1 == win
         seen_win += int(win)
     assert seen_win < 200  # corpus is not degenerate
+
+
+# f(u, v) = alpha(u) + beta(v) with alpha = (4, 5), beta = (0, 4) over Z_6:
+# rank(Phi_1) = 1, though a solve through the eigenvalues of Phi_1^H Phi_1
+# reads sigma_2 / sigma_1 near 1e-8 and so rank 2.
+ADDITIVE_Z6 = LinearGame(
+    FiniteAbelianGroup([6]), np.array([[4, 2], [5, 3]]), q_num=np.ones((2, 2), dtype=np.int64), q_den=4
+)
+
+
+def test_additive_z6_game_has_rank_one():
+    assert phi1_rank_at_most_one(ADDITIVE_Z6)
+    assert analyze(ADDITIVE_Z6).rank_phi1 == 1
+
+
+def test_additive_z6_game_passes_pseudo_telepathy_check():
+    assert pseudo_telepathy_check(ADDITIVE_Z6) == (True, True)
+
+
+def rank_corpus(seed: int, count: int):
+    """Uniform games over Z_2..Z_6 with m = 2..5 questions a side; every
+    third one has additive f(u, v) = alpha(u) + beta(v), so rank(Phi_1) = 1."""
+    rng = SplitMix64(seed)
+    for i in range(count):
+        d, m = 2 + i % 5, 2 + (i // 5) % 4
+        if i % 3 == 0:
+            alpha = [rng.randbelow(d) for _ in range(m)]
+            beta = [rng.randbelow(d) for _ in range(m)]
+            f = [[(a + b) % d for b in beta] for a in alpha]
+        else:
+            f = [[rng.randbelow(d) for _ in range(m)] for _ in range(m)]
+        ones = np.ones((m, m), dtype=np.int64)
+        yield LinearGame(FiniteAbelianGroup([d]), np.array(f), q_num=ones, q_den=m * m)
+
+
+def test_rank_phi1_matches_minor_oracle_on_corpus():
+    rank_one = 0
+    for game in rank_corpus(seed=6, count=1200):
+        expected = phi1_rank_at_most_one(game)
+        report = analyze(game)
+        assert (report.rank_phi1 == 1) == expected, game.f_idx.tolist()
+        assert (report.classical_value_exact == 1) == expected
+        rank_one += expected
+    assert 400 <= rank_one < 1200
 
 
 def test_pseudo_telepathy_check_float_q_matches_exact_q():

@@ -222,11 +222,12 @@ def test_scan_over_budget_is_not_a_chain_violation(capsys):
 
 
 def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsys):
-    from nlgames import numerics
+    from nlgames import bounds, numerics
     from nlgames.algebra import Group
 
     started = []
-    monkeypatch.setattr(numerics, "_jacobi", lambda *args: started.append("solve"))
+    for module in (numerics, bounds):
+        monkeypatch.setattr(module, "singular_values", lambda *args: started.append("solve"))
     monkeypatch.setattr(Group, "character_table", lambda self: started.append("table"))
     doc = {
         "group": {"factors": [2]},

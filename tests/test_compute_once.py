@@ -1,6 +1,7 @@
 """Each expensive object is built once per result: one character table per
-bound or report, one eigen solve per game matrix, one NLC game per check,
-and built-in games from integer arrays with no table parsing."""
+bound or report, one singular-value solve per conjugate pair {Phi_x,
+Phi_-x}, one NLC game per check, and built-in games from integer arrays with
+no table parsing."""
 
 import json
 
@@ -23,24 +24,49 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def count_everywhere(monkeypatch, module, name) -> list:
+    """Count calls to `module.name` through every module that binds it, so
+    imported copies count too."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in (games, bounds, nlc, numerics):
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def count_solves(monkeypatch) -> list:
+    return count_everywhere(monkeypatch, numerics, "singular_values")
+
+
 def test_quantum_bound_builds_one_character_table(monkeypatch):
+    # Over GF(7) the six characters form three pairs {x, -x}.
     tables = count_calls(monkeypatch, Group, "character_table")
-    solves = count_calls(monkeypatch, numerics, "_jacobi")
+    solves = count_solves(monkeypatch)
     bounds.quantum_bound(chsh_d(7, 1))
     assert len(tables) == 1
-    assert len(solves) == 6
+    assert len(solves) == 3
 
 
 def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
     z2z3 = game_from_tables(
         FiniteAbelianGroup([2, 3]), [[0.25, 0.25], [0.25, 0.25]], [[0, 1], [4, 5]]
     )
-    for game in (random_xor_game(SplitMix64(3), 5, 3), z2z3, chsh_d(2, 2)):
+    # Z_5 has pairs {1, 4}, {2, 3}; Z_2 x Z_3 has (1, 0) = -(1, 0) and two
+    # pairs; every element of GF(4) is its own negative.
+    for game, pairs in ((random_xor_game(SplitMix64(3), 5, 3), 2), (z2z3, 3), (chsh_d(2, 2), 3)):
         tables = count_calls(monkeypatch, Group, "character_table")
-        solves = count_calls(monkeypatch, numerics, "_jacobi")
-        bounds.analyze(game)
+        solves = count_solves(monkeypatch)
+        report = bounds.analyze(game)
         assert len(tables) == 1
-        assert len(solves) == game.order - 1
+        assert len(solves) == pairs
+        negation = game.group.negation_table()
+        assert all(report.norms[x - 1] == report.norms[negation[x] - 1] for x in range(1, game.order))
         monkeypatch.undo()
 
 
@@ -48,39 +74,25 @@ def test_verify_theorem3_builds_the_game_once(monkeypatch):
     # d=2, n=2 fits the brute-force budget, so every leg runs.
     for spec in (nlc.nlc_spec(2, 2, [0, 1]), nlc.nlc_spec(3, 2, [0, 2, 2])):
         games = count_calls(monkeypatch, nlc, "nlc_game")
-        solves = count_calls(monkeypatch, numerics, "_jacobi")
+        solves = count_solves(monkeypatch)
         nlc.verify_theorem3(spec)
         assert len(games) == 1
-        assert len(solves) == spec.d - 1
+        assert len(solves) == 1
         monkeypatch.undo()
 
 
 def test_nlc_verify_builds_two_games_and_solves_each_phi_once(tmp_path, monkeypatch, capsys):
     # One game for the header's strategy line, one for every verification
-    # leg; the block checks reuse the spectral leg's Phi_k and its solve.
+    # leg; the block checks reuse the spectral leg's Phi_k, and Phi_2 =
+    # conj(Phi_1) reuses its solve.
     path = tmp_path / "nlc.json"
     path.write_text(json.dumps({"d": 3, "n": 2, "g": [0, 2, 2], "p": "uniform"}))
     games = count_calls(monkeypatch, nlc, "nlc_game")
-    solves = count_calls(monkeypatch, numerics, "_jacobi")
+    solves = count_solves(monkeypatch)
     assert main(["nlc", str(path), "--verify"]) == EXIT_OK
     assert "verify blocks k=2: ok" in capsys.readouterr().out
     assert len(games) == 2
-    assert len(solves) == 2
-
-
-def count_table_parses(monkeypatch) -> list:
-    # Patch every module that binds the name, so imported copies count too.
-    calls = []
-    original = games.game_from_tables
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in (games, bounds, nlc):
-        if hasattr(module, "game_from_tables"):
-            monkeypatch.setattr(module, "game_from_tables", counted)
-    return calls
+    assert len(solves) == 1
 
 
 def test_builtin_games_parse_no_tables(monkeypatch):
@@ -94,7 +106,7 @@ def test_builtin_games_parse_no_tables(monkeypatch):
         lambda: bounds.pseudo_telepathy_check(uniform_float),
     ]
     for build in builds:
-        parses = count_table_parses(monkeypatch)
+        parses = count_everywhere(monkeypatch, games, "game_from_tables")
         build()
         assert parses == []
         monkeypatch.undo()

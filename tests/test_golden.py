@@ -3,8 +3,9 @@
 Each expected file under `tests/golden/` holds the stdout of one command as
 printed by the code before the change that added it, so a refactor must
 leave these bytes unchanged.  Every command runs in a fresh interpreter
-under one and under two BLAS threads, because `matmul_adjoint` goes through
-BLAS zgemm.
+under one and under two BLAS threads, because BLAS zgemm computes the
+solver's convergence-gate product A^dagger A, whose diagonal gives the
+reported norms, and `matmul_adjoint` in the NLC block checks.
 
 To add a command, generate its expected file from the unchanged code, before
 editing `src/`, from the repository root:

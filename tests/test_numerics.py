@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from nlgames import numerics
 from nlgames.numerics import (
     as_cmatrix,
-    hermitian_eigen,
     matmul_adjoint,
     numerical_rank,
+    singular_values,
     spectral_norm,
 )
-from oracles import chsh_phi, power_iteration_norm, random_hermitian
+from oracles import chsh_phi, power_iteration_norm
+
+
+def random_complex(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_as_cmatrix_rejects_bad_input():
@@ -34,8 +39,7 @@ def test_matmul_adjoint_is_hermitian_psd():
         a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         h = matmul_adjoint(a)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
-        w, _ = hermitian_eigen(h)
-        assert w[-1] > -1e-12
+        assert np.linalg.eigvalsh(h)[0] > -1e-12
 
 
 def test_chsh3_gram_is_scaled_identity():
@@ -44,61 +48,59 @@ def test_chsh3_gram_is_scaled_identity():
     assert np.max(np.abs(gram - np.eye(3) / 27.0)) < 1e-15
 
 
-def test_eigen_diagonal():
-    w, v = hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [3.0, 2.0, 1.0])
-    # Columns are permuted standard basis vectors.
-    assert np.allclose(np.abs(v), np.eye(3)[:, [0, 2, 1]])
+def test_round_robin_meets_every_pair_once_per_sweep():
+    for size in (2, 4, 6, 10, 16):
+        order = np.arange(size)
+        met = []
+        for _ in range(size - 1):
+            met += [frozenset(pair) for pair in zip(order[: size // 2], order[size // 2 :])]
+            order = order[numerics._round_robin(size)]
+        assert sorted(met, key=sorted) == sorted(
+            (frozenset((i, j)) for i in range(size) for j in range(i + 1, size)), key=sorted
+        )
+        assert np.array_equal(order, np.arange(size))
 
 
-def test_eigen_pauli_x():
-    w, v = hermitian_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [1.0, -1.0])
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert abs(abs(plus @ v[:, 0]) - 1.0) < 1e-12
-    assert abs(abs(minus @ v[:, 1]) - 1.0) < 1e-12
+def singular_value_cases():
+    rng = np.random.default_rng(17)
+    column = random_complex(rng, (6, 1))
+    for shape in [(1, 1), (1, 5), (5, 1), (7, 4), (4, 7), (5, 5), (6, 6), (9, 3), (12, 11)]:
+        yield random_complex(rng, shape)
+    yield np.zeros((3, 4))
+    yield np.hstack([column, column, 2 * column, column])
+    yield np.hstack([random_complex(rng, (8, 3))] * 2)
 
 
-def test_eigen_reconstruction_6x6():
-    rng = np.random.default_rng(42)
-    m = random_hermitian(rng, 6)
-    w, v = hermitian_eigen(m)
-    rebuilt = (v * w) @ v.conj().T
-    assert np.max(np.abs(rebuilt - m)) < 1e-10
+def test_singular_values_match_lapack():
+    for a in singular_value_cases():
+        s = singular_values(a)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert s.shape == ref.shape
+        assert all(s[i] >= s[i + 1] for i in range(len(s) - 1))
+        assert np.max(np.abs(s - ref)) <= 1e-14 * max(ref[0], 1.0)
+    assert np.array_equal(singular_values(np.zeros((3, 4))), np.zeros(3))
 
 
-def test_eigen_corpus_residuals_and_orthogonality():
-    rng = np.random.default_rng(2024)
-    dims = [1 + (i * 7) % 32 for i in range(100)]
-    for n in dims:
-        m = random_hermitian(rng, n)
-        w, v = hermitian_eigen(m)
-        scale = max(abs(w[0]), abs(w[-1]), 1e-30)
-        residual = np.max(np.abs(m @ v - v * w))
-        assert residual <= 1e-10 * scale
-        gram = v.conj().T @ v
-        assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
-        assert all(w[i] >= w[i + 1] for i in range(n - 1))
-        # Independent eigenvalue oracle.
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-        assert np.max(np.abs(w - ref)) <= 1e-10 * scale
+def test_smallest_singular_value_has_small_relative_error():
+    a = random_complex(np.random.default_rng(160), (160, 160))
+    s = singular_values(a)
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert abs(s[-1] - ref[-1]) <= 1e-13 * ref[-1]
 
 
-def test_eigen_deterministic():
-    rng = np.random.default_rng(5)
-    m = random_hermitian(rng, 9)
-    w1, v1 = hermitian_eigen(m)
-    w2, v2 = hermitian_eigen(m)
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
+def test_conjugate_input_gives_identical_bits():
+    rng = np.random.default_rng(23)
+    cases = [*singular_value_cases(), random_complex(rng, (40, 31)), chsh_phi(7, 3)]
+    for a in cases:
+        s = singular_values(a)
+        assert np.array_equal(singular_values(a.conj()), s)
+        assert np.array_equal(singular_values(a.copy()), s)
 
 
-def test_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eigen(np.zeros((2, 3)))
+def test_nonconverging_solver_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_SWEEPS", 0)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        singular_values(np.eye(2))
 
 
 def test_spectral_norm_identity():
