@@ -9,8 +9,9 @@ q(u, v) * chi_x(f(u, v)).  The quantum value is bounded by
 where ||.|| is the spectral norm.  The identity character contributes
 exactly 1 through normalization, so Phi_e is never materialized.  The
 classical value is the exact maximum over deterministic assignments,
-found by enumerating Alice's assignments with Bob best-responding per
-question (optimal because the objective separates over Bob's questions).
+found by enumerating the assignments of the player with fewer questions,
+|G|^min(mA, mB) of them, with the other player best-responding per question
+(optimal because the objective separates over the responder's questions).
 """
 
 from __future__ import annotations
@@ -137,10 +138,26 @@ class ClassicalOptimum:
     bob: tuple
 
 
-def _assignment_digits(ids: np.ndarray, n: int, m_a: int) -> np.ndarray:
+def _assignment_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
     """Decode assignment ids into answer indices; question 0 varies fastest."""
-    powers = n ** np.arange(m_a, dtype=np.int64)
+    powers = n ** np.arange(m, dtype=np.int64)
     return (ids[:, None] // powers[None, :]) % n
+
+
+def _response_scores(assign: np.ndarray, weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
+    """Per (row of `assign`, responder's question, answer g), the weight the
+    responder wins by answering g.
+
+    `assign` holds the enumerated player's answer indices, one row per
+    assignment; `weights` and `winning` are indexed by that player's question
+    first, then the responder's.
+    """
+    m_enum, m_resp, n = winning.shape
+    i_ix = np.arange(m_enum)[None, :, None]
+    j_ix = np.arange(m_resp)[None, None, :]
+    diff = winning[i_ix, j_ix, assign[:, :, None]]
+    onehot = (diff[..., None] == np.arange(n)).astype(weights.dtype)
+    return np.einsum("uv,cuvg->cvg", weights, onehot)
 
 
 def classical_value(
@@ -150,53 +167,60 @@ def classical_value(
 ) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies.
 
-    Enumerates all |G|^mA assignments for Alice in chunks; for each, Bob's
-    best response at question v maximizes sum_u q(u, v) [a(u) + b = f(u, v)],
-    with ties broken toward the smallest group element in canonical order.
-    Among equally good Alice assignments the one with the smallest
-    enumeration id wins, so the result does not depend on the chunking.
+    Enumerates, in chunks, all |G|^min(mA, mB) assignments of the player with
+    fewer questions (Alice when mA <= mB); the other player best-responds per
+    question.  The win condition a + b = f(u, v) is symmetric, so
+    `winning_answers` also gives Alice's winning answer to Bob's b.
+
+    The result is the optimal Alice assignment with the smallest enumeration
+    id (question 0 varies fastest), whichever side is enumerated: the optimal
+    Alice assignments are exactly the best responses to optimal Bob
+    assignments, and the smallest-id best response takes the smallest optimal
+    answer at every question.  Candidates are compared digit by digit, since
+    an id can exceed int64.  Bob then best-responds to that assignment, ties
+    broken toward the smallest group element in canonical order, and the value
+    is scored in that orientation, so the result does not depend on the
+    chunking.
     """
     n = game.order
-    total = n**game.mA
+    by_bob = game.mB < game.mA
+    total = n ** min(game.mA, game.mB)
     if total > budget:
+        player = "Bob" if by_bob else "Alice"
         raise EnumerationBudgetError(
-            f"classical enumeration needs {total} Alice assignments, over the "
-            f"budget of {budget}"
+            f"classical enumeration needs {total} assignments for {player}, the "
+            f"player with fewer questions, over the budget of {budget}"
         )
-    exact = game.has_exact_q
-    weights = game.q_num if exact else game.q
+    weights = game.q_num if game.has_exact_q else game.q
     winning = game.winning_answers()
-    u_ix = np.arange(game.mA)[None, :, None]
-    v_ix = np.arange(game.mB)[None, None, :]
-    targets = np.arange(n)
+    enum_weights, enum_winning = (
+        (weights.T, winning.transpose(1, 0, 2)) if by_bob else (weights, winning)
+    )
 
-    def bob_scores(ids):
-        """Alice's assignments for `ids`, and per (id, v, b) the weight Bob wins."""
-        assign = _assignment_digits(ids, n, game.mA)
-        diff = winning[u_ix, v_ix, assign[:, :, None]]
-        onehot = (diff[..., None] == targets).astype(weights.dtype)
-        return assign, np.einsum("uv,cuvg->cvg", weights, onehot)
-
-    best_val = None
-    best_id = -1
+    best_val, alice_idx = -1, None  # every value is a sum of weights >= 0
     for start in range(0, total, chunk_size):
         ids = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        _, per_question = bob_scores(ids)
+        assign = _assignment_digits(ids, n, enum_weights.shape[0])
+        per_question = _response_scores(assign, enum_weights, enum_winning)
         vals = per_question.max(axis=2).sum(axis=1)
-        i = int(np.argmax(vals))
-        if best_val is None or vals[i] > best_val:
-            best_val = vals[i]
-            best_id = start + i
+        top = vals.max()
+        if top < best_val:
+            continue
+        rows = vals == top
+        cand = per_question[rows].argmax(axis=2) if by_bob else assign[rows]
+        if top == best_val:
+            cand = np.vstack([alice_idx, cand])
+        alice_idx = cand[np.lexsort(cand.T)[0]]
+        best_val = top
 
-    assign, per_question = bob_scores(np.array([best_id], dtype=np.int64))
-    bob_idx = per_question[0].argmax(axis=1)
-
-    alice = tuple(game.group.elements[i] for i in assign[0])
-    bob = tuple(game.group.elements[i] for i in bob_idx)
-    if exact:
-        exact_value = Fraction(int(best_val), game.q_den)
+    per_question = _response_scores(alice_idx[None, :], weights, winning)[0]
+    value = per_question.max(axis=1).sum()
+    alice = tuple(game.group.elements[i] for i in alice_idx)
+    bob = tuple(game.group.elements[i] for i in per_question.argmax(axis=1))
+    if game.has_exact_q:
+        exact_value = Fraction(int(value), game.q_den)
         return ClassicalOptimum(float(exact_value), exact_value, alice, bob)
-    return ClassicalOptimum(float(best_val), None, alice, bob)
+    return ClassicalOptimum(float(value), None, alice, bob)
 
 
 def ns_winning_box(game: LinearGame) -> Box:

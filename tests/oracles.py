@@ -4,13 +4,19 @@ Everything here deliberately avoids the code paths under test: norms come
 from power iteration, classical optima from full double enumeration over
 both players, win probabilities from direct sums over the constraint set,
 and the rank-1 test of Phi_1 from exact 2 x 2 minors in integers.
+`alice_side_classical_value` walks all of Alice's assignments whichever
+player has fewer questions; `classical_value` must match it strategy for
+strategy.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
+
+from nlgames.bounds import ClassicalOptimum
 
 
 def chsh_phi(d: int, k: int) -> np.ndarray:
@@ -102,6 +108,51 @@ def double_enumeration_optimum(game):
             if score > best:
                 best = score
     return best
+
+
+def alice_side_classical_value(game) -> ClassicalOptimum:
+    """Exact optimum by walking all |G|^mA of Alice's assignments, no budget.
+
+    Bob best-responds per question, ties broken toward the smallest group
+    element; among equally good Alice assignments the smallest enumeration id
+    (question 0 varies fastest) wins.
+    """
+    n = game.order
+    total = n**game.mA
+    exact = game.has_exact_q
+    weights = game.q_num if exact else game.q
+    winning = game.winning_answers()
+    u_ix = np.arange(game.mA)[None, :, None]
+    v_ix = np.arange(game.mB)[None, None, :]
+    targets = np.arange(n)
+    powers = n ** np.arange(game.mA, dtype=np.int64)
+
+    def bob_scores(ids):
+        assign = (ids[:, None] // powers[None, :]) % n
+        diff = winning[u_ix, v_ix, assign[:, :, None]]
+        onehot = (diff[..., None] == targets).astype(weights.dtype)
+        return assign, np.einsum("uv,cuvg->cvg", weights, onehot)
+
+    best_val = None
+    best_id = -1
+    chunk = 4096
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        _, per_question = bob_scores(ids)
+        vals = per_question.max(axis=2).sum(axis=1)
+        i = int(np.argmax(vals))
+        if best_val is None or vals[i] > best_val:
+            best_val = vals[i]
+            best_id = start + i
+
+    assign, per_question = bob_scores(np.array([best_id], dtype=np.int64))
+    bob_idx = per_question[0].argmax(axis=1)
+    alice = tuple(game.group.elements[i] for i in assign[0])
+    bob = tuple(game.group.elements[i] for i in bob_idx)
+    if exact:
+        exact_value = Fraction(int(best_val), game.q_den)
+        return ClassicalOptimum(float(exact_value), exact_value, alice, bob)
+    return ClassicalOptimum(float(best_val), None, alice, bob)
 
 
 def correlators_directly(game, box) -> np.ndarray:

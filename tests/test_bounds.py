@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlgames.algebra import FiniteAbelianGroup
+from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
     EnumerationBudgetError,
     HypothesisViolationError,
@@ -26,7 +26,7 @@ from nlgames.games import (
 )
 from nlgames.numerics import matmul_adjoint, numerical_rank
 from nlgames.rng import SplitMix64
-from oracles import double_enumeration_optimum, phi1_rank_at_most_one
+from oracles import alice_side_classical_value, double_enumeration_optimum, phi1_rank_at_most_one
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -210,18 +210,91 @@ def test_best_response_matches_double_enumeration_corpus():
 
 
 def test_classical_value_independent_of_chunking():
-    game = random_xor_game(SplitMix64(21), 3, 3)
-    results = [classical_value(game, chunk_size=c) for c in (1, 3, 16, 4096)]
-    for r in results[1:]:
-        assert r.exact == results[0].exact
-        assert r.alice == results[0].alice
-        assert r.bob == results[0].bob
+    # The 5 x 3 game enumerates Bob, so ties also meet across his chunks.
+    for m_a, m_b in ((3, 3), (5, 3)):
+        game = random_xor_game(SplitMix64(21), 3, m_a, m_b)
+        results = [classical_value(game, chunk_size=c) for c in (1, 3, 16, 4096)]
+        for r in results[1:]:
+            assert r.exact == results[0].exact
+            assert r.alice == results[0].alice
+            assert r.bob == results[0].bob
 
 
 def test_budget_error_is_informative():
-    game = random_xor_game(SplitMix64(5), 3, 13, 2)
-    with pytest.raises(EnumerationBudgetError, match="1594323"):
-        classical_value(game)
+    # 3^13 = 1594323 assignments for the player with 13 questions.
+    for m_a, player in ((13, "Alice"), (14, "Bob")):
+        game = random_xor_game(SplitMix64(5), 3, m_a, 13)
+        with pytest.raises(EnumerationBudgetError, match=f"1594323 assignments for {player}"):
+            classical_value(game)
+
+
+TALL_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 7)] + [
+    FiniteAbelianGroup([2, 3]),
+    FiniteAbelianGroup([3, 3]),
+    FieldAdditiveGroup(FiniteField(2, 2)),
+]
+WEIGHT_KINDS = ("uniform", "random 1..3", "sparse", "random float", "uniform float")
+
+
+def tall_game(rng, group, kind):
+    """A seeded game with mB < mA and at most ~2000 Alice assignments."""
+    n = group.order
+    m_a = int(rng.integers(2, max(2, int(np.log(2000) / np.log(n))) + 1))
+    m_b = int(rng.integers(1, m_a))
+    f = rng.integers(0, n, (m_a, m_b))
+    if kind == "random float":
+        q = rng.random((m_a, m_b))
+        return LinearGame(group, f, q=q / q.sum())
+    if kind == "uniform float":
+        return LinearGame(group, f, q=np.full((m_a, m_b), 1.0 / (m_a * m_b)))
+    if kind == "uniform":
+        num = np.ones((m_a, m_b), dtype=np.int64)
+    else:
+        low, high = (0, 3) if kind == "sparse" else (1, 4)
+        num = rng.integers(low, high, (m_a, m_b))
+        num[0, 0] += num.sum() == 0
+    return LinearGame(group, f, q_num=num, q_den=int(num.sum()))
+
+
+def transposed(game):
+    if game.has_exact_q:
+        return LinearGame(game.group, game.f_idx.T.copy(), q_num=game.q_num.T.copy(), q_den=game.q_den)
+    return LinearGame(game.group, game.f_idx.T.copy(), q=game.q.T.copy())
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_enumerating_bob_matches_the_alice_side_reference(kind):
+    rng = np.random.default_rng(WEIGHT_KINDS.index(kind))
+    for i in range(16 * len(TALL_GROUPS)):  # 128 games per kind, 640 in all
+        game = tall_game(rng, TALL_GROUPS[i % len(TALL_GROUPS)], kind)
+        opt = classical_value(game)
+        ref = alice_side_classical_value(game)
+        flipped = classical_value(transposed(game))
+        assert opt.exact == flipped.exact
+        assert opt.value == pytest.approx(flipped.value, abs=1e-12)
+        if kind == "uniform float":
+            # Ties between equally good strategies fall to float rounding,
+            # which differs between the two enumeration orders.
+            assert opt.value == pytest.approx(ref.value, abs=1e-12)
+            box = strategy_box(game, opt.alice, opt.bob)
+            assert evaluate_box(game, box) == pytest.approx(opt.value, abs=1e-12)
+        else:
+            assert (opt.value, opt.exact, opt.alice, opt.bob) == (
+                ref.value,
+                ref.exact,
+                ref.alice,
+                ref.bob,
+            )
+
+
+@pytest.mark.parametrize("d, m_a, m_b", [(3, 41, 2), (2, 70, 3)])
+def test_tall_games_beyond_int64_ids(d, m_a, m_b):
+    # d^mA > 2^63 Alice assignments: ids past int64 must not be decoded.
+    game = random_xor_game(SplitMix64(m_a), d, m_a, m_b)
+    opt = classical_value(game)
+    assert opt.exact == classical_value(transposed(game)).exact
+    box = strategy_box(game, opt.alice, opt.bob)
+    assert evaluate_box(game, box) == pytest.approx(opt.value, abs=1e-12)
 
 
 def test_float_only_games_still_enumerable():

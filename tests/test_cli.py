@@ -95,9 +95,9 @@ def test_analyze_budget_exits_3(tmp_path, capsys):
     doc = {
         "group": {"factors": [3]},
         "mA": 13,
-        "mB": 1,
-        "q": [[[1, 13]] for _ in range(13)],
-        "f": [[u % 3] for u in range(13)],
+        "mB": 13,
+        "q": [[[1, 169]] * 13 for _ in range(13)],
+        "f": [[(u + v) % 3 for v in range(13)] for u in range(13)],
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
@@ -232,9 +232,9 @@ def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsy
     doc = {
         "group": {"factors": [2]},
         "mA": 21,
-        "mB": 2,
-        "q": [[[1, 42]] * 2 for _ in range(21)],
-        "f": [[(u + v) % 2 for v in range(2)] for u in range(21)],
+        "mB": 21,
+        "q": [[[1, 441]] * 21 for _ in range(21)],
+        "f": [[(u + v) % 2 for v in range(21)] for u in range(21)],
     }
     path = tmp_path / "over_budget.json"
     path.write_text(json.dumps(doc))

@@ -36,6 +36,9 @@ COMMANDS = {
     # lcm of the weights' denominators is 2.1e15, above the exact cap.
     "analyze_z3_bigden_json": ["analyze", "z3_bigden.json", "--format", "json"],
     "analyze_z3_text": ["analyze", "z3.json"],
+    # Transposes of z3.json (exact) and a 5 x 2 float game: Bob is enumerated.
+    "analyze_z3_tall_text": ["analyze", "z3_tall.json"],
+    "analyze_z2xz3_tall_json": ["analyze", "z2xz3_tall.json", "--format", "json"],
     "analyze_z3_csv": ["analyze", "z3.json", "--format", "csv"],
     "chsh_7_2": ["chsh", "7", "2"],
     "chsh_61": ["chsh", "61"],
