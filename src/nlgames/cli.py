@@ -19,13 +19,7 @@ from fractions import Fraction
 
 from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
 from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
-from .nlc import (
-    lambda_profile,
-    nlc_classical_strategy,
-    nlc_quantum_bound,
-    nlc_spec_from_json,
-    verify_theorem3,
-)
+from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
 from .numerics import DEFAULT_RANK_TOL
 from .rng import SplitMix64
 from .selftest import run_all
@@ -151,9 +145,12 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
 def cmd_nlc(args: argparse.Namespace) -> int:
     spec = nlc_spec_from_json(_load_json(args.path))
-    profile = lambda_profile(spec)
-    strategy = nlc_classical_strategy(spec)
-    bound = nlc_quantum_bound(spec)
+    report = verify_theorem3(spec) if args.verify else None
+    if report is None:
+        profile = lambda_profile(spec)
+        strategy_value = nlc_classical_strategy(spec, profile.mu).value
+    else:
+        profile, strategy_value = report.profile, report.strategy_value
     print(f"d: {spec.d}, n: {spec.n}")
     print("lambda_counts: " + " ".join(str(c) for c in profile.counts))
     print(
@@ -161,27 +158,20 @@ def cmd_nlc(args: argparse.Namespace) -> int:
         + " ".join(f"{w.numerator}/{w.denominator}" for w in profile.weighted)
     )
     print(f"mu: {profile.mu}")
-    print(f"strategy_value: {fmt_fraction(strategy.value)}")
-    print(f"quantum_bound: {fmt_fraction(bound)}")
-    if args.verify:
-        report = verify_theorem3(spec)
+    print(f"strategy_value: {fmt_fraction(strategy_value)}")
+    print(f"quantum_bound: {fmt_fraction(profile.bound)}")
+    if report is not None:
         brute = (
-            fmt_fraction(report.brute_force_value)
-            if report.brute_forced
-            else "skipped (over budget)"
+            "skipped (over budget)"
+            if report.brute_force_value is None
+            else fmt_fraction(report.brute_force_value)
         )
         print(
             f"verify theorem: ok (strategy {fmt_fraction(report.strategy_value)}, "
             f"brute force {brute}, spectral {fmt_float(report.spectral_bound)})"
         )
         for block in report.blocks:
-            print(
-                f"verify blocks k={block.k}: ok (off-diagonal "
-                f"{fmt_float(block.off_diagonal_max)}, norm "
-                f"{fmt_float(block.spectral_norm)})"
-            )
-        if not report.blocks:
-            print("verify blocks: skipped (d^n above the structure-check cap)")
+            print(f"verify blocks k={block.k}: ok (norm {fmt_float(block.spectral_norm)})")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ is block-circulant, hence diagonal in the tensor Fourier basis.  The
 multiplicity profile of the building blocks therefore determines the
 spectral bound exactly, and the ignore-the-prefix strategy a = mu * x_n,
 b = mu * y_n attains it: these games have no quantum advantage.
+`verify_theorem3` checks this structure for every spec `nlc_spec` accepts.
 
 Input indices encode digit strings big-endian with the last dit fastest,
 so index = prefix_index * d + last_dit.
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 MAX_QUESTIONS = 729  # d^n cap for building the full game
-MAX_STRUCTURE_QUESTIONS = 81  # d^n cap for the eigenstructure verification
 
 
 class NlcValidationError(ValueError):
@@ -160,7 +160,6 @@ class LambdaProfile:
 
     counts: tuple[int, ...]
     weighted: tuple[Fraction, ...]
-    uniform: bool
 
     @property
     def count_max(self) -> int:
@@ -174,44 +173,35 @@ class LambdaProfile:
     def mu(self) -> int:
         return self.weighted.index(self.weighted_max)
 
+    @property
+    def bound(self) -> Fraction:
+        """(1/d) * (1 + d^2 (d-1) * Lw) with Lw the largest weighted
+        multiplicity; on uniform inputs (1/d) * (1 + (d-1) * Lambda / d^(n-1))
+        with Lambda the largest multiplicity."""
+        d = len(self.counts)
+        return Fraction(1, d) + d * (d - 1) * self.weighted_max
+
 
 def lambda_profile(spec: NlcSpec) -> LambdaProfile:
     """Count how often each building block occurs, plus its input weight.
 
-    The profile is the same for every row block; this is re-derived from a
-    second row as an internal consistency check.
+    Row block 0 meets prefix z in column block z, and every other row of the
+    prefix addition table is a permutation of the prefixes, so every row
+    block has this same profile.
     """
     d = spec.d
-    padd = FiniteAbelianGroup([d] * spec.n).addition_table()[::d, ::d] // d
-    size = spec.prefix_count
-
-    def profile_from_row(row: int):
-        counts = [0] * d
-        weighted = [Fraction(0)] * d
-        for y in range(size):
-            z = int(padd[row, y])
-            counts[spec.g[z]] += 1
-            weighted[spec.g[z]] += spec.p[z] / (d * d)
-        return tuple(counts), tuple(weighted)
-
-    counts, weighted = profile_from_row(0)
-    other = min(1, size - 1)
-    if profile_from_row(other) != (counts, weighted):
-        raise BlockStructureError(
-            "building-block profile differs between row blocks"
-        )
-    return LambdaProfile(counts=counts, weighted=weighted, uniform=spec.uniform)
+    counts = [0] * d
+    weighted = [Fraction(0)] * d
+    for t, w in zip(spec.g, spec.p):
+        counts[t] += 1
+        weighted[t] += w / (d * d)
+    return LambdaProfile(counts=tuple(counts), weighted=tuple(weighted))
 
 
 def nlc_quantum_bound(spec: NlcSpec) -> Fraction:
-    """Exact spectral bound on the quantum value of an NLC game.
-
-    (1/d) * (1 + d^2 (d-1) * Lw) with Lw the largest weighted multiplicity.
-    On uniform inputs this is (1/d) * (1 + (d-1) * Lambda / d^(n-1)) with
-    Lambda the largest multiplicity.
-    """
-    d = spec.d
-    return Fraction(1, d) + d * (d - 1) * lambda_profile(spec).weighted_max
+    """Exact spectral bound on the quantum value of an NLC game
+    (`LambdaProfile.bound`)."""
+    return lambda_profile(spec).bound
 
 
 @dataclass(frozen=True)
@@ -264,34 +254,30 @@ class BlockCirculantReport:
 @dataclass(frozen=True)
 class Theorem3Report:
     """Outcome of the no-quantum-advantage verification for one game;
-    `blocks` is empty when d^n exceeds `MAX_STRUCTURE_QUESTIONS`."""
+    `brute_force_value` is None when the enumeration is over budget."""
 
     spec: NlcSpec
+    profile: LambdaProfile
     bound: Fraction
     strategy_value: Fraction
-    mu: int
     brute_force_value: Fraction | None
     spectral_bound: float
-    brute_forced: bool
-    lambda_by_k: tuple[int, ...]
     blocks: tuple[BlockCirculantReport, ...]
 
 
 def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
-    Legs, all read off one game and one solve per conjugate pair {Phi_k,
-    Phi_(d-k)}: (i) the prefix-ignoring strategy's exact value equals the
-    exact bound; (ii) when d^(d^n) fits the enumeration budget, the
-    brute-force classical optimum equals the same number; (iii) when
-    d^n <= MAX_STRUCTURE_QUESTIONS, each Phi_k passes `_check_blocks`; (iv)
-    the generic spectral bound from the norms ||Phi_k|| agrees to 1e-10; (v)
-    the multiplicity maximum is the same for every nonzero k.  Legs (iii) and (v) raise `BlockStructureError`, the
-    others `TheoremVerificationError` naming the leg.
+    Legs, all read off one profile, one game and one solve per conjugate
+    pair {Phi_k, Phi_(d-k)}: (i) the prefix-ignoring strategy's exact value
+    equals the exact bound; (ii) when d^(d^n) fits the enumeration budget,
+    the brute-force classical optimum equals the same number; (iii) each
+    Phi_k passes `_check_blocks`; (iv) the generic spectral bound from the
+    norms ||Phi_k|| agrees to 1e-10.  Leg (iii) raises `BlockStructureError`,
+    the others `TheoremVerificationError` naming the leg.
     """
-    d = spec.d
-    bound = nlc_quantum_bound(spec)
     prof = lambda_profile(spec)
+    bound = prof.bound
     game = nlc_game(spec)
     strategy = _score_strategy(game, prof.mu)
     if strategy.value != bound:
@@ -300,45 +286,31 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
             f"bound is {bound}"
         )
     brute = None
-    brute_forced = False
     if game.order**game.mA <= budget:
-        brute_forced = True
-        optimum = classical_value(game, budget=budget)
-        brute = optimum.exact
+        brute = classical_value(game, budget=budget).exact
         if brute != bound:
             raise TheoremVerificationError(
                 f"brute-force leg failed: exhaustive optimum {brute} differs "
                 f"from bound {bound}"
             )
-    basis = _fourier_basis(d, spec.n) if game.mA <= MAX_STRUCTURE_QUESTIONS else None
+    basis = _fourier_basis(spec.d, spec.n)
     norms, blocks = [], []
     for k, (phi, s) in enumerate(_phi_spectra(game), start=1):
         norms.append(float(s[0]))
-        if basis is not None:
-            blocks.append(_check_blocks(spec, prof, k, phi, norms[-1], basis))
+        blocks.append(_check_blocks(spec, prof, k, phi, norms[-1], basis))
     spectral = bound_from_norms(game, norms)
     if abs(spectral - float(bound)) > 1e-10:
         raise TheoremVerificationError(
             f"spectral-bound leg failed: game matrices give {spectral!r}, "
             f"closed form gives {float(bound)!r}"
         )
-    lambda_by_k = tuple(
-        max(prof.counts[(-j * pow(k, -1, d)) % d] for j in range(d))
-        for k in range(1, d)
-    )
-    if len(set(lambda_by_k)) > 1:
-        raise BlockStructureError(
-            f"multiplicity maximum varies with the character index: {lambda_by_k}"
-        )
     return Theorem3Report(
         spec=spec,
+        profile=prof,
         bound=bound,
         strategy_value=strategy.value,
-        mu=strategy.mu,
         brute_force_value=brute,
         spectral_bound=spectral,
-        brute_forced=brute_forced,
-        lambda_by_k=lambda_by_k,
         blocks=tuple(blocks),
     )
 

@@ -137,7 +137,7 @@ def test_nlc_verify(nlc_file, capsys):
     assert "verify blocks k=1: ok" in out
 
 
-def test_nlc_verify_block_failure_exits_1_after_header(nlc_file, monkeypatch, capsys):
+def test_nlc_verify_block_failure_exits_1_with_empty_stdout(nlc_file, monkeypatch, capsys):
     from nlgames import nlc
 
     # Unnormalized Fourier vectors scale every eigenvalue candidate by d^n,
@@ -147,8 +147,7 @@ def test_nlc_verify_block_failure_exits_1_after_header(nlc_file, monkeypatch, ca
     assert main(["nlc", nlc_file, "--verify"]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert "error: top eigenvalue" in captured.err
-    assert "quantum_bound: 3/4 (0.75)" in captured.out
-    assert "verify" not in captured.out
+    assert captured.out == ""
 
 
 def test_nlc_rejects_composite_d(tmp_path, capsys):

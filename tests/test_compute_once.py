@@ -5,7 +5,7 @@ no table parsing."""
 
 import json
 
-from nlgames import bounds, games, nlc, numerics
+from nlgames import bounds, cli, games, nlc, numerics
 from nlgames.algebra import FiniteAbelianGroup, Group
 from nlgames.cli import EXIT_OK, main
 from nlgames.games import chsh_d, game_from_tables, random_xor_game
@@ -34,7 +34,7 @@ def count_everywhere(monkeypatch, module, name) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    for owner in (games, bounds, nlc, numerics):
+    for owner in (games, bounds, nlc, numerics, cli):
         if getattr(owner, name, None) is original:
             monkeypatch.setattr(owner, name, counted)
     return calls
@@ -81,18 +81,22 @@ def test_verify_theorem3_builds_the_game_once(monkeypatch):
         monkeypatch.undo()
 
 
-def test_nlc_verify_builds_two_games_and_solves_each_phi_once(tmp_path, monkeypatch, capsys):
-    # One game for the header's strategy line, one for every verification
-    # leg; the block checks reuse the spectral leg's Phi_k, and Phi_2 =
-    # conj(Phi_1) reuses its solve.
+def test_nlc_builds_one_game_and_one_profile(tmp_path, monkeypatch, capsys):
+    # With --verify the header is read off the verification report, whose
+    # block checks reuse the spectral leg's Phi_k; Phi_2 = conj(Phi_1)
+    # reuses its solve.  Without it, one profile gives mu and the bound.
     path = tmp_path / "nlc.json"
     path.write_text(json.dumps({"d": 3, "n": 2, "g": [0, 2, 2], "p": "uniform"}))
-    games = count_calls(monkeypatch, nlc, "nlc_game")
-    solves = count_solves(monkeypatch)
-    assert main(["nlc", str(path), "--verify"]) == EXIT_OK
-    assert "verify blocks k=2: ok" in capsys.readouterr().out
-    assert len(games) == 2
-    assert len(solves) == 1
+    for flags, blocks, solves_expected in ((["--verify"], True, 1), ([], False, 0)):
+        games = count_everywhere(monkeypatch, nlc, "nlc_game")
+        profiles = count_everywhere(monkeypatch, nlc, "lambda_profile")
+        solves = count_solves(monkeypatch)
+        assert main(["nlc", str(path), *flags]) == EXIT_OK
+        assert ("verify blocks k=2: ok" in capsys.readouterr().out) == blocks
+        assert len(games) == 1
+        assert len(profiles) == 1
+        assert len(solves) == solves_expected
+        monkeypatch.undo()
 
 
 def test_builtin_games_parse_no_tables(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlgames.algebra import FiniteAbelianGroup
 from nlgames.bounds import quantum_bound
 from nlgames.games import GameFormatError, evaluate_box, strategy_box
 from nlgames.nlc import (
@@ -231,7 +232,6 @@ def test_verify_theorem3_uniform_examples():
     ]:
         report = verify_theorem3(spec)
         assert report.strategy_value == report.bound
-        assert report.brute_forced
         assert report.brute_force_value == report.bound
         assert report.spectral_bound == pytest.approx(float(report.bound), abs=1e-10)
 
@@ -253,7 +253,6 @@ def test_verify_theorem3_weighted_rational():
 def test_verify_theorem3_skips_brute_force_over_budget():
     spec = nlc_spec(3, 2, [0, 1, 2])
     report = verify_theorem3(spec, budget=100)
-    assert not report.brute_forced
     assert report.brute_force_value is None
     assert report.spectral_bound == pytest.approx(float(report.bound), abs=1e-10)
 
@@ -300,19 +299,23 @@ def test_theorem3_exhaustive_with_rational_distributions():
 
 
 def test_profile_is_row_independent():
-    # Recompute the multiplicity profile from every row block by hand.
-    spec = nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]])
-    prof = lambda_profile(spec)
-    d = spec.d
-    for row in range(spec.prefix_count):
-        counts = [0] * d
-        weighted = [Fraction(0)] * d
-        for y in range(spec.prefix_count):
-            z = (row + y) % 3  # one-digit prefixes add mod d
-            counts[spec.g[z]] += 1
-            weighted[spec.g[z]] += spec.p[z] / (d * d)
-        assert tuple(counts) == prof.counts
-        assert tuple(weighted) == prof.weighted
+    # Recompute the multiplicity profile from every row block of the prefix
+    # addition table, one- and multi-digit prefixes alike.
+    for spec in [
+        nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]]),
+        nlc_spec(2, 4, [0, 1, 1, 0, 1, 1, 1, 0], [[k, 36] for k in range(1, 9)]),
+        nlc_spec(3, 3, [0, 2, 1, 1, 1, 0, 2, 2, 1], [[k, 45] for k in range(1, 10)]),
+    ]:
+        prof = lambda_profile(spec)
+        d = spec.d
+        for row in FiniteAbelianGroup([d] * (spec.n - 1)).addition_table():
+            counts = [0] * d
+            weighted = [Fraction(0)] * d
+            for z in row:
+                counts[spec.g[z]] += 1
+                weighted[spec.g[z]] += spec.p[z] / (d * d)
+            assert tuple(counts) == prof.counts
+            assert tuple(weighted) == prof.weighted
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +358,6 @@ def test_block_circulant_structure(spec):
     for block in report.blocks:
         assert block.off_diagonal_max < 1e-10
         assert block.spectral_norm == pytest.approx(block.expected_norm, abs=1e-10)
-    # The multiplicity maximum is the same for every character index.
-    assert len(report.lambda_by_k) == spec.d - 1
-    assert len(set(report.lambda_by_k)) == 1
 
 
 def test_block_circulant_uniform_norm_bridging():
@@ -371,11 +371,14 @@ def test_block_circulant_uniform_norm_bridging():
         )
 
 
-def test_block_checks_run_up_to_the_structure_cap():
-    # 3^4 = 81 questions is the largest size with block checks; 2^7 = 128 has none.
-    at_cap = verify_theorem3(nlc_spec(3, 4, [i * i % 3 for i in range(27)]))
-    assert [block.k for block in at_cap.blocks] == [1, 2]
-    assert verify_theorem3(nlc_spec(2, 7, [i % 3 % 2 for i in range(64)])).blocks == ()
+def test_block_checks_run_at_every_size():
+    # 81, 128 and 243 questions: the block checks have no size cap.
+    for spec, ks in [
+        (nlc_spec(3, 4, [i * i % 3 for i in range(27)]), [1, 2]),
+        (nlc_spec(2, 7, [i % 3 % 2 for i in range(64)]), [1]),
+        (nlc_spec(3, 5, [i * i % 3 for i in range(81)]), [1, 2]),
+    ]:
+        assert [block.k for block in verify_theorem3(spec).blocks] == ks
 
 
 # ---------------------------------------------------------------------------
