@@ -54,8 +54,6 @@ from .nlc import (
     NlcValidationError,
     Theorem3Report,
     TheoremVerificationError,
-    building_block_matrix,
-    fourier_vector,
     lambda_profile,
     nlc_classical_strategy,
     nlc_game,
@@ -66,7 +64,6 @@ from .nlc import (
     verify_theorem3,
 )
 from .numerics import (
-    matmul_adjoint,
     numerical_rank,
     singular_value_rank,
     singular_values,

@@ -6,12 +6,15 @@ They must output dits with a + b = g(z_1, ..., z_{n-1}) * z_n, where g maps
 (n-1)-dit strings to Z_d and d is prime.  Inputs are drawn with weight
 p(z_1, ..., z_{n-1}) / d^(n+1).
 
-Each d x d block of the game matrix, indexed by the prefix strings, is one
-of d building-block games a + b = t * (x_n (+) y_n), and Phi_k^dagger Phi_k
-is block-circulant, hence diagonal in the tensor Fourier basis.  The
-multiplicity profile of the building blocks therefore determines the
-spectral bound exactly, and the ignore-the-prefix strategy a = mu * x_n,
-b = mu * y_n attains it: these games have no quantum advantage.
+Every entry depends on the inputs only through x (+) y: the game matrix is
+Phi_k[x, y] = h_k(x (+) y) with h_k its row 0, a permuted convolution over
+Z_d^n, so the singular values of Phi_k are the moduli of the Fourier
+transform of h_k over the d^n characters of Z_d^n.  At prefix frequency 0
+these are the d building-block games a + b = t * (x_n (+) y_n), weighted by
+the multiplicity profile, and no other frequency exceeds them.  The profile
+therefore determines the spectral bound exactly, and the ignore-the-prefix
+strategy a = mu * x_n, b = mu * y_n attains it: these games have no quantum
+advantage.
 `verify_theorem3` checks this structure for every spec `nlc_spec` accepts.
 
 Input indices encode digit strings big-endian with the last dit fastest,
@@ -20,7 +23,6 @@ so index = prefix_index * d + last_dit.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,9 +30,8 @@ from math import lcm
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
-from .bounds import _phi_spectra, bound_from_norms, classical_value
+from .bounds import bound_from_norms, classical_value
 from .games import GameFormatError, GameValidationError, LinearGame, _parse_weight
-from .numerics import matmul_adjoint
 
 __all__ = [
     "NlcValidationError",
@@ -48,8 +49,6 @@ __all__ = [
     "nlc_quantum_bound",
     "nlc_classical_strategy",
     "NlcStrategy",
-    "building_block_matrix",
-    "fourier_vector",
     "verify_theorem3",
 ]
 
@@ -241,12 +240,11 @@ def _score_strategy(game: LinearGame, mu: int) -> NlcStrategy:
 
 @dataclass(frozen=True)
 class BlockCirculantReport:
-    """Numbers produced by the block-circulant structure check of one Phi_k."""
+    """Numbers produced by the Fourier check of one Phi_k: `candidates[j]` is
+    the singular value at prefix frequency 0 and last frequency j."""
 
     k: int
-    off_diagonal_max: float
-    top_eigenvalue: float
-    candidate_eigenvalues: tuple[float, ...]
+    candidates: tuple[float, ...]
     spectral_norm: float
     expected_norm: float
 
@@ -268,17 +266,25 @@ class Theorem3Report:
 def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
-    Legs, all read off one profile, one game and one solve per conjugate
-    pair {Phi_k, Phi_(d-k)}: (i) the prefix-ignoring strategy's exact value
-    equals the exact bound; (ii) when d^(d^n) fits the enumeration budget,
-    the brute-force classical optimum equals the same number; (iii) each
-    Phi_k passes `_check_blocks`; (iv) the generic spectral bound from the
-    norms ||Phi_k|| agrees to 1e-10.  Leg (iii) raises `BlockStructureError`,
-    the others `TheoremVerificationError` naming the leg.
+    Legs, all read off one profile and one game: (i) the game depends on the
+    inputs only through x (+) y, an exact integer check on which the Fourier
+    legs rest; (ii) the prefix-ignoring strategy's exact value equals the
+    exact bound; (iii) when d^(d^n) fits the enumeration budget, the
+    brute-force classical optimum equals the same number; (iv) the spectrum
+    of each Phi_k, one FFT of its row 0, passes `_check_blocks`; (v) the
+    generic spectral bound from the norms ||Phi_k|| agrees to 1e-10.  Legs
+    (i) and (iv) raise `BlockStructureError`, the others
+    `TheoremVerificationError` naming the leg.
     """
     prof = lambda_profile(spec)
     bound = prof.bound
     game = nlc_game(spec)
+    inputs = FiniteAbelianGroup([spec.d] * spec.n).addition_table()
+    for name, table in (("f_idx", game.f_idx), ("q_num", game.q_num)):
+        if not np.array_equal(table, table[0][inputs]):
+            raise BlockStructureError(
+                f"game {name} is not a function of x (+) y over Z_{spec.d}^{spec.n}"
+            )
     strategy = _score_strategy(game, prof.mu)
     if strategy.value != bound:
         raise TheoremVerificationError(
@@ -293,12 +299,11 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
                 f"brute-force leg failed: exhaustive optimum {brute} differs "
                 f"from bound {bound}"
             )
-    basis = _fourier_basis(spec.d, spec.n)
-    norms, blocks = [], []
-    for k, (phi, s) in enumerate(_phi_spectra(game), start=1):
-        norms.append(float(s[0]))
-        blocks.append(_check_blocks(spec, prof, k, phi, norms[-1], basis))
-    spectral = bound_from_norms(game, norms)
+    blocks = tuple(
+        _check_blocks(prof, k, spectrum)
+        for k, spectrum in enumerate(_spectra(game, spec.n), start=1)
+    )
+    spectral = bound_from_norms(game, [block.spectral_norm for block in blocks])
     if abs(spectral - float(bound)) > 1e-10:
         raise TheoremVerificationError(
             f"spectral-bound leg failed: game matrices give {spectral!r}, "
@@ -311,96 +316,64 @@ def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
         strategy_value=strategy.value,
         brute_force_value=brute,
         spectral_bound=spectral,
-        blocks=tuple(blocks),
+        blocks=blocks,
     )
 
 
-def fourier_vector(d: int, j: int, normalized: bool = False) -> np.ndarray:
-    """Fourier vector (1, w^j, ..., w^((d-1)j)) with w = exp(2*pi*i/d)."""
-    v = np.array([cmath.exp(2j * cmath.pi * (j * x) / d) for x in range(d)])
-    return v / np.sqrt(d) if normalized else v
+def _spectra(game: LinearGame, n: int):
+    """Yield the singular values of Phi_k for k = 1..d-1, each as |FFT| of
+    Phi_k's row 0 over Z_d^n, shape (d,) * n; valid for games whose entries
+    depend on x (+) y only."""
+    d = game.order
+    chars = game.group.character_table()
+    for k in range(1, d):
+        h = game.q[0] * chars[k][game.f_idx[0]]
+        yield np.abs(np.fft.fftn(h.reshape((d,) * n)))
 
 
-def building_block_matrix(d: int, k: int, t: int) -> np.ndarray:
-    """Unnormalized single-dit game block with entries w^(k*t*(x+y mod d))."""
-    return np.array(
-        [[cmath.exp(2j * cmath.pi * (k * t * ((x + y) % d)) / d) for y in range(d)] for x in range(d)]
-    )
-
-
-def _fourier_basis(d: int, n: int) -> np.ndarray:
-    """The n-fold tensor power of the normalized d-point Fourier basis; column
-    j, in base d with the last digit fastest, is f_(j_1) x ... x f_(j_n)."""
-    f_mat = np.array([fourier_vector(d, j, normalized=True) for j in range(d)]).T
-    basis = np.array([[1.0]])
-    for _ in range(n):
-        basis = np.kron(basis, f_mat)
-    return basis
-
-
-def _check_blocks(
-    spec: NlcSpec, prof: LambdaProfile, k: int, phi: np.ndarray, snorm: float, basis: np.ndarray
-) -> BlockCirculantReport:
-    """Verify the Fourier eigenstructure of Phi_k^dagger Phi_k, ||Phi_k|| = snorm,
-    in the tensor Fourier `basis` of `_fourier_basis`.
+def _check_blocks(prof: LambdaProfile, k: int, spectrum: np.ndarray) -> BlockCirculantReport:
+    """Tie the spectrum of Phi_k, as yielded by `_spectra`, to the profile.
 
     Checks, raising `BlockStructureError` on the first failure:
-      1. conjugating by the n-fold tensor of Fourier vectors leaves less
-         than 1e-10 off-diagonal mass;
-      2. the largest eigenvalue is attained inside the span of the vectors
-         f_0^(x(n-1)) (x) f_j, whose eigenvalues match the weighted
-         multiplicity profile;
+      1. the largest singular value is attained at prefix frequency 0;
+      2. there, frequency j has the value d^2 * weighted[t] / d^n with
+         t = j * k^-1 mod d (the sign convention of `np.fft.fftn`);
       3. the spectral norm equals d^2 * Lw / d^n (uniform inputs:
-         d * Lambda / d^(2n)) to 1e-10.
+         d * Lambda / d^(2n)).
+    Row 0 has l1 norm exactly 1/d^n, so the FFT's rounding error is of order
+    log2(d^n) * eps / d^n, and that scale, with a factor 8, is the tolerance.
     """
-    d, n = spec.d, spec.n
-    gram = matmul_adjoint(phi)
-    conj = basis.conj().T @ gram @ basis
-
-    diag = conj.diagonal().real.copy()
-    off = conj - np.diag(conj.diagonal())
-    off_max = float(np.max(np.abs(off)))
-    if off_max >= 1e-10:
+    d = len(prof.counts)
+    size = spectrum.size
+    tol = 8 * (size - 1).bit_length() * float(np.finfo(np.float64).eps) / size
+    # Flattened with the last dit fastest, prefix frequency 0 is entries 0..d-1.
+    candidates = tuple(float(x) for x in spectrum.reshape(-1)[:d])
+    snorm = float(spectrum.max())
+    if snorm - max(candidates) > tol:
         raise BlockStructureError(
-            f"Fourier conjugation left off-diagonal mass {off_max:.3e}"
+            f"spectral norm {snorm!r} of Phi_{k} is not attained at prefix "
+            f"frequency 0 (best candidate {max(candidates)!r})"
         )
 
-    # Columns 0..d-1 of the tensor basis are f_0 x ... x f_0 x f_j.
-    candidates = tuple(float(x) for x in diag[:d])
-    top = snorm * snorm
-    if abs(max(candidates) - top) > 1e-10:
-        raise BlockStructureError(
-            f"top eigenvalue {top!r} is not attained within the expected "
-            f"Fourier span (best candidate {max(candidates)!r})"
-        )
-
-    # Candidate j pairs with the building block whose target satisfies
-    # -k * t = j mod d, and its eigenvalue is (d^2 * weighted[t] / d^n)^2.
     k_inv = pow(k, -1, d)
-    norm_scale = Fraction(d * d, d**n)
+    norm_scale = Fraction(d * d, size)
     for j, observed in enumerate(candidates):
-        t = (-j * k_inv) % d
-        expected = float((prof.weighted[t] * norm_scale) ** 2)
-        if abs(observed - expected) > 1e-10:
+        expected = float(prof.weighted[j * k_inv % d] * norm_scale)
+        if abs(observed - expected) > tol:
             raise BlockStructureError(
-                f"eigenvalue for Fourier index {j} is {observed!r}, expected "
-                f"{expected!r} from the multiplicity profile"
+                f"singular value of Phi_{k} at Fourier index {j} is {observed!r}, "
+                f"expected {expected!r} from the multiplicity profile"
             )
 
     expected_norm = float(prof.weighted_max * norm_scale)
-    if abs(snorm - expected_norm) > 1e-10:
+    if abs(snorm - expected_norm) > tol:
         raise BlockStructureError(
-            f"spectral norm {snorm!r} does not match the multiplicity "
+            f"spectral norm {snorm!r} of Phi_{k} does not match the multiplicity "
             f"profile value {expected_norm!r}"
         )
 
     return BlockCirculantReport(
-        k=k,
-        off_diagonal_max=off_max,
-        top_eigenvalue=top,
-        candidate_eigenvalues=candidates,
-        spectral_norm=snorm,
-        expected_norm=expected_norm,
+        k=k, candidates=candidates, spectral_norm=snorm, expected_norm=expected_norm
     )
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "as_cmatrix",
-    "matmul_adjoint",
     "singular_values",
     "singular_value_rank",
     "spectral_norm",
@@ -42,13 +41,6 @@ def as_cmatrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def matmul_adjoint(a) -> np.ndarray:
-    """Return A^dagger A, symmetrized as (M + M^dagger)/2 after the product."""
-    m = as_cmatrix(a)
-    h = m.conj().T @ m
-    return 0.5 * (h + h.conj().T)
 
 
 @functools.cache

@@ -154,11 +154,12 @@ def check_theorem3_weighted() -> CheckResult:
 
 
 def check_block_circulant() -> CheckResult:
-    """Fourier conjugation diagonalizes the gram matrix, also above 81 questions."""
+    """Every Phi_k's FFT spectrum peaks at the uniform closed form
+    d * Lambda / d^(2n), up to 729 questions."""
     start = time.perf_counter()
     failures = []
     specs = [nlc_spec(d, 2, list(range(d))) for d in (2, 3)]
-    specs.append(nlc_spec(3, 5, [i * i % 3 for i in range(81)]))
+    specs += [nlc_spec(3, n, [i * i % 3 for i in range(3 ** (n - 1))]) for n in (5, 6)]
     for spec in specs:
         name = f"d={spec.d}, n={spec.n}"
         try:
@@ -168,11 +169,12 @@ def check_block_circulant() -> CheckResult:
             continue
         if [block.k for block in report.blocks] != list(range(1, spec.d)):
             failures.append(f"{name}: block checks ran for {len(report.blocks)} of {spec.d - 1} k")
+        closed = spec.d * report.profile.count_max / spec.d ** (2 * spec.n)
         for block in report.blocks:
-            if block.off_diagonal_max >= 1e-10:
-                failures.append(f"{name}, k={block.k}: off-diagonal {block.off_diagonal_max!r}")
+            if abs(block.spectral_norm - closed) > 1e-12 * closed:
+                failures.append(f"{name}, k={block.k}: norm {block.spectral_norm!r}, closed form {closed!r}")
     return _result(
-        "block-circulant-structure", start, failures, "d=2,3 identity targets; d=3, n=5 squares"
+        "block-circulant-structure", start, failures, "d=2,3 identity targets; d=3, n=5,6 squares"
     )
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: norms come
 from power iteration, classical optima from full double enumeration over
 both players, win probabilities from direct sums over the constraint set,
-and the rank-1 test of Phi_1 from exact 2 x 2 minors in integers.
+the rank-1 test of Phi_1 from exact 2 x 2 minors in integers, and the NLC
+building blocks and Fourier vectors entry by entry from `cmath`.
 `alice_side_classical_value` walks all of Alice's assignments whichever
 player has fewer questions; `classical_value` must match it strategy for
 strategy.
@@ -11,6 +12,7 @@ strategy.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
 
@@ -24,6 +26,18 @@ def chsh_phi(d: int, k: int) -> np.ndarray:
     w = np.exp(2j * np.pi / d)
     u = np.arange(d)
     return (w ** ((k * np.outer(u, u)) % d)) / (d * d)
+
+
+def fourier_vector(d: int, j: int) -> np.ndarray:
+    """Fourier vector (1, w^j, ..., w^((d-1)j)) with w = exp(2*pi*i/d)."""
+    return np.array([cmath.exp(2j * cmath.pi * (j * x) / d) for x in range(d)])
+
+
+def building_block_matrix(d: int, k: int, t: int) -> np.ndarray:
+    """Unnormalized single-dit NLC block with entries w^(k*t*(x+y mod d))."""
+    return np.array(
+        [[cmath.exp(2j * cmath.pi * (k * t * ((x + y) % d)) / d) for y in range(d)] for x in range(d)]
+    )
 
 
 def power_iteration_norm(a, iters: int = 5000, seed: int = 7) -> float:

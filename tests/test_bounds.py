@@ -24,7 +24,7 @@ from nlgames.games import (
     random_xor_game,
     strategy_box,
 )
-from nlgames.numerics import matmul_adjoint, numerical_rank
+from nlgames.numerics import numerical_rank
 from nlgames.rng import SplitMix64
 from oracles import alice_side_classical_value, double_enumeration_optimum, phi1_rank_at_most_one
 
@@ -89,7 +89,8 @@ def test_chsh_d_gram_identity(p, r):
     game = chsh_d(p, r)
     d = game.order
     for k in range(1, d):
-        gram = matmul_adjoint(game_matrix(game, k))
+        phi = game_matrix(game, k)
+        gram = phi.conj().T @ phi
         assert np.max(np.abs(gram - np.eye(d) / d**3)) < 1e-12
 
 

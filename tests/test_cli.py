@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from nlgames.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, EXIT_PARSE, main
@@ -139,14 +140,21 @@ def test_nlc_verify(nlc_file, capsys):
 
 def test_nlc_verify_block_failure_exits_1_with_empty_stdout(nlc_file, monkeypatch, capsys):
     from nlgames import nlc
+    from nlgames.games import LinearGame
 
-    # Unnormalized Fourier vectors scale every eigenvalue candidate by d^n,
-    # so the top eigenvalue is no longer found in the expected Fourier span.
-    original = nlc.fourier_vector
-    monkeypatch.setattr(nlc, "fourier_vector", lambda d, j, normalized=False: original(d, j))
+    # Rotating one row breaks Phi_k[x, y] = h_k(x (+) y), the fact the FFT
+    # spectra rest on; the integer check catches it before any other leg.
+    def permuted_game(spec):
+        game = original(spec)
+        f_idx, q_num = game.f_idx.copy(), game.q_num.copy()
+        f_idx[1], q_num[1] = np.roll(f_idx[1], 1), np.roll(q_num[1], 1)
+        return LinearGame(group=game.group, f_idx=f_idx, q_num=q_num, q_den=game.q_den)
+
+    original = nlc.nlc_game
+    monkeypatch.setattr(nlc, "nlc_game", permuted_game)
     assert main(["nlc", nlc_file, "--verify"]) == EXIT_FAILURE
     captured = capsys.readouterr()
-    assert "error: top eigenvalue" in captured.err
+    assert captured.err == "error: game f_idx is not a function of x (+) y over Z_2^2\n"
     assert captured.out == ""
 
 

@@ -1,7 +1,7 @@
 """Each expensive object is built once per result: one character table per
 bound or report, one singular-value solve per conjugate pair {Phi_x,
-Phi_-x}, one NLC game per check, and built-in games from integer arrays with
-no table parsing."""
+Phi_-x}, one NLC game per check and no solve in it, and built-in games from
+integer arrays with no table parsing."""
 
 import json
 
@@ -71,23 +71,24 @@ def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
 
 
 def test_verify_theorem3_builds_the_game_once(monkeypatch):
-    # d=2, n=2 fits the brute-force budget, so every leg runs.
+    # d=2, n=2 fits the brute-force budget, so every leg runs; the spectra
+    # come from FFTs of the game's row 0, with no singular-value solve.
     for spec in (nlc.nlc_spec(2, 2, [0, 1]), nlc.nlc_spec(3, 2, [0, 2, 2])):
         games = count_calls(monkeypatch, nlc, "nlc_game")
         solves = count_solves(monkeypatch)
         nlc.verify_theorem3(spec)
         assert len(games) == 1
-        assert len(solves) == 1
+        assert len(solves) == 0
         monkeypatch.undo()
 
 
 def test_nlc_builds_one_game_and_one_profile(tmp_path, monkeypatch, capsys):
     # With --verify the header is read off the verification report, whose
-    # block checks reuse the spectral leg's Phi_k; Phi_2 = conj(Phi_1)
-    # reuses its solve.  Without it, one profile gives mu and the bound.
+    # spectra are FFTs, not solves.  Without it, one profile gives mu and
+    # the bound.
     path = tmp_path / "nlc.json"
     path.write_text(json.dumps({"d": 3, "n": 2, "g": [0, 2, 2], "p": "uniform"}))
-    for flags, blocks, solves_expected in ((["--verify"], True, 1), ([], False, 0)):
+    for flags, blocks in ((["--verify"], True), ([], False)):
         games = count_everywhere(monkeypatch, nlc, "nlc_game")
         profiles = count_everywhere(monkeypatch, nlc, "lambda_profile")
         solves = count_solves(monkeypatch)
@@ -95,7 +96,7 @@ def test_nlc_builds_one_game_and_one_profile(tmp_path, monkeypatch, capsys):
         assert ("verify blocks k=2: ok" in capsys.readouterr().out) == blocks
         assert len(games) == 1
         assert len(profiles) == 1
-        assert len(solves) == solves_expected
+        assert len(solves) == 0
         monkeypatch.undo()
 
 

@@ -5,7 +5,8 @@ printed by the code before the change that added it, so a refactor must
 leave these bytes unchanged.  Every command runs in a fresh interpreter
 under one and under two BLAS threads, because BLAS zgemm computes the
 solver's convergence-gate product A^dagger A, whose diagonal gives the
-reported norms, and `matmul_adjoint` in the NLC block checks.
+reported norms.  NLC block norms come from numpy's FFT, which does not
+use BLAS.
 
 To add a command, generate its expected file from the unchanged code, before
 editing `src/`, from the repository root:
@@ -50,6 +51,8 @@ COMMANDS = {
     # 243 questions: block checks above 81 questions, whose lines must not
     # depend on the BLAS thread count.
     "nlc_d3_n5_verify": ["nlc", "nlc_d3_n5.json", "--verify"],
+    # 729 questions, the largest game `nlc_spec` accepts.
+    "nlc_d3_n6_verify": ["nlc", "nlc_d3_n6.json", "--verify"],
 }
 
 

@@ -1,19 +1,21 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import quantum_bound
-from nlgames.games import GameFormatError, evaluate_box, strategy_box
+from nlgames.bounds import _phi_spectra, quantum_bound
+from nlgames.games import GameFormatError, LinearGame, evaluate_box, strategy_box
 from nlgames.nlc import (
+    BlockStructureError,
+    LambdaProfile,
     NlcValidationError,
-    building_block_matrix,
-    fourier_vector,
     lambda_profile,
     nlc_classical_strategy,
     nlc_game,
@@ -24,6 +26,9 @@ from nlgames.nlc import (
     verify_theorem3,
 )
 from nlgames.bounds import ns_winning_box
+from oracles import building_block_matrix, fourier_vector
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +107,7 @@ def test_weighted_game_q_table():
 def test_weighted_game_matches_fraction_entries():
     # Reference: every entry's weight as a Fraction, its float, and the lcm
     # of all denominators, with the prefix sums z taken digit by digit.
-    path = Path(__file__).parent / "golden" / "nlc_d2_n7_weighted.json"
+    path = GOLDEN / "nlc_d2_n7_weighted.json"
     spec = nlc_spec_from_json(json.loads(path.read_text()))
     d, n = spec.d, spec.n
     game = nlc_game(spec)
@@ -356,7 +361,6 @@ def test_block_circulant_structure(spec):
     report = verify_theorem3(spec)
     assert [block.k for block in report.blocks] == list(range(1, spec.d))
     for block in report.blocks:
-        assert block.off_diagonal_max < 1e-10
         assert block.spectral_norm == pytest.approx(block.expected_norm, abs=1e-10)
 
 
@@ -379,6 +383,68 @@ def test_block_checks_run_at_every_size():
         (nlc_spec(3, 5, [i * i % 3 for i in range(81)]), [1, 2]),
     ]:
         assert [block.k for block in verify_theorem3(spec).blocks] == ks
+
+
+def _seeded_specs():
+    # d in {2, 3, 5, 7} up to 243 questions, each uniform and weighted.
+    rng = random.Random(11)
+    for d, n in [(2, 3), (2, 5), (2, 7), (3, 2), (3, 4), (3, 5), (5, 2), (5, 3), (7, 1), (7, 2)]:
+        size = d ** (n - 1)
+        g = [rng.randrange(d) for _ in range(size)]
+        weights = [rng.randrange(1, 10) for _ in range(size)]
+        yield pytest.param(nlc_spec(d, n, g), id=f"seeded_d{d}_n{n}")
+        p = [[w, sum(weights)] for w in weights]
+        yield pytest.param(nlc_spec(d, n, g, p), id=f"seeded_d{d}_n{n}_weighted")
+
+
+JACOBI_REFERENCE_SPECS = [
+    *(
+        pytest.param(nlc_spec_from_json(json.loads(path.read_text())), id=path.stem)
+        for path in sorted(GOLDEN.glob("nlc_*.json"))
+    ),
+    *_seeded_specs(),
+]
+
+
+@pytest.mark.parametrize("spec", JACOBI_REFERENCE_SPECS)
+def test_fft_spectra_match_jacobi(spec):
+    # Jacobi on the dense Phi_k is the independent reference for the FFT.
+    game = nlc_game(spec)
+    spectra = list(nlc._spectra(game, spec.n))
+    assert len(spectra) == spec.d - 1
+    for fft, (_, s) in zip(spectra, _phi_spectra(game)):
+        assert fft.shape == (spec.d,) * spec.n
+        assert np.max(np.abs(np.sort(fft.ravel())[::-1] - s)) <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_scaled_profile_entry_fails_block_check(n, monkeypatch):
+    # g = i^2 mod 3 has weighted profile (1/27, 2/27, 0).  Scaling the
+    # non-maximal 1/27 by (1 + 1e-9) leaves the bound and mu alone and moves
+    # one expected singular value by about 1e-12 (243 questions) and 5e-13
+    # (729), far above the FFT's rounding error at these sizes.
+    spec = nlc_spec(3, n, [i * i % 3 for i in range(3 ** (n - 1))])
+    prof = lambda_profile(spec)
+    weighted = (prof.weighted[0] * (1 + Fraction(1, 10**9)), *prof.weighted[1:])
+    assert prof.weighted_max == max(weighted)
+    monkeypatch.setattr(nlc, "lambda_profile", lambda _: LambdaProfile(prof.counts, weighted))
+    with pytest.raises(BlockStructureError, match="Fourier index 0"):
+        verify_theorem3(spec)
+
+
+@pytest.mark.parametrize("table", ["f_idx", "q_num"])
+def test_game_off_the_xor_structure_fails(table, monkeypatch):
+    # Rotating one row of either table breaks Phi_k[x, y] = h_k(x (+) y).
+    def rotated_game(spec):
+        game = original(spec)
+        arrays = {"f_idx": game.f_idx.copy(), "q_num": game.q_num.copy()}
+        arrays[table][1] = np.roll(arrays[table][1], 1)
+        return LinearGame(group=game.group, q_den=game.q_den, **arrays)
+
+    original = nlc.nlc_game
+    monkeypatch.setattr(nlc, "nlc_game", rotated_game)
+    with pytest.raises(BlockStructureError, match=rf"{table} is not a function of x \(\+\) y"):
+        verify_theorem3(nlc_spec(2, 2, [0, 1], [[3, 4], [1, 4]]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from nlgames import numerics
 from nlgames.numerics import (
     as_cmatrix,
-    matmul_adjoint,
     numerical_rank,
     singular_values,
     spectral_norm,
@@ -27,24 +26,10 @@ def test_as_cmatrix_rejects_bad_input():
         as_cmatrix([[complex(0, np.nan), 0.0], [0.0, 1.0]])
 
 
-def test_matmul_adjoint_examples():
-    assert np.allclose(matmul_adjoint(np.eye(2)), np.eye(2))
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(matmul_adjoint(a), np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-
-def test_matmul_adjoint_is_hermitian_psd():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        h = matmul_adjoint(a)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
-        assert np.linalg.eigvalsh(h)[0] > -1e-12
-
-
 def test_chsh3_gram_is_scaled_identity():
     # Phi_1 for the d = 3 field-multiplication game, built independently.
-    gram = matmul_adjoint(chsh_phi(3, 1))
+    phi = chsh_phi(3, 1)
+    gram = phi.conj().T @ phi
     assert np.max(np.abs(gram - np.eye(3) / 27.0)) < 1e-15
 
 
