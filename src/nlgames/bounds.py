@@ -12,6 +12,8 @@ classical value is the exact maximum over deterministic assignments,
 found by enumerating the assignments of the player with fewer questions,
 |G|^min(mA, mB) of them, with the other player best-responding per question
 (optimal because the objective separates over the responder's questions).
+Score tables for the two halves of the m = min(mA, mB) enumerated questions
+cost O(|G|^ceil(m/2) * m_resp * |G|); each assignment then costs O(m_resp * |G|).
 """
 
 from __future__ import annotations
@@ -160,6 +162,12 @@ def _response_scores(assign: np.ndarray, weights: np.ndarray, winning: np.ndarra
     return np.einsum("uv,cuvg->cvg", weights, onehot)
 
 
+def _score_table(weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
+    """`_response_scores` of every assignment of the questions in `weights`, in id order."""
+    m, _, n = winning.shape
+    return _response_scores(_assignment_digits(np.arange(n**m), n, m), weights, winning)
+
+
 def classical_value(
     game: LinearGame,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
@@ -172,6 +180,11 @@ def classical_value(
     question.  The win condition a + b = f(u, v) is symmetric, so
     `winning_answers` also gives Alice's winning answer to Bob's b.
 
+    Scores are L[low digits] + H[high digits], with tables over the first
+    m // 2 and the other questions: O(|G|^ceil(m/2) * m_resp * |G|) to build,
+    then O(m_resp * |G|) per assignment.  A chunk holds `chunk_size` (>= 1)
+    assignments rounded down to whole blocks of |G|^(m // 2), at least one.
+
     The result is the optimal Alice assignment with the smallest enumeration
     id (question 0 varies fastest), whichever side is enumerated: the optimal
     Alice assignments are exactly the best responses to optimal Bob
@@ -182,9 +195,12 @@ def classical_value(
     is scored in that orientation, so the result does not depend on the
     chunking.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     n = game.order
     by_bob = game.mB < game.mA
-    total = n ** min(game.mA, game.mB)
+    m_enum = min(game.mA, game.mB)
+    total = n**m_enum
     if total > budget:
         player = "Bob" if by_bob else "Alice"
         raise EnumerationBudgetError(
@@ -196,18 +212,25 @@ def classical_value(
     enum_weights, enum_winning = (
         (weights.T, winning.transpose(1, 0, 2)) if by_bob else (weights, winning)
     )
+    # Question 0 varies fastest, so id = low + block * high.
+    lo = m_enum // 2
+    block = n**lo
+    low = _score_table(enum_weights[:lo], enum_winning[:lo])
+    high = _score_table(enum_weights[lo:], enum_winning[lo:])
+    step = max(1, chunk_size // block)
 
     best_val, alice_idx = -1, None  # every value is a sum of weights >= 0
-    for start in range(0, total, chunk_size):
-        ids = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        assign = _assignment_digits(ids, n, enum_weights.shape[0])
-        per_question = _response_scores(assign, enum_weights, enum_winning)
+    for start in range(0, len(high), step):
+        per_question = (high[start : start + step, None] + low).reshape(-1, *low.shape[1:])
         vals = per_question.max(axis=2).sum(axis=1)
         top = vals.max()
         if top < best_val:
             continue
         rows = vals == top
-        cand = per_question[rows].argmax(axis=2) if by_bob else assign[rows]
+        if by_bob:
+            cand = per_question[rows].argmax(axis=2)
+        else:
+            cand = _assignment_digits(np.flatnonzero(rows) + start * block, n, m_enum)
         if top == best_val:
             cand = np.vstack([alice_idx, cand])
         alice_idx = cand[np.lexsort(cand.T)[0]]

@@ -211,14 +211,68 @@ def test_best_response_matches_double_enumeration_corpus():
 
 
 def test_classical_value_independent_of_chunking():
-    # The 5 x 3 game enumerates Bob, so ties also meet across his chunks.
-    for m_a, m_b in ((3, 3), (5, 3)):
+    # The 5 x 3 game enumerates Bob, so ties also meet across his chunks.  The
+    # 6 x 6 game has 3^3 = 27 assignments per high-digit block, so chunk sizes
+    # 16 and 26 fall below one block and 28 rounds down to one.
+    for m_a, m_b in ((3, 3), (5, 3), (6, 6)):
         game = random_xor_game(SplitMix64(21), 3, m_a, m_b)
-        results = [classical_value(game, chunk_size=c) for c in (1, 3, 16, 4096)]
+        results = [classical_value(game, chunk_size=c) for c in (1, 3, 16, 26, 28, 4096)]
         for r in results[1:]:
             assert r.exact == results[0].exact
             assert r.alice == results[0].alice
             assert r.bob == results[0].bob
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_chunk_size_below_one_is_rejected(chunk_size):
+    with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+        classical_value(CHSH2, chunk_size=chunk_size)
+
+
+SPLIT_GROUPS = [
+    Z2,
+    Z3,
+    FiniteAbelianGroup([5]),
+    FiniteAbelianGroup([2, 3]),
+    FieldAdditiveGroup(FiniteField(2, 2)),
+]
+# Square, wide (mA < mB) and tall (mB < mA); m_enum = min(mA, mB) runs 1..5.
+SPLIT_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 2)]
+SPLIT_SHAPES += [(3, 3), (3, 6), (6, 3), (4, 4), (5, 5)]
+SPLIT_KINDS = ("random 1..3", "random float", "all-zero f", "diagonal q")
+
+
+def split_game(rng, group, m_a, m_b, kind):
+    n = group.order
+    f = np.zeros((m_a, m_b), dtype=np.int64) if kind == "all-zero f" else rng.integers(0, n, (m_a, m_b))
+    if kind == "random float":
+        q = rng.random((m_a, m_b))
+        return LinearGame(group, f, q=q / q.sum())
+    if kind == "diagonal q":
+        # Each responder question carries at most one weight, so every
+        # assignment of the enumerated player ties.
+        num = np.eye(m_a, m_b, dtype=np.int64)
+    else:
+        num = rng.integers(1, 4, (m_a, m_b))
+    return LinearGame(group, f, q_num=num, q_den=int(num.sum()))
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+def test_split_tables_match_the_alice_side_reference(kind):
+    # With all-zero f the constant assignments tie, and they lie in different
+    # high-digit blocks, so at chunk_size 1 in different chunks; with diagonal
+    # q every assignment ties.
+    rng = np.random.default_rng(SPLIT_KINDS.index(kind))
+    for group in SPLIT_GROUPS:
+        for m_a, m_b in SPLIT_SHAPES:
+            if group.order**m_a > 5000:
+                continue
+            game = split_game(rng, group, m_a, m_b, kind)
+            ref = alice_side_classical_value(game)
+            for chunk_size in (1, 4096):
+                opt = classical_value(game, chunk_size=chunk_size)
+                assert (opt.exact, opt.alice, opt.bob) == (ref.exact, ref.alice, ref.bob)
+                assert opt.value == pytest.approx(ref.value, abs=1e-12)
 
 
 def test_budget_error_is_informative():
