@@ -14,6 +14,8 @@ found by enumerating the assignments of the player with fewer questions,
 (optimal because the objective separates over the responder's questions).
 Score tables for the two halves of the m = min(mA, mB) enumerated questions
 cost O(|G|^ceil(m/2) * m_resp * |G|); each assignment then costs O(m_resp * |G|).
+The tables are answer-major, so a chunk is scored as a running maximum over
+the |G| answers in O(chunk * m_resp) memory, with no |G| axis.
 """
 
 from __future__ import annotations
@@ -163,9 +165,11 @@ def _response_scores(assign: np.ndarray, weights: np.ndarray, winning: np.ndarra
 
 
 def _score_table(weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
-    """`_response_scores` of every assignment of the questions in `weights`, in id order."""
+    """`_response_scores` of every assignment of the questions in `weights`, in id
+    order, laid out answer-major: [assignment, answer g, responder's question]."""
     m, _, n = winning.shape
-    return _response_scores(_assignment_digits(np.arange(n**m), n, m), weights, winning)
+    scores = _response_scores(_assignment_digits(np.arange(n**m), n, m), weights, winning)
+    return np.ascontiguousarray(scores.transpose(0, 2, 1))
 
 
 def classical_value(
@@ -182,8 +186,11 @@ def classical_value(
 
     Scores are L[low digits] + H[high digits], with tables over the first
     m // 2 and the other questions: O(|G|^ceil(m/2) * m_resp * |G|) to build,
-    then O(m_resp * |G|) per assignment.  A chunk holds `chunk_size` (>= 1)
-    assignments rounded down to whole blocks of |G|^(m // 2), at least one.
+    then O(m_resp * |G|) per assignment.  The tables are answer-major,
+    [assignment, answer g, responder's question], so a chunk's per-question
+    best is a running maximum over g, O(chunk * m_resp) memory with no |G|
+    axis.  A chunk holds `chunk_size` (>= 1) assignments rounded down to
+    whole blocks of |G|^(m // 2), at least one.
 
     The result is the optimal Alice assignment with the smallest enumeration
     id (question 0 varies fastest), whichever side is enumerated: the optimal
@@ -221,16 +228,20 @@ def classical_value(
 
     best_val, alice_idx = -1, None  # every value is a sum of weights >= 0
     for start in range(0, len(high), step):
-        per_question = (high[start : start + step, None] + low).reshape(-1, *low.shape[1:])
-        vals = per_question.max(axis=2).sum(axis=1)
+        hs = slice(start, start + step)
+        best = high[hs, None, 0] + low[:, 0]
+        for g in range(1, n):
+            np.maximum(best, high[hs, None, g] + low[:, g], out=best)
+        vals = best.reshape(-1, low.shape[2]).sum(axis=1)
         top = vals.max()
         if top < best_val:
             continue
-        rows = vals == top
+        rows = np.flatnonzero(vals == top)
         if by_bob:
-            cand = per_question[rows].argmax(axis=2)
+            h_ix, l_ix = divmod(rows, block)
+            cand = (high[start + h_ix] + low[l_ix]).argmax(axis=1)
         else:
-            cand = _assignment_digits(np.flatnonzero(rows) + start * block, n, m_enum)
+            cand = _assignment_digits(rows + start * block, n, m_enum)
         if top == best_val:
             cand = np.vstack([alice_idx, cand])
         alice_idx = cand[np.lexsort(cand.T)[0]]

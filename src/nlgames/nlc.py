@@ -30,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
-from .bounds import bound_from_norms, classical_value
+from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value
 from .games import GameFormatError, GameValidationError, LinearGame, _parse_weight
 
 __all__ = [
@@ -263,7 +263,9 @@ class Theorem3Report:
     blocks: tuple[BlockCirculantReport, ...]
 
 
-def verify_theorem3(spec: NlcSpec, budget: int = 10**6) -> Theorem3Report:
+def verify_theorem3(
+    spec: NlcSpec, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
     Legs, all read off one profile and one game: (i) the game depends on the

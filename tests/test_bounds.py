@@ -322,24 +322,27 @@ def test_enumerating_bob_matches_the_alice_side_reference(kind):
     rng = np.random.default_rng(WEIGHT_KINDS.index(kind))
     for i in range(16 * len(TALL_GROUPS)):  # 128 games per kind, 640 in all
         game = tall_game(rng, TALL_GROUPS[i % len(TALL_GROUPS)], kind)
-        opt = classical_value(game)
         ref = alice_side_classical_value(game)
         flipped = classical_value(transposed(game))
-        assert opt.exact == flipped.exact
-        assert opt.value == pytest.approx(flipped.value, abs=1e-12)
-        if kind == "uniform float":
-            # Ties between equally good strategies fall to float rounding,
-            # which differs between the two enumeration orders.
-            assert opt.value == pytest.approx(ref.value, abs=1e-12)
-            box = strategy_box(game, opt.alice, opt.bob)
-            assert evaluate_box(game, box) == pytest.approx(opt.value, abs=1e-12)
-        else:
-            assert (opt.value, opt.exact, opt.alice, opt.bob) == (
-                ref.value,
-                ref.exact,
-                ref.alice,
-                ref.bob,
-            )
+        # At chunk_size 1 each high-digit block of Bob's assignments is its
+        # own chunk, so tied candidates are also compared across chunks.
+        for chunk_size in (1, 4096):
+            opt = classical_value(game, chunk_size=chunk_size)
+            assert opt.exact == flipped.exact
+            assert opt.value == pytest.approx(flipped.value, abs=1e-12)
+            if kind == "uniform float":
+                # Ties between equally good strategies fall to float rounding,
+                # which differs between the two enumeration orders.
+                assert opt.value == pytest.approx(ref.value, abs=1e-12)
+                box = strategy_box(game, opt.alice, opt.bob)
+                assert evaluate_box(game, box) == pytest.approx(opt.value, abs=1e-12)
+            else:
+                assert (opt.value, opt.exact, opt.alice, opt.bob) == (
+                    ref.value,
+                    ref.exact,
+                    ref.alice,
+                    ref.bob,
+                )
 
 
 @pytest.mark.parametrize("d, m_a, m_b", [(3, 41, 2), (2, 70, 3)])

@@ -48,6 +48,9 @@ COMMANDS = {
     "nlc_d3_n3_verify": ["nlc", "nlc_d3_n3.json", "--verify"],
     "nlc_d5_n2_verify": ["nlc", "nlc_d5_n2.json", "--verify"],
     "nlc_d2_n7_weighted_verify": ["nlc", "nlc_d2_n7_weighted.json", "--verify"],
+    # 2^16 and 3^9 assignments: the brute-force leg runs, not skipped.
+    "nlc_d2_n4_weighted_verify": ["nlc", "nlc_d2_n4_weighted.json", "--verify"],
+    "nlc_d3_n2_verify": ["nlc", "nlc_d3_n2.json", "--verify"],
     # 243 questions: block checks above 81 questions, whose lines must not
     # depend on the BLAS thread count.
     "nlc_d3_n5_verify": ["nlc", "nlc_d3_n5.json", "--verify"],
