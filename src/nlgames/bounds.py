@@ -111,14 +111,14 @@ def phi_norms(game: LinearGame) -> list[float]:
     return [float(s[0]) for _, s in _phi_spectra(game)]
 
 
-def bound_from_norms(game: LinearGame, norms) -> float:
-    """The quantum bound expression evaluated on the norms ||Phi_x||, x != e."""
-    return (1.0 + float(np.sqrt(game.mA * game.mB)) * sum(norms)) / game.order
+def bound_from_norms(order: int, m_a: int, m_b: int, norms) -> float:
+    """The quantum bound expression for `order` answers, m_a x m_b questions."""
+    return (1.0 + float(np.sqrt(m_a * m_b)) * sum(norms)) / order
 
 
 def quantum_bound(game: LinearGame) -> float:
     """Upper bound on the quantum value; may exceed 1 (callers clamp for reports)."""
-    return bound_from_norms(game, phi_norms(game))
+    return bound_from_norms(game.order, game.mA, game.mB, phi_norms(game))
 
 
 def lemma1_bound(game: LinearGame) -> float:
@@ -388,7 +388,7 @@ def analyze(
     spectra = [s for _, s in _phi_spectra(game)]
     rank1 = singular_value_rank(spectra[0], rank_tol)
     norms = [float(s[0]) for s in spectra]
-    raw = bound_from_norms(game, norms)
+    raw = bound_from_norms(game.order, game.mA, game.mB, norms)
     clamped = min(1.0, raw)
     lemma1 = lemma1_bound(game)
     ns_value = evaluate_box(game, ns_winning_box(game))

@@ -126,7 +126,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     game = chsh_d(args.p, args.r)
     d = game.order
     norms = phi_norms(game)
-    bound = bound_from_norms(game, norms)
+    bound = bound_from_norms(d, game.mA, game.mB, norms)
     closed = chsh_closed_form(d)
     diff = abs(bound - closed)
     print(f"d: {d}")

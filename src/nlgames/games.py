@@ -54,6 +54,12 @@ class GameValidationError(ValueError):
     """A game, box, or correlator table violates a structural invariant."""
 
 
+def _check_exact_denominator(den: int) -> None:
+    """Reject a common denominator of exact weights outside [1, 10**15]."""
+    if not 0 < den <= _MAX_EXACT_DENOMINATOR:
+        raise GameValidationError(f"common denominator {den} of q is not in [1, {_MAX_EXACT_DENOMINATOR}]")
+
+
 class GameFormatError(ValueError):
     """A JSON document does not match the documented game schema."""
 
@@ -78,10 +84,7 @@ class LinearGame:
     def __post_init__(self):
         if self.q_num is not None:
             num, den = self.q_num, self.q_den
-            if not 0 < den <= _MAX_EXACT_DENOMINATOR:
-                raise GameValidationError(
-                    f"common denominator {den} of q is not in [1, {_MAX_EXACT_DENOMINATOR}]"
-                )
+            _check_exact_denominator(den)
             if num.dtype.kind not in "iu":
                 raise GameValidationError(f"q numerators must be int64 or uint64, not {num.dtype}")
             if np.any(num < 0):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
 from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value
-from .games import GameFormatError, GameValidationError, LinearGame, _parse_weight
+from .games import GameFormatError, GameValidationError, LinearGame, _check_exact_denominator, _parse_weight
 
 __all__ = [
     "NlcValidationError",
@@ -52,7 +52,8 @@ __all__ = [
     "verify_theorem3",
 ]
 
-MAX_QUESTIONS = 729  # d^n cap for building the full game
+MAX_QUESTIONS = 3**10  # d^n cap for a spec; verified from row 0 alone
+MAX_GAME_QUESTIONS = 729  # d^n cap for `nlc_game`, which allocates (d^n)^2 entries
 
 
 class NlcValidationError(ValueError):
@@ -78,12 +79,8 @@ class NlcSpec:
     p: tuple[Fraction, ...]
 
     @property
-    def prefix_count(self) -> int:
-        return self.d ** (self.n - 1)
-
-    @property
     def uniform(self) -> bool:
-        return all(w == Fraction(1, self.prefix_count) for w in self.p)
+        return all(w == Fraction(1, len(self.p)) for w in self.p)
 
 
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
@@ -95,9 +92,7 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     if n < 1:
         raise NlcValidationError(f"n must be at least 1, got {n}")
     if d**n > MAX_QUESTIONS:
-        raise NlcValidationError(
-            f"d^n = {d**n} exceeds the supported cap {MAX_QUESTIONS}"
-        )
+        raise NlcValidationError(f"d^n = {d**n} exceeds the supported cap {MAX_QUESTIONS}")
     size = d ** (n - 1)
     g = tuple(int(t) for t in g)
     if len(g) != size:
@@ -134,17 +129,29 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     return NlcSpec(d=d, n=n, g=g, p=probs)
 
 
-def nlc_game(spec: NlcSpec) -> LinearGame:
-    """Materialize the NLC game as a linear game over Z_d with exact weights."""
-    d, n = spec.d, spec.n
-    # Z_d^n lists its elements in the NLC input order: index = prefix * d + last.
-    z, last = divmod(FiniteAbelianGroup([d] * n).addition_table(), d)
-    weights = [w / d ** (n + 1) for w in spec.p]
+def _row0(spec: NlcSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row 0 of the game at z = x (+) y, z' its prefix: f0(z) = g(z') * z_n mod d
+    and q0(z) = p(z') / d^(n+1), as integer numerators over one denominator."""
+    d = spec.d
+    weights = [w / d ** (spec.n + 1) for w in spec.p]
     den = lcm(*(w.denominator for w in weights))
-    # Numerators are at most den: int64 whenever den passes LinearGame's cap.
-    p_num = np.array([w.numerator * (den // w.denominator) for w in weights])
-    f = np.array(spec.g)[z] * last % d
-    return LinearGame(group=FiniteAbelianGroup([d]), f_idx=f, q_num=p_num[z], q_den=den)
+    _check_exact_denominator(den)
+    # Numerators are at most den, so they fit int64.
+    p_num = np.array([w.numerator * (den // w.denominator) for w in weights], dtype=np.int64)
+    f0 = (np.array(spec.g)[:, None] * np.arange(d) % d).ravel()
+    return f0, np.repeat(p_num, d), den
+
+
+def nlc_game(spec: NlcSpec) -> LinearGame:
+    """Materialize the NLC game over Z_d with exact weights, entry (x, y) = row 0 at x (+) y;
+    (d^n)^2 entries, so up to `MAX_GAME_QUESTIONS` and in `verify_theorem3` for brute force."""
+    d, n = spec.d, spec.n
+    if d**n > MAX_GAME_QUESTIONS:
+        raise NlcValidationError(f"d^n = {d**n} exceeds the game cap {MAX_GAME_QUESTIONS}")
+    f0, q0, den = _row0(spec)
+    # Z_d^n lists its elements in the NLC input order: index = prefix * d + last.
+    xor = FiniteAbelianGroup([d] * n).addition_table()
+    return LinearGame(group=FiniteAbelianGroup([d]), f_idx=f0[xor], q_num=q0[xor], q_den=den)
 
 
 @dataclass(frozen=True)
@@ -218,24 +225,23 @@ def nlc_classical_strategy(spec: NlcSpec, mu: int | None = None) -> NlcStrategy:
 
     `mu` defaults to the (smallest) maximizer of the weighted multiplicity
     profile; any maximizer achieves the same value.  The score is evaluated
-    directly on the materialized game, not read off a closed form.
+    exactly from the game's row 0, not read off a closed form.
     """
     if mu is None:
         mu = lambda_profile(spec).mu
     elif not 0 <= int(mu) < spec.d:
         raise NlcValidationError(f"mu must lie in [0, {spec.d}), got {mu}")
-    return _score_strategy(nlc_game(spec), mu)
+    return _score_strategy(_row0(spec), spec.d, int(mu))
 
 
-def _score_strategy(game: LinearGame, mu: int) -> NlcStrategy:
-    """Exact value of a = mu*x_n, b = mu*y_n on the materialized game."""
-    d = game.order
-    answers = np.array([(mu * (x % d)) % d for x in range(game.mA)], dtype=np.int64)
-    win = (answers[:, None] + answers[None, :]) % d
-    mask = game.f_idx == win
-    value = Fraction(int(game.q_num[mask].sum()), game.q_den)
-    outputs = tuple(int(a) for a in answers)
-    return NlcStrategy(mu=int(mu), alice=outputs, bob=outputs, value=value)
+def _score_strategy(row0, d: int, mu: int) -> NlcStrategy:
+    """Exact value of a = mu*x_n, b = mu*y_n: d^n * sum_z q0(z) [f0(z) = mu*z_n],
+    since each z is x (+) y for d^n pairs (x, y)."""
+    f0, q0, den = row0
+    answers = mu * np.arange(f0.size) % d  # mu * x_n, also mu * z_n at z = x
+    value = Fraction(f0.size * int(q0[f0 == answers].sum()), den)
+    outputs = tuple(answers.tolist())
+    return NlcStrategy(mu=mu, alice=outputs, bob=outputs, value=value)
 
 
 @dataclass(frozen=True)
@@ -268,33 +274,34 @@ def verify_theorem3(
 ) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
-    Legs, all read off one profile and one game: (i) the game depends on the
-    inputs only through x (+) y, an exact integer check on which the Fourier
-    legs rest; (ii) the prefix-ignoring strategy's exact value equals the
-    exact bound; (iii) when d^(d^n) fits the enumeration budget, the
-    brute-force classical optimum equals the same number; (iv) the spectrum
-    of each Phi_k, one FFT of its row 0, passes `_check_blocks`; (v) the
-    generic spectral bound from the norms ||Phi_k|| agrees to 1e-10.  Legs
-    (i) and (iv) raise `BlockStructureError`, the others
-    `TheoremVerificationError` naming the leg.
+    Legs, read off one profile and the game's row 0: (i) the prefix-ignoring
+    strategy's exact value equals the exact bound; (ii) only when d^(d^n)
+    fits the enumeration budget, `nlc_game` is built, must equal row 0 at
+    x (+) y in exact integers, and its brute-force optimum must equal the
+    bound; (iii) the spectrum of each Phi_k, one FFT of its row 0, passes
+    `_check_blocks`; (iv) the generic spectral bound from the norms ||Phi_k||
+    agrees to 1e-10.  The x (+) y check and (iii) raise `BlockStructureError`,
+    the others `TheoremVerificationError` naming the leg.
     """
     prof = lambda_profile(spec)
     bound = prof.bound
-    game = nlc_game(spec)
-    inputs = FiniteAbelianGroup([spec.d] * spec.n).addition_table()
-    for name, table in (("f_idx", game.f_idx), ("q_num", game.q_num)):
-        if not np.array_equal(table, table[0][inputs]):
-            raise BlockStructureError(
-                f"game {name} is not a function of x (+) y over Z_{spec.d}^{spec.n}"
-            )
-    strategy = _score_strategy(game, prof.mu)
+    row0 = _row0(spec)
+    strategy = _score_strategy(row0, spec.d, prof.mu)
     if strategy.value != bound:
         raise TheoremVerificationError(
             f"strategy-vs-bound leg failed: strategy scores {strategy.value}, "
             f"bound is {bound}"
         )
+    size = spec.d**spec.n
     brute = None
-    if game.order**game.mA <= budget:
+    if spec.d**size <= budget:
+        game = nlc_game(spec)
+        inputs = FiniteAbelianGroup([spec.d] * spec.n).addition_table()
+        for name, row in (("f_idx", row0[0]), ("q_num", row0[1])):
+            if not np.array_equal(getattr(game, name), row[inputs]):
+                raise BlockStructureError(
+                    f"game {name} is not a function of x (+) y over Z_{spec.d}^{spec.n}"
+                )
         brute = classical_value(game, budget=budget).exact
         if brute != bound:
             raise TheoremVerificationError(
@@ -303,9 +310,9 @@ def verify_theorem3(
             )
     blocks = tuple(
         _check_blocks(prof, k, spectrum)
-        for k, spectrum in enumerate(_spectra(game, spec.n), start=1)
+        for k, spectrum in enumerate(_spectra(row0, spec.d, spec.n), start=1)
     )
-    spectral = bound_from_norms(game, [block.spectral_norm for block in blocks])
+    spectral = bound_from_norms(spec.d, size, size, [block.spectral_norm for block in blocks])
     if abs(spectral - float(bound)) > 1e-10:
         raise TheoremVerificationError(
             f"spectral-bound leg failed: game matrices give {spectral!r}, "
@@ -322,15 +329,15 @@ def verify_theorem3(
     )
 
 
-def _spectra(game: LinearGame, n: int):
+def _spectra(row0, d: int, n: int):
     """Yield the singular values of Phi_k for k = 1..d-1, each as |FFT| of
-    Phi_k's row 0 over Z_d^n, shape (d,) * n; valid for games whose entries
-    depend on x (+) y only."""
-    d = game.order
-    chars = game.group.character_table()
+    its row 0 h_k = q0 * chi_k(f0) over Z_d^n, shape (d,) * n.  q0 takes the
+    float division `LinearGame` makes, so the spectra have the same bits."""
+    f0, q0, den = row0
+    q = q0 / den
+    chars = FiniteAbelianGroup([d]).character_table()
     for k in range(1, d):
-        h = game.q[0] * chars[k][game.f_idx[0]]
-        yield np.abs(np.fft.fftn(h.reshape((d,) * n)))
+        yield np.abs(np.fft.fftn((q * chars[k][f0]).reshape((d,) * n)))
 
 
 def _check_blocks(prof: LambdaProfile, k: int, spectrum: np.ndarray) -> BlockCirculantReport:

@@ -166,14 +166,21 @@ def test_nlc_rejects_composite_d(tmp_path, capsys):
 
 
 def test_nlc_denominator_above_exact_cap_exits_1(tmp_path, capsys):
-    # The game weights p / d^(n+1) have common denominator 2.4e15 > 1e15.
-    path = tmp_path / "bigden.json"
+    # The game weights p / d^(n+1) have common denominator 2.4e15 > 1e15 on
+    # a spec small enough to build the game for brute force, and 2.43e16 on
+    # a 27-question spec whose legs read row 0 alone.
     p = [[1, 300000000000000], [299999999999999, 300000000000000]]
-    path.write_text(json.dumps({"d": 2, "n": 2, "g": [0, 1], "p": p}))
-    assert main(["nlc", str(path), "--verify"]) == EXIT_FAILURE
-    err = capsys.readouterr().err
-    assert err.startswith("error: common denominator 2400000000000000")
-    assert "Traceback" not in err
+    specs = [
+        ({"d": 2, "n": 2, "g": [0, 1], "p": p}, 2400000000000000),
+        ({"d": 3, "n": 3, "g": [0, 1, 2] * 3, "p": p + [[0, 1]] * 7}, 24300000000000000),
+    ]
+    for spec, den in specs:
+        path = tmp_path / "bigden.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nlc", str(path), "--verify"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: common denominator {den} ")
+        assert "Traceback" not in err
 
 
 def test_scan_deterministic(capsys):

@@ -1,7 +1,7 @@
 """Each expensive object is built once per result: one character table per
 bound or report, one singular-value solve per conjugate pair {Phi_x,
-Phi_-x}, one NLC game per check and no solve in it, and built-in games from
-integer arrays with no table parsing."""
+Phi_-x}, an NLC game only for the brute-force leg and no solve in a check,
+and built-in games from integer arrays with no table parsing."""
 
 import json
 
@@ -71,30 +71,37 @@ def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
 
 
 def test_verify_theorem3_builds_the_game_once(monkeypatch):
-    # d=2, n=2 fits the brute-force budget, so every leg runs; the spectra
-    # come from FFTs of the game's row 0, with no singular-value solve.
-    for spec in (nlc.nlc_spec(2, 2, [0, 1]), nlc.nlc_spec(3, 2, [0, 2, 2])):
+    # 2^4 and 3^9 assignments fit the brute-force budget, so every leg runs
+    # and only brute force builds the game; 3^27 does not, and no game is
+    # built.  The spectra come from FFTs of row 0, with no singular-value
+    # solve.
+    for spec, built in (
+        (nlc.nlc_spec(2, 2, [0, 1]), 1),
+        (nlc.nlc_spec(3, 2, [0, 2, 2]), 1),
+        (nlc.nlc_spec(3, 3, [i * i % 3 for i in range(9)], [[k, 45] for k in range(1, 10)]), 0),
+    ):
         games = count_calls(monkeypatch, nlc, "nlc_game")
         solves = count_solves(monkeypatch)
         nlc.verify_theorem3(spec)
-        assert len(games) == 1
+        assert len(games) == built
         assert len(solves) == 0
         monkeypatch.undo()
 
 
 def test_nlc_builds_one_game_and_one_profile(tmp_path, monkeypatch, capsys):
     # With --verify the header is read off the verification report, whose
-    # spectra are FFTs, not solves.  Without it, one profile gives mu and
-    # the bound.
+    # spectra are FFTs, not solves, and only its brute-force leg builds the
+    # game.  Without it, one profile gives mu and the bound, and the
+    # strategy is scored from row 0 with no game.
     path = tmp_path / "nlc.json"
     path.write_text(json.dumps({"d": 3, "n": 2, "g": [0, 2, 2], "p": "uniform"}))
-    for flags, blocks in ((["--verify"], True), ([], False)):
+    for flags, blocks, built in ((["--verify"], True, 1), ([], False, 0)):
         games = count_everywhere(monkeypatch, nlc, "nlc_game")
         profiles = count_everywhere(monkeypatch, nlc, "lambda_profile")
         solves = count_solves(monkeypatch)
         assert main(["nlc", str(path), *flags]) == EXIT_OK
         assert ("verify blocks k=2: ok" in capsys.readouterr().out) == blocks
-        assert len(games) == 1
+        assert len(games) == built
         assert len(profiles) == 1
         assert len(solves) == 0
         monkeypatch.undo()

@@ -15,7 +15,9 @@ editing `src/`, from the repository root:
         python -m nlgames.cli analyze z3_bigden.json --format json \
         > analyze_z3_bigden_json.out
 
-and check that `OPENBLAS_NUM_THREADS=2` prints the same bytes.
+and check that `OPENBLAS_NUM_THREADS=2` prints the same bytes.  A command
+above a size cap of the unchanged code is generated from a copy of it with
+only that cap raised, as `nlc_d3_n7_weighted_verify` was with `MAX_QUESTIONS`.
 """
 
 import os
@@ -54,8 +56,10 @@ COMMANDS = {
     # 243 questions: block checks above 81 questions, whose lines must not
     # depend on the BLAS thread count.
     "nlc_d3_n5_verify": ["nlc", "nlc_d3_n5.json", "--verify"],
-    # 729 questions, the largest game `nlc_spec` accepts.
+    # 729 questions, the cap of `nlc_game`, which this run does not call.
     "nlc_d3_n6_verify": ["nlc", "nlc_d3_n6.json", "--verify"],
+    # 2,187 questions with small integer weights: verified from row 0 alone.
+    "nlc_d3_n7_weighted_verify": ["nlc", "nlc_d3_n7_weighted.json", "--verify"],
 }
 
 

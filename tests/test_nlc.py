@@ -53,8 +53,10 @@ def test_spec_validation_errors():
         nlc_spec(2, 2, [0, 1], [["x", "y"], [1, 2]])
     with pytest.raises(NlcValidationError, match="keyword"):
         nlc_spec(2, 2, [0, 1], "flat")
-    with pytest.raises(NlcValidationError, match="cap"):
-        nlc_spec(3, 7, [0] * 3**6)
+    with pytest.raises(NlcValidationError, match="supported cap 59049"):
+        nlc_spec(3, 11, [0] * 3**10)
+    with pytest.raises(NlcValidationError, match="game cap 729"):
+        nlc_game(nlc_spec(3, 7, [0] * 3**6))
 
 
 def test_uniform_detection():
@@ -190,15 +192,21 @@ def test_constant_g_saturates_bound(spec):
 
 
 def test_strategy_value_matches_box_evaluation():
-    spec = nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]])
-    strat = nlc_classical_strategy(spec)
-    game = nlc_game(spec)
-    box = strategy_box(game, list(strat.alice), list(strat.bob))
-    assert evaluate_box(game, box) == pytest.approx(float(strat.value), abs=1e-12)
-    # Closed form: (1/d) * (1 + d^2 (d-1) * weighted_max).
-    prof = lambda_profile(spec)
-    closed = Fraction(1, 3) * (1 + 9 * 2 * prof.weighted_max)
-    assert strat.value == closed
+    # Two independent paths: the strategy is scored from row 0, the box is
+    # evaluated on the built game.
+    rng = random.Random(5)
+    g = [rng.randrange(3) for _ in range(27)]
+    weights = [rng.randrange(1, 10) for _ in range(27)]
+    seeded = nlc_spec(3, 4, g, [[w, sum(weights)] for w in weights])
+    for spec in (nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]]), seeded):
+        strat = nlc_classical_strategy(spec)
+        game = nlc_game(spec)
+        box = strategy_box(game, list(strat.alice), list(strat.bob))
+        assert evaluate_box(game, box) == pytest.approx(float(strat.value), abs=1e-12)
+        # Closed form: (1/d) * (1 + d^2 (d-1) * weighted_max).
+        prof = lambda_profile(spec)
+        closed = Fraction(1, 3) * (1 + 9 * 2 * prof.weighted_max)
+        assert strat.value == closed
 
 
 def test_strategy_value_equal_across_tied_maximizers():
@@ -397,20 +405,23 @@ def _seeded_specs():
         yield pytest.param(nlc_spec(d, n, g, p), id=f"seeded_d{d}_n{n}_weighted")
 
 
-JACOBI_REFERENCE_SPECS = [
-    *(
-        pytest.param(nlc_spec_from_json(json.loads(path.read_text())), id=path.stem)
-        for path in sorted(GOLDEN.glob("nlc_*.json"))
-    ),
-    *_seeded_specs(),
-]
+def _golden_specs():
+    # Only specs that `nlc_game` builds: Jacobi needs the dense Phi_k.
+    for path in sorted(GOLDEN.glob("nlc_*.json")):
+        spec = nlc_spec_from_json(json.loads(path.read_text()))
+        if spec.d**spec.n <= nlc.MAX_GAME_QUESTIONS:
+            yield pytest.param(spec, id=path.stem)
+
+
+JACOBI_REFERENCE_SPECS = [*_golden_specs(), *_seeded_specs()]
 
 
 @pytest.mark.parametrize("spec", JACOBI_REFERENCE_SPECS)
 def test_fft_spectra_match_jacobi(spec):
-    # Jacobi on the dense Phi_k is the independent reference for the FFT.
+    # Jacobi on the dense Phi_k of the built game is the independent
+    # reference for the FFT of row 0.
     game = nlc_game(spec)
-    spectra = list(nlc._spectra(game, spec.n))
+    spectra = list(nlc._spectra(nlc._row0(spec), spec.d, spec.n))
     assert len(spectra) == spec.d - 1
     for fft, (_, s) in zip(spectra, _phi_spectra(game)):
         assert fft.shape == (spec.d,) * spec.n
