@@ -14,8 +14,9 @@ found by enumerating the assignments of the player with fewer questions,
 (optimal because the objective separates over the responder's questions).
 Score tables for the two halves of the m = min(mA, mB) enumerated questions
 cost O(|G|^ceil(m/2) * m_resp * |G|); each assignment then costs O(m_resp * |G|).
-The tables are answer-major, so a chunk is scored as a running maximum over
-the |G| answers in O(chunk * m_resp) memory, with no |G| axis.
+The tables are question-major, so a chunk is scored one responder's question
+at a time, as a maximum over the |G| answers added into a vector of chunk
+scores, in O(chunk) memory.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-DEFAULT_CHUNK_SIZE = 4096
+DEFAULT_CHUNK_SIZE = 32768
 
 # Slack applied when comparing the float classical value against the clamped
 # quantum bound in the report invariant chain.
@@ -165,11 +166,17 @@ def _response_scores(assign: np.ndarray, weights: np.ndarray, winning: np.ndarra
 
 
 def _score_table(weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
-    """`_response_scores` of every assignment of the questions in `weights`, in id
-    order, laid out answer-major: [assignment, answer g, responder's question]."""
-    m, _, n = winning.shape
-    scores = _response_scores(_assignment_digits(np.arange(n**m), n, m), weights, winning)
-    return np.ascontiguousarray(scores.transpose(0, 2, 1))
+    """Per (responder's question v, answer g, assignment id), the weight the
+    responder wins at v by answering g against that assignment of the questions
+    in `weights`; question 0 varies fastest in the id.
+
+    Question u is added as one broadcast, id = previous id + |G|^u * a.
+    """
+    table = np.zeros(winning.shape[1:] + (1,), dtype=weights.dtype)
+    for w, win in zip(weights, winning):  # win[v, a]: the winning answer g to a
+        wins = (win[:, None] == np.arange(win.shape[1])[:, None]) * w[:, None, None]
+        table = (table[:, :, None] + wins[..., None]).reshape(wins.shape[:2] + (-1,))
+    return table
 
 
 def classical_value(
@@ -186,11 +193,14 @@ def classical_value(
 
     Scores are L[low digits] + H[high digits], with tables over the first
     m // 2 and the other questions: O(|G|^ceil(m/2) * m_resp * |G|) to build,
-    then O(m_resp * |G|) per assignment.  The tables are answer-major,
-    [assignment, answer g, responder's question], so a chunk's per-question
-    best is a running maximum over g, O(chunk * m_resp) memory with no |G|
-    axis.  A chunk holds `chunk_size` (>= 1) assignments rounded down to
-    whole blocks of |G|^(m // 2), at least one.
+    then O(m_resp * |G|) per assignment.  The tables are question-major,
+    [responder's question v, answer g, assignment], so a chunk's score is
+    the sum over v of max_g (H[v, g, high] + L[v, g, low]), each term a
+    broadcast over contiguous rows, added in v order, so float sums do not
+    depend on the chunking.  A chunk holds `chunk_size` (>= 1) assignments
+    rounded down to whole blocks of |G|^(m // 2), at least one; when the
+    enumeration is smaller than `chunk_size`, several responder questions
+    share one broadcast.  Three chunk-sized buffers are the working memory.
 
     The result is the optimal Alice assignment with the smallest enumeration
     id (question 0 varies fastest), whichever side is enumerated: the optimal
@@ -224,22 +234,30 @@ def classical_value(
     block = n**lo
     low = _score_table(enum_weights[:lo], enum_winning[:lo])
     high = _score_table(enum_weights[lo:], enum_winning[lo:])
+    m_resp, n_high = low.shape[0], high.shape[2]
     step = max(1, chunk_size // block)
+    group = min(m_resp, max(1, chunk_size // (min(step, n_high) * block)))
+    buffers = np.empty((2, group, min(step, n_high), block), weights.dtype)
 
     best_val, alice_idx = -1, None  # every value is a sum of weights >= 0
-    for start in range(0, len(high), step):
-        hs = slice(start, start + step)
-        best = high[hs, None, 0] + low[:, 0]
-        for g in range(1, n):
-            np.maximum(best, high[hs, None, g] + low[:, g], out=best)
-        vals = best.reshape(-1, low.shape[2]).sum(axis=1)
+    for start in range(0, n_high, step):
+        h = high[:, :, start : start + step, None]
+        vals = np.zeros((h.shape[2], block), weights.dtype)
+        for v in range(0, m_resp, group):
+            hv, lv = h[v : v + group], low[v : v + group, :, None]
+            best, other = buffers[:, : len(hv), : len(vals)]
+            np.add(hv[:, 0], lv[:, 0], out=best)
+            for g in range(1, n):
+                np.maximum(best, np.add(hv[:, g], lv[:, g], out=other), out=best)
+            for row in best:  # in v order, whatever the group
+                vals += row
         top = vals.max()
         if top < best_val:
             continue
         rows = np.flatnonzero(vals == top)
         if by_bob:
             h_ix, l_ix = divmod(rows, block)
-            cand = (high[start + h_ix] + low[l_ix]).argmax(axis=1)
+            cand = (high[:, :, start + h_ix] + low[:, :, l_ix]).argmax(axis=1).T
         else:
             cand = _assignment_digits(rows + start * block, n, m_enum)
         if top == best_val:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class NlcSpec:
 
     @property
     def uniform(self) -> bool:
-        return all(w == Fraction(1, len(self.p)) for w in self.p)
+        share = Fraction(1, len(self.p))
+        return all(w == share for w in self.p)
 
 
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
@@ -100,12 +101,13 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
             f"g must assign a target dit to each of the {size} prefix strings, "
             f"got {len(g)} entries"
         )
-    if any(not 0 <= t < d for t in g):
-        raise NlcValidationError(f"g values must lie in [0, {d}), got {g}")
+    bad = next((i for i, t in enumerate(g) if not 0 <= t < d), None)
+    if bad is not None:
+        raise NlcValidationError(f"g values must lie in [0, {d}), got g[{bad}] = {g[bad]}")
     if isinstance(p, str):
         if p != "uniform":
             raise NlcValidationError(f"unknown distribution keyword {p!r}")
-        probs = tuple(Fraction(1, size) for _ in range(size))
+        probs = (Fraction(1, size),) * size
     else:
         try:
             probs = tuple(_parse_weight(entry) for entry in p)
@@ -122,22 +124,36 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
             raise NlcValidationError(
                 f"p must have {size} entries to match the prefix strings"
             )
-        if any(w < 0 for w in probs):
+        if any(w.numerator < 0 for w in probs):
             raise NlcValidationError("prefix probabilities must be nonnegative")
-        if sum(probs) != 1:
-            raise NlcValidationError(f"prefix distribution sums to {sum(probs)}, not 1")
+        nums, den = _common_numerators(probs)
+        if sum(nums) != den:
+            raise NlcValidationError(
+                f"prefix distribution sums to {Fraction(sum(nums), den)}, not 1"
+            )
     return NlcSpec(d=d, n=n, g=g, p=probs)
+
+
+def _common_numerators(weights) -> tuple[list[int], int]:
+    """Integer numerators of the Fractions `weights` over their least common
+    denominator, and that denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def _row0(spec: NlcSpec) -> tuple[np.ndarray, np.ndarray, int]:
     """Row 0 of the game at z = x (+) y, z' its prefix: f0(z) = g(z') * z_n mod d
     and q0(z) = p(z') / d^(n+1), as integer numerators over one denominator."""
     d = spec.d
-    weights = [w / d ** (spec.n + 1) for w in spec.p]
-    den = lcm(*(w.denominator for w in weights))
+    nums, p_den = _common_numerators(spec.p)
+    # The q0 are nums / (p_den * d^(n+1)); dividing out the gcd of all of them
+    # leaves their least common denominator, as if each were reduced first.
+    scale = p_den * d ** (spec.n + 1)
+    common = gcd(scale, *nums)
+    den = scale // common
     _check_exact_denominator(den)
     # Numerators are at most den, so they fit int64.
-    p_num = np.array([w.numerator * (den // w.denominator) for w in weights], dtype=np.int64)
+    p_num = np.array([num // common for num in nums], dtype=np.int64)
     f0 = (np.array(spec.g)[:, None] * np.arange(d) % d).ravel()
     return f0, np.repeat(p_num, d), den
 
@@ -196,12 +212,14 @@ def lambda_profile(spec: NlcSpec) -> LambdaProfile:
     block has this same profile.
     """
     d = spec.d
+    nums, den = _common_numerators(spec.p)
     counts = [0] * d
-    weighted = [Fraction(0)] * d
-    for t, w in zip(spec.g, spec.p):
+    sums = [0] * d
+    for t, num in zip(spec.g, nums):
         counts[t] += 1
-        weighted[t] += w / (d * d)
-    return LambdaProfile(counts=tuple(counts), weighted=tuple(weighted))
+        sums[t] += num
+    weighted = tuple(Fraction(total, den * d * d) for total in sums)
+    return LambdaProfile(counts=tuple(counts), weighted=weighted)
 
 
 def nlc_quantum_bound(spec: NlcSpec) -> Fraction:

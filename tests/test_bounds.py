@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
+    DEFAULT_CHUNK_SIZE,
     EnumerationBudgetError,
     HypothesisViolationError,
     analyze,
@@ -24,6 +26,7 @@ from nlgames.games import (
     random_xor_game,
     strategy_box,
 )
+from nlgames.nlc import nlc_game, nlc_spec
 from nlgames.numerics import numerical_rank
 from nlgames.rng import SplitMix64
 from oracles import alice_side_classical_value, double_enumeration_optimum, phi1_rank_at_most_one
@@ -213,14 +216,16 @@ def test_best_response_matches_double_enumeration_corpus():
 def test_classical_value_independent_of_chunking():
     # The 5 x 3 game enumerates Bob, so ties also meet across his chunks.  The
     # 6 x 6 game has 3^3 = 27 assignments per high-digit block, so chunk sizes
-    # 16 and 26 fall below one block and 28 rounds down to one.
-    for m_a, m_b in ((3, 3), (5, 3), (6, 6)):
+    # 16 and 26 fall below one block and 28 rounds down to one.  With uniform
+    # float weights, ties in real arithmetic fall to rounding, so each game's
+    # float copy also checks that the sum over the responder's questions is
+    # taken in the same order at every chunk size.
+    for m_a, m_b in ((3, 3), (5, 3), (6, 6), (10, 6)):
         game = random_xor_game(SplitMix64(21), 3, m_a, m_b)
-        results = [classical_value(game, chunk_size=c) for c in (1, 3, 16, 26, 28, 4096)]
-        for r in results[1:]:
-            assert r.exact == results[0].exact
-            assert r.alice == results[0].alice
-            assert r.bob == results[0].bob
+        for g in (game, LinearGame(game.group, game.f_idx, q=game.q)):
+            results = [classical_value(g, chunk_size=c) for c in (1, 3, 16, 26, 28, 4096)]
+            for r in results[1:]:
+                assert r == results[0]
 
 
 @pytest.mark.parametrize("chunk_size", [0, -1])
@@ -361,6 +366,59 @@ def test_float_only_games_still_enumerable():
     opt = classical_value(game)
     assert opt.exact is None
     assert opt.value == pytest.approx(0.75)
+
+
+# (order, mA, mB) with float weights and 8 or more responder questions, where
+# the order of the sum over them matters; Alice is enumerated in the first
+# five, Bob in the others.
+FLOAT_KERNEL_SHAPES = [(2, 5, 12), (2, 8, 14), (3, 4, 9), (5, 3, 10), (7, 2, 8)]
+FLOAT_KERNEL_SHAPES += [(2, 12, 5), (2, 11, 8), (3, 8, 4), (3, 7, 6)]
+
+
+def kernel_chunk_sizes(game):
+    block = game.order ** (min(game.mA, game.mB) // 2)
+    return sorted({1, block - 1, block, block + 1, DEFAULT_CHUNK_SIZE} - {0})
+
+
+@pytest.mark.parametrize("shape", FLOAT_KERNEL_SHAPES)
+def test_kernel_matches_the_alice_side_reference_on_float_weights(shape):
+    d, m_a, m_b = shape
+    rng = np.random.default_rng(m_a * m_b + d)
+    for _ in range(3):
+        q = rng.random((m_a, m_b))
+        game = LinearGame(FiniteAbelianGroup([d]), rng.integers(0, d, (m_a, m_b)), q=q / q.sum())
+        ref = alice_side_classical_value(game)
+        for chunk_size in kernel_chunk_sizes(game):
+            assert classical_value(game, chunk_size=chunk_size) == ref
+
+
+@pytest.mark.parametrize("g", [[0] * 8, [1] * 8, [0, 1, 1, 0, 1, 0, 0, 1]])
+def test_kernel_matches_the_alice_side_reference_on_a_tied_nlc_game(g):
+    # 16 questions a side; constant g makes every multiple of the last dit
+    # optimal, so many assignments tie.
+    game = nlc_game(nlc_spec(2, 4, g))
+    ref = alice_side_classical_value(game)
+    for chunk_size in kernel_chunk_sizes(game):
+        assert classical_value(game, chunk_size=chunk_size) == ref
+
+
+# Measured peaks are 1.4 to 2.0 MiB, the answer-major kernel's 1.3 to 5.2 MiB.
+PEAK_BOUND = 3 * 2**20
+
+
+def test_classical_value_peak_memory_is_bounded():
+    # Square games at the largest m within the default budget for each order.
+    # The chunk buffers take 3 * DEFAULT_CHUNK_SIZE * 8 bytes, 0.75 MiB; the
+    # score tables are at most 1.1 MiB (d = 7, m = 7).
+    for d, m in ((2, 19), (3, 12), (5, 8), (7, 7)):
+        game = random_xor_game(SplitMix64(m), d, m)
+        tracemalloc.start()
+        try:
+            classical_value(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BOUND, (d, m, peak)
 
 
 # ---------------------------------------------------------------------------

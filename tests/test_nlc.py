@@ -11,7 +11,7 @@ import pytest
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
 from nlgames.bounds import _phi_spectra, quantum_bound
-from nlgames.games import GameFormatError, LinearGame, evaluate_box, strategy_box
+from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box, strategy_box
 from nlgames.nlc import (
     BlockStructureError,
     LambdaProfile,
@@ -45,7 +45,7 @@ def test_spec_validation_errors():
         nlc_spec(2, 2, [0])
     with pytest.raises(NlcValidationError, match="values must lie"):
         nlc_spec(2, 2, [0, 2])
-    with pytest.raises(NlcValidationError, match="sums to"):
+    with pytest.raises(NlcValidationError, match="sums to 5/6, not 1"):
         nlc_spec(2, 2, [0, 1], [[1, 2], [1, 3]])
     with pytest.raises(NlcValidationError, match="exact rationals"):
         nlc_spec(2, 2, [0, 1], [0.5, 0.5])
@@ -57,6 +57,47 @@ def test_spec_validation_errors():
         nlc_spec(3, 11, [0] * 3**10)
     with pytest.raises(NlcValidationError, match="game cap 729"):
         nlc_game(nlc_spec(3, 7, [0] * 3**6))
+
+
+def test_out_of_range_target_names_one_entry():
+    # At the spec cap the whole table would print as ~59,000 characters.
+    with pytest.raises(NlcValidationError) as err:
+        nlc_spec(3, 10, [5] * 3**9)
+    assert str(err.value) == "g values must lie in [0, 3), got g[0] = 5"
+    with pytest.raises(NlcValidationError, match=r"got g\[2\] = -1$"):
+        nlc_spec(2, 3, [0, 1, -1, 2])
+
+
+def _row0_by_fractions(spec):
+    """q0's denominator and prefix numerators with one Fraction per weight."""
+    weights = [w / spec.d ** (spec.n + 1) for w in spec.p]
+    den = math.lcm(*(w.denominator for w in weights))
+    return den, [w.numerator * (den // w.denominator) for w in weights]
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 6), (3, 2), (3, 5), (5, 3), (7, 2), (2, 15), (3, 10)])
+def test_integer_weight_sums_match_fraction_arithmetic(d, n):
+    # Denominators mix powers of d with other primes; with the large primes
+    # the common denominator passes the 10**15 cap at 25 or more prefixes.
+    rng = random.Random(100 * d + n)
+    size = d ** (n - 1)
+    for pool in ([1, 2, 3, d, d**2], [5, 7, 11, 13, d**3], [101, 103, 107, 109, 113, 127]):
+        head = [Fraction(rng.randrange(b + 1), b * size) for b in rng.choices(pool, k=size - 1)]
+        p = head + [1 - sum(head)]
+        g = [rng.randrange(d) for _ in range(size)]
+        spec = nlc_spec(d, n, g, [[w.numerator, w.denominator] for w in p])
+        weighted = [Fraction(0)] * d
+        for t, w in zip(g, p):
+            weighted[t] += w / (d * d)
+        assert lambda_profile(spec).weighted == tuple(weighted)
+        den, nums = _row0_by_fractions(spec)
+        if den > 10**15:
+            with pytest.raises(GameValidationError, match="common denominator"):
+                nlc._row0(spec)
+            continue
+        _, q0, row_den = nlc._row0(spec)
+        assert row_den == den
+        assert q0.tolist() == [num for num in nums for _ in range(d)]
 
 
 def test_uniform_detection():
