@@ -15,15 +15,12 @@ from .bounds import (
     ClassicalOptimum,
     EnumerationBudgetError,
     GameReport,
-    HypothesisViolationError,
     analyze,
     bound_from_norms,
     classical_value,
-    game_matrix,
     lemma1_bound,
     ns_winning_box,
     phi_norms,
-    pseudo_telepathy_check,
     quantum_bound,
 )
 from .games import (
@@ -42,11 +39,9 @@ from .games import (
     game_to_json,
     random_xor_game,
     strategy_box,
-    uniform_box,
     win_prob_from_correlators,
 )
 from .nlc import (
-    BlockCirculantReport,
     BlockStructureError,
     LambdaProfile,
     NlcSpec,
@@ -57,17 +52,13 @@ from .nlc import (
     lambda_profile,
     nlc_classical_strategy,
     nlc_game,
-    nlc_quantum_bound,
     nlc_spec,
     nlc_spec_from_json,
-    nlc_spec_to_json,
     verify_theorem3,
 )
 from .numerics import (
-    numerical_rank,
     singular_value_rank,
     singular_values,
-    spectral_norm,
 )
 from .rng import SplitMix64
 

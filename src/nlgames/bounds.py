@@ -23,27 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from .games import Box, LinearGame, evaluate_box
-from .numerics import DEFAULT_RANK_TOL, numerical_rank, singular_value_rank, singular_values
+from .numerics import DEFAULT_RANK_TOL, singular_value_rank, singular_values
 
 __all__ = [
     "EnumerationBudgetError",
-    "HypothesisViolationError",
     "ChainViolationError",
     "ClassicalOptimum",
     "GameReport",
-    "game_matrix",
     "phi_norms",
     "bound_from_norms",
     "quantum_bound",
     "classical_value",
     "lemma1_bound",
     "ns_winning_box",
-    "pseudo_telepathy_check",
     "analyze",
 ]
 
@@ -57,10 +53,6 @@ CHAIN_SLACK = 1e-9
 
 class EnumerationBudgetError(RuntimeError):
     """The deterministic-strategy enumeration would exceed its budget."""
-
-
-class HypothesisViolationError(ValueError):
-    """An operation was asked to run outside its stated hypotheses."""
 
 
 class ChainViolationError(RuntimeError):
@@ -90,21 +82,6 @@ def _phi_spectra(game: LinearGame):
         if s is None:
             s = spectra[x] = singular_values(phi)
         yield phi, s
-
-
-def game_matrix(game: LinearGame, x) -> np.ndarray:
-    """Game matrix Phi_x with entries q(u, v) * chi_x(f(u, v)), x nonidentity.
-
-    `x` may be a group element or its canonical index.
-    """
-    group = game.group
-    ix = group.index(group.element(x))
-    if ix == 0:
-        raise ValueError(
-            "the identity element has no game matrix; its contribution is the "
-            "normalization term 1"
-        )
-    return next(islice(_game_matrices(game), ix - 1, None))
 
 
 def phi_norms(game: LinearGame) -> list[float]:
@@ -288,53 +265,6 @@ def ns_winning_box(game: LinearGame) -> Box:
     a_ix = np.arange(n)[None, None, :]
     table[u_ix, v_ix, a_ix, game.winning_answers()] = 1.0 / n
     return Box(table)
-
-
-def _require_uniform_total(game: LinearGame) -> LinearGame:
-    """Check the uniform-input hypothesis; return a game with exact uniform q."""
-    if not game.is_uniform_q():
-        raise HypothesisViolationError(
-            "this criterion only applies to games with uniform input distribution"
-        )
-    if game.has_exact_q:
-        return game
-    return LinearGame(game.group, game.f_idx, q_num=np.ones_like(game.f_idx), q_den=game.f_idx.size)
-
-
-def pseudo_telepathy_check(
-    game: LinearGame,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[bool, bool]:
-    """Rank-1 criterion for perfect play on uniform total cyclic-group games.
-
-    Returns (rank1, classical_win) where rank1 tests rank(Phi_1) == 1 and
-    classical_win tests an exact classical value of 1.  The two must agree:
-    for uniform inputs over Z_d a perfect quantum strategy exists exactly
-    when a perfect classical one does, i.e. when the columns of Phi_1 are
-    proportional.  Raises when the hypotheses (cyclic answer group, uniform
-    q) do not hold.
-    """
-    desc = game.group.describe()
-    cyclic = ("factors" in desc and len(desc["factors"]) == 1) or (
-        "field" in desc and desc["field"]["r"] == 1
-    )
-    if not cyclic:
-        # The criterion reads rank off Phi_1, which needs the character of
-        # element 1 to be faithful; that fails for non-cyclic answer groups.
-        raise HypothesisViolationError(
-            "the rank-1 criterion applies to games over a single cyclic group Z_d"
-        )
-    exact_game = _require_uniform_total(game)
-    rank1 = numerical_rank(game_matrix(game, 1), rank_tol) == 1
-    optimum = classical_value(exact_game, budget=budget)
-    classical_win = optimum.exact == 1
-    if rank1 != classical_win:
-        raise ChainViolationError(
-            f"rank-1 criterion disagrees with the exact classical optimum: "
-            f"rank1={rank1}, classical value={optimum.exact}"
-        )
-    return rank1, classical_win
 
 
 @dataclass(frozen=True)

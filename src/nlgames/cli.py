@@ -170,8 +170,8 @@ def cmd_nlc(args: argparse.Namespace) -> int:
             f"verify theorem: ok (strategy {fmt_fraction(report.strategy_value)}, "
             f"brute force {brute}, spectral {fmt_float(report.spectral_bound)})"
         )
-        for block in report.blocks:
-            print(f"verify blocks k={block.k}: ok (norm {fmt_float(block.spectral_norm)})")
+        for k, norm in enumerate(report.norms, start=1):
+            print(f"verify blocks k={k}: ok (norm {fmt_float(norm)})")
     return EXIT_OK
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "game_from_tables",
     "chsh_d",
     "chsh_closed_form",
-    "uniform_box",
     "strategy_box",
     "random_xor_game",
     "evaluate_box",
@@ -277,11 +276,6 @@ class Box:
 
     def is_no_signaling(self, tol: float = NO_SIGNALING_TOL) -> bool:
         return self.signaling_defect() <= tol
-
-
-def uniform_box(m_a: int, m_b: int, n: int) -> Box:
-    """Box with the flat distribution 1/n^2 on every question pair."""
-    return Box(np.full((m_a, m_b, n, n), 1.0 / (n * n)))
 
 
 def strategy_box(game: LinearGame, alice, bob) -> Box:

@@ -19,8 +19,6 @@ __all__ = [
     "as_cmatrix",
     "singular_values",
     "singular_value_rank",
-    "spectral_norm",
-    "numerical_rank",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -128,13 +126,3 @@ def singular_value_rank(s: np.ndarray, tol: float) -> int:
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value."""
-    return float(singular_values(a)[0])
-
-
-def numerical_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values exceeding tol * sigma_max; 0 for the zero matrix."""
-    return singular_value_rank(singular_values(a), tol)

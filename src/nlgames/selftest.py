@@ -15,10 +15,10 @@ import numpy as np
 
 from .algebra import FiniteAbelianGroup
 from .bounds import (
+    _game_matrices,
     analyze,
     bound_from_norms,
     classical_value,
-    game_matrix,
     ns_winning_box,
     phi_norms,
     quantum_bound,
@@ -35,7 +35,7 @@ from .games import (
     win_prob_from_correlators,
 )
 from .nlc import nlc_spec, verify_theorem3
-from .numerics import numerical_rank
+from .numerics import DEFAULT_RANK_TOL, singular_value_rank, singular_values
 from .rng import SplitMix64
 
 __all__ = ["CheckResult", "ACCEPTANCE_CHECKS", "run_all"]
@@ -167,12 +167,12 @@ def check_block_circulant() -> CheckResult:
         except Exception as exc:  # noqa: BLE001
             failures.append(f"{name}: {exc}")
             continue
-        if [block.k for block in report.blocks] != list(range(1, spec.d)):
-            failures.append(f"{name}: block checks ran for {len(report.blocks)} of {spec.d - 1} k")
-        closed = spec.d * report.profile.count_max / spec.d ** (2 * spec.n)
-        for block in report.blocks:
-            if abs(block.spectral_norm - closed) > 1e-12 * closed:
-                failures.append(f"{name}, k={block.k}: norm {block.spectral_norm!r}, closed form {closed!r}")
+        if len(report.norms) != spec.d - 1:
+            failures.append(f"{name}: block checks ran for {len(report.norms)} of {spec.d - 1} k")
+        closed = spec.d * max(report.profile.counts) / spec.d ** (2 * spec.n)
+        for k, norm in enumerate(report.norms, start=1):
+            if abs(norm - closed) > 1e-12 * closed:
+                failures.append(f"{name}, k={k}: norm {norm!r}, closed form {closed!r}")
     return _result(
         "block-circulant-structure", start, failures, "d=2,3 identity targets; d=3, n=5,6,8 squares"
     )
@@ -297,7 +297,8 @@ def check_lemma2_equivalence() -> CheckResult:
             game = random_xor_game(rng, d, m)
         games.append((f"game {i}", game))
     for name, game in games:
-        rank1 = numerical_rank(game_matrix(game, 1)) == 1
+        phi1 = next(_game_matrices(game))
+        rank1 = singular_value_rank(singular_values(phi1), DEFAULT_RANK_TOL) == 1
         win = classical_value(game).exact == 1
         minors = _uniform_rank_one(game.f_idx, game.order)
         if not rank1 == win == minors:

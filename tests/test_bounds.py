@@ -8,14 +8,12 @@ from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
     DEFAULT_CHUNK_SIZE,
     EnumerationBudgetError,
-    HypothesisViolationError,
+    _game_matrices,
     analyze,
     classical_value,
-    game_matrix,
     lemma1_bound,
     ns_winning_box,
     phi_norms,
-    pseudo_telepathy_check,
     quantum_bound,
 )
 from nlgames.games import (
@@ -27,7 +25,6 @@ from nlgames.games import (
     strategy_box,
 )
 from nlgames.nlc import nlc_game, nlc_spec
-from nlgames.numerics import numerical_rank
 from nlgames.rng import SplitMix64
 from oracles import alice_side_classical_value, double_enumeration_optimum, phi1_rank_at_most_one
 
@@ -57,18 +54,12 @@ CHSH3 = chsh_d(3, 1)
 
 
 def test_game_matrix_chsh2():
-    phi = game_matrix(CHSH2, 1)
+    phi = next(_game_matrices(CHSH2))
     assert np.allclose(phi, np.array([[1, 1], [1, -1]]) / 4.0)
 
 
-def test_game_matrix_rejects_identity():
-    with pytest.raises(ValueError, match="identity"):
-        game_matrix(CHSH2, 0)
-
-
 def test_chsh3_matrices_equal_up_to_row_permutation():
-    phi1 = game_matrix(CHSH3, 1)
-    phi2 = game_matrix(CHSH3, 2)
+    phi1, phi2 = _game_matrices(CHSH3)
     perms = [
         perm
         for perm in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0])
@@ -81,8 +72,7 @@ def test_uniform_game_row_and_column_sums():
     rng = SplitMix64(3)
     for _ in range(5):
         game = random_xor_game(rng, 3, 4)
-        for k in (1, 2):
-            phi = game_matrix(game, k)
+        for phi in _game_matrices(game):
             assert np.max(np.abs(phi).sum(axis=0)) == pytest.approx(1.0 / 4)
             assert np.max(np.abs(phi).sum(axis=1)) == pytest.approx(1.0 / 4)
 
@@ -91,8 +81,7 @@ def test_uniform_game_row_and_column_sums():
 def test_chsh_d_gram_identity(p, r):
     game = chsh_d(p, r)
     d = game.order
-    for k in range(1, d):
-        phi = game_matrix(game, k)
+    for phi in _game_matrices(game):
         gram = phi.conj().T @ phi
         assert np.max(np.abs(gram - np.eye(d) / d**3)) < 1e-12
 
@@ -466,19 +455,21 @@ def test_ns_winning_box_scores_one_with_uniform_marginals():
 
 
 def test_pseudo_telepathy_check_examples():
-    winnable = rank_one_game(Z3, [0, 1, 2], [1, 1, 0])
-    assert pseudo_telepathy_check(winnable) == (True, True)
-    assert pseudo_telepathy_check(CHSH3) == (False, False)
-    assert numerical_rank(game_matrix(CHSH3, 1)) == 3
+    winnable = analyze(rank_one_game(Z3, [0, 1, 2], [1, 1, 0]))
+    assert winnable.rank_phi1 == 1
+    assert winnable.classical_value_exact == 1
+    chsh3 = analyze(CHSH3)
+    assert chsh3.rank_phi1 == 3
+    assert chsh3.classical_value_exact < 1
 
 
 def test_pseudo_telepathy_check_corpus_agreement():
     rng = SplitMix64(1)
     seen_win = 0
     for _ in range(200):
-        game = random_xor_game(rng, 3, 3)
-        rank1, win = pseudo_telepathy_check(game)
-        assert rank1 == win
+        report = analyze(random_xor_game(rng, 3, 3))
+        win = report.classical_value_exact == 1
+        assert (report.rank_phi1 == 1) == win
         seen_win += int(win)
     assert seen_win < 200  # corpus is not degenerate
 
@@ -497,7 +488,9 @@ def test_additive_z6_game_has_rank_one():
 
 
 def test_additive_z6_game_passes_pseudo_telepathy_check():
-    assert pseudo_telepathy_check(ADDITIVE_Z6) == (True, True)
+    report = analyze(ADDITIVE_Z6)
+    assert report.rank_phi1 == 1
+    assert report.classical_value_exact == 1
 
 
 def rank_corpus(seed: int, count: int):
@@ -528,41 +521,28 @@ def test_rank_phi1_matches_minor_oracle_on_corpus():
 
 
 def test_pseudo_telepathy_check_float_q_matches_exact_q():
-    # A float uniform q is rebuilt with exact weights before the classical
-    # solve; the verdict must match the exact game's.
+    # The rank-1 verdict and the classical value do not depend on whether
+    # a uniform q is given as exact weights or as floats.
     rng = SplitMix64(4)
     games = [rank_one_game(Z3, [0, 1, 2], [1, 1, 0]), CHSH3]
     games += [random_xor_game(rng, 3, 3) for _ in range(20)]
-    verdicts = set()
+    ranks = set()
     for exact in games:
         as_float = game_from_tables(exact.group, exact.q.tolist(), exact.f_idx.tolist())
         assert not as_float.has_exact_q
-        verdict = pseudo_telepathy_check(exact)
-        assert pseudo_telepathy_check(as_float) == verdict
-        verdicts.add(verdict)
-    assert verdicts == {(True, True), (False, False)}
-
-
-def test_pseudo_telepathy_check_rejects_nonuniform_q():
-    q = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 8)]]
-    game = game_from_tables(Z2, q, [[0, 0], [0, 1]])
-    with pytest.raises(HypothesisViolationError, match="uniform"):
-        pseudo_telepathy_check(game)
-
-
-def test_pseudo_telepathy_check_rejects_noncyclic_group():
-    with pytest.raises(HypothesisViolationError, match="cyclic"):
-        pseudo_telepathy_check(chsh_d(2, 2))
+        expected, report = analyze(exact), analyze(as_float)
+        assert report.rank_phi1 == expected.rank_phi1
+        assert report.classical_value == pytest.approx(expected.classical_value, abs=1e-12)
+        ranks.add(expected.rank_phi1 == 1)
+    assert ranks == {True, False}
 
 
 def test_exhaustive_two_question_binary_games():
     # All 16 winning tables for d = 2, m = 2: rank(Phi_1) = 1 iff winnable.
     for code in range(16):
         f = [[(code >> (2 * u + v)) & 1 for v in range(2)] for u in range(2)]
-        game = uniform_game(Z2, f)
-        rank1, win = pseudo_telepathy_check(game)
-        assert rank1 == win
-        assert win == (classical_value(game).exact == 1)
+        report = analyze(uniform_game(Z2, f))
+        assert (report.rank_phi1 == 1) == (report.classical_value_exact == 1)
 
 
 # ---------------------------------------------------------------------------

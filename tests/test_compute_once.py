@@ -108,14 +108,10 @@ def test_nlc_builds_one_game_and_one_profile(tmp_path, monkeypatch, capsys):
 
 
 def test_builtin_games_parse_no_tables(monkeypatch):
-    uniform_float = game_from_tables(
-        FiniteAbelianGroup([3]), [[0.25, 0.25], [0.25, 0.25]], [[0, 1], [1, 2]]
-    )
     builds = [
         lambda: chsh_d(5, 1),
         lambda: random_xor_game(SplitMix64(0), 3, 4),
         lambda: nlc.nlc_game(nlc.nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]])),
-        lambda: bounds.pseudo_telepathy_check(uniform_float),
     ]
     for build in builds:
         parses = count_everywhere(monkeypatch, games, "game_from_tables")

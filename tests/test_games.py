@@ -18,7 +18,6 @@ from nlgames.games import (
     game_to_json,
     random_xor_game,
     strategy_box,
-    uniform_box,
     win_prob_from_correlators,
 )
 from nlgames.rng import SplitMix64
@@ -207,7 +206,7 @@ def test_box_validation():
 
 
 def test_uniform_box_marginals():
-    box = uniform_box(2, 3, 4)
+    box = Box(np.full((2, 3, 4, 4), 1.0 / 16))
     assert box.is_no_signaling()
     assert box.signaling_defect() == 0.0
     assert np.allclose(box.alice_marginals(), 0.25)
@@ -251,7 +250,7 @@ def test_signaling_box_is_flagged():
 
 def test_uniform_box_scores_one_over_d():
     for game, d in [(CHSH2, 2), (chsh_d(3, 1), 3), (chsh_d(2, 2), 4)]:
-        box = uniform_box(game.mA, game.mB, d)
+        box = Box(np.full((game.mA, game.mB, d, d), 1.0 / (d * d)))
         assert evaluate_box(game, box) == pytest.approx(1.0 / d, abs=1e-12)
 
 
@@ -277,7 +276,7 @@ def test_random_boxes_never_score_above_one():
 
 def test_evaluate_box_shape_mismatch():
     with pytest.raises(GameValidationError, match="shape"):
-        evaluate_box(CHSH2, uniform_box(2, 2, 3))
+        evaluate_box(CHSH2, Box(np.full((2, 2, 3, 3), 1.0 / 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ GROUPS_FOR_FOURIER = [
 
 def test_uniform_box_correlators_are_delta():
     game = chsh_d(3, 1)
-    t = correlators_from_box(game, uniform_box(3, 3, 3))
+    t = correlators_from_box(game, Box(np.full((3, 3, 3, 3), 1.0 / 9)))
     expected = np.zeros((3, 3, 3, 3), dtype=complex)
     expected[:, :, 0, 0] = 1.0
     assert np.max(np.abs(t.values - expected)) < 1e-14
@@ -342,7 +341,7 @@ def test_normalization_entry_is_one():
 
 def test_win_prob_examples():
     game = chsh_d(3, 1)
-    t = correlators_from_box(game, uniform_box(3, 3, 3))
+    t = correlators_from_box(game, Box(np.full((3, 3, 3, 3), 1.0 / 9)))
     assert win_prob_from_correlators(game, t, 1, 2) == pytest.approx(1.0 / 3)
     winning = strategy_box(game, [0, 0, 0], [0, 0, 0])  # wins whenever f = 0
     tw = correlators_from_box(game, winning)

@@ -10,19 +10,18 @@ import pytest
 
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import _phi_spectra, quantum_bound
+from nlgames.bounds import _game_matrices, _phi_spectra, quantum_bound
 from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box, strategy_box
 from nlgames.nlc import (
     BlockStructureError,
     LambdaProfile,
     NlcValidationError,
+    TheoremVerificationError,
     lambda_profile,
     nlc_classical_strategy,
     nlc_game,
-    nlc_quantum_bound,
     nlc_spec,
     nlc_spec_from_json,
-    nlc_spec_to_json,
     verify_theorem3,
 )
 from nlgames.bounds import ns_winning_box
@@ -100,12 +99,6 @@ def test_integer_weight_sums_match_fraction_arithmetic(d, n):
         assert q0.tolist() == [num for num in nums for _ in range(d)]
 
 
-def test_uniform_detection():
-    assert nlc_spec(3, 2, [0, 1, 2]).uniform
-    assert nlc_spec(3, 2, [0, 1, 2], [[1, 3]] * 3).uniform
-    assert not nlc_spec(3, 2, [0, 1, 2], [[1, 2], [1, 4], [1, 4]]).uniform
-
-
 # ---------------------------------------------------------------------------
 # Game construction
 # ---------------------------------------------------------------------------
@@ -120,10 +113,7 @@ def test_single_dit_game_is_building_block(d, t):
         for y in range(d):
             assert game.f_idx[x, y] == (t * (x + y)) % d
             assert game.q_fraction(x, y) == Fraction(1, d * d)
-    from nlgames.bounds import game_matrix
-
-    for k in range(1, d):
-        phi = game_matrix(game, k)
+    for k, phi in enumerate(_game_matrices(game), start=1):
         assert np.max(np.abs(phi - building_block_matrix(d, k, t) / d**2)) < 1e-14
 
 
@@ -178,7 +168,6 @@ def test_weighted_game_matches_fraction_entries():
 def test_profile_identity_function():
     prof = lambda_profile(nlc_spec(3, 2, [0, 1, 2]))
     assert prof.counts == (1, 1, 1)
-    assert prof.count_max == 1
     assert prof.mu == 0
     assert sum(prof.weighted) == Fraction(1, 9)
 
@@ -188,7 +177,6 @@ def test_profile_two_dit_product_function():
     spec = nlc_spec(2, 3, [0, 0, 0, 1])
     prof = lambda_profile(spec)
     assert prof.counts == (3, 1)
-    assert prof.count_max == 3
     assert prof.mu == 0
     assert sum(prof.counts) == 4
 
@@ -213,8 +201,8 @@ def test_profile_tie_breaks_to_smallest():
 
 
 def test_uniform_bound_instances():
-    assert nlc_quantum_bound(nlc_spec(2, 2, [0, 1])) == Fraction(3, 4)
-    assert nlc_quantum_bound(nlc_spec(3, 2, [0, 1, 2])) == Fraction(5, 9)
+    assert lambda_profile(nlc_spec(2, 2, [0, 1])).bound == Fraction(3, 4)
+    assert lambda_profile(nlc_spec(3, 2, [0, 1, 2])).bound == Fraction(5, 9)
 
 
 @pytest.mark.parametrize(
@@ -226,7 +214,7 @@ def test_uniform_bound_instances():
     ],
 )
 def test_constant_g_saturates_bound(spec):
-    assert nlc_quantum_bound(spec) == 1
+    assert lambda_profile(spec).bound == 1
     strat = nlc_classical_strategy(spec)
     assert strat.value == 1
     assert strat.mu == spec.g[0]
@@ -254,7 +242,7 @@ def test_strategy_value_equal_across_tied_maximizers():
     spec = nlc_spec(2, 3, [0, 0, 1, 1])
     v0 = nlc_classical_strategy(spec, mu=0).value
     v1 = nlc_classical_strategy(spec, mu=1).value
-    assert v0 == v1 == nlc_quantum_bound(spec)
+    assert v0 == v1 == lambda_profile(spec).bound
 
 
 def test_non_maximizer_mu_scores_strictly_less():
@@ -285,22 +273,22 @@ def test_verify_theorem3_uniform_examples():
         nlc_spec(5, 1, [3]),
     ]:
         report = verify_theorem3(spec)
-        assert report.strategy_value == report.bound
-        assert report.brute_force_value == report.bound
-        assert report.spectral_bound == pytest.approx(float(report.bound), abs=1e-10)
+        assert report.strategy_value == report.profile.bound
+        assert report.brute_force_value == report.profile.bound
+        assert report.spectral_bound == pytest.approx(float(report.profile.bound), abs=1e-10)
 
 
 def test_verify_theorem3_single_dit_games_are_winnable():
     for d in (2, 3):
         for t in range(d):
             report = verify_theorem3(nlc_spec(d, 1, [t]))
-            assert report.bound == 1
+            assert report.profile.bound == 1
             assert report.brute_force_value == 1
 
 
 def test_verify_theorem3_weighted_rational():
     report = verify_theorem3(nlc_spec(2, 2, [0, 1], [[3, 4], [1, 4]]))
-    assert report.bound == Fraction(7, 8)
+    assert report.profile.bound == Fraction(7, 8)
     assert report.brute_force_value == Fraction(7, 8)
 
 
@@ -308,7 +296,7 @@ def test_verify_theorem3_skips_brute_force_over_budget():
     spec = nlc_spec(3, 2, [0, 1, 2])
     report = verify_theorem3(spec, budget=100)
     assert report.brute_force_value is None
-    assert report.spectral_bound == pytest.approx(float(report.bound), abs=1e-10)
+    assert report.spectral_bound == pytest.approx(float(report.profile.bound), abs=1e-10)
 
 
 def test_ns_box_beats_quantum_bound_witness():
@@ -324,7 +312,7 @@ def test_ns_box_beats_quantum_bound_witness():
     for spec in specs:
         game = nlc_game(spec)
         assert evaluate_box(game, ns_winning_box(game)) == pytest.approx(1.0, abs=1e-12)
-        assert float(nlc_quantum_bound(spec)) < 1.0
+        assert float(lambda_profile(spec).bound) < 1.0
         assert quantum_bound(game) < 1.0
 
 
@@ -348,8 +336,8 @@ def test_theorem3_exhaustive_with_rational_distributions():
         for g in itertools.product(range(d), repeat=size):
             for p in distributions:
                 report = verify_theorem3(nlc_spec(d, n, g, p))
-                assert report.strategy_value == report.bound
-                assert report.brute_force_value == report.bound
+                assert report.strategy_value == report.profile.bound
+                assert report.brute_force_value == report.profile.bound
 
 
 def test_profile_is_row_independent():
@@ -408,9 +396,10 @@ def test_building_block_eigen_identity():
 )
 def test_block_circulant_structure(spec):
     report = verify_theorem3(spec)
-    assert [block.k for block in report.blocks] == list(range(1, spec.d))
-    for block in report.blocks:
-        assert block.spectral_norm == pytest.approx(block.expected_norm, abs=1e-10)
+    assert len(report.norms) == spec.d - 1
+    expected = float(report.profile.weighted_max * spec.d**2 / spec.d**spec.n)
+    for norm in report.norms:
+        assert norm == pytest.approx(expected, abs=1e-10)
 
 
 def test_block_circulant_uniform_norm_bridging():
@@ -418,20 +407,18 @@ def test_block_circulant_uniform_norm_bridging():
     spec = nlc_spec(3, 2, [0, 0, 1])
     prof = lambda_profile(spec)
     d, n = 3, 2
-    for block in verify_theorem3(spec).blocks:
-        assert block.spectral_norm == pytest.approx(
-            d * prof.count_max / d ** (2 * n), abs=1e-12
-        )
+    for norm in verify_theorem3(spec).norms:
+        assert norm == pytest.approx(d * max(prof.counts) / d ** (2 * n), abs=1e-12)
 
 
 def test_block_checks_run_at_every_size():
     # 81, 128 and 243 questions: the block checks have no size cap.
-    for spec, ks in [
-        (nlc_spec(3, 4, [i * i % 3 for i in range(27)]), [1, 2]),
-        (nlc_spec(2, 7, [i % 3 % 2 for i in range(64)]), [1]),
-        (nlc_spec(3, 5, [i * i % 3 for i in range(81)]), [1, 2]),
+    for spec in [
+        nlc_spec(3, 4, [i * i % 3 for i in range(27)]),
+        nlc_spec(2, 7, [i % 3 % 2 for i in range(64)]),
+        nlc_spec(3, 5, [i * i % 3 for i in range(81)]),
     ]:
-        assert [block.k for block in verify_theorem3(spec).blocks] == ks
+        assert len(verify_theorem3(spec).norms) == spec.d - 1
 
 
 def _seeded_specs():
@@ -499,19 +486,27 @@ def test_game_off_the_xor_structure_fails(table, monkeypatch):
         verify_theorem3(nlc_spec(2, 2, [0, 1], [[3, 4], [1, 4]]))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        nlc_spec(2, 2, [0, 1]),
+        nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]]),
+        nlc_spec(3, 6, [i * i % 3 for i in range(243)]),
+    ],
+    ids=["d2_n2", "d3_n2_weighted", "d3_n6"],
+)
+def test_spectral_bound_off_by_1e12_fails(spec, monkeypatch):
+    # The spectral leg's slack is a few eps, scaled to the FFT's rounding
+    # error, so a bound 1e-12 too large no longer passes.
+    original = nlc.bound_from_norms
+    monkeypatch.setattr(nlc, "bound_from_norms", lambda *args: original(*args) + 1e-12)
+    with pytest.raises(TheoremVerificationError, match="spectral-bound leg"):
+        verify_theorem3(spec)
+
+
 # ---------------------------------------------------------------------------
 # JSON format
 # ---------------------------------------------------------------------------
-
-
-def test_nlc_json_round_trip():
-    spec = nlc_spec(3, 2, [0, 1, 2], [[1, 2], [1, 3], [1, 6]])
-    doc = nlc_spec_to_json(spec)
-    assert doc == {"d": 3, "n": 2, "g": [0, 1, 2], "p": [[1, 2], [1, 3], [1, 6]]}
-    assert nlc_spec_from_json(doc) == spec
-    uniform = nlc_spec(2, 2, [0, 1])
-    assert nlc_spec_to_json(uniform)["p"] == "uniform"
-    assert nlc_spec_from_json(nlc_spec_to_json(uniform)) == uniform
 
 
 def test_nlc_json_rejects_malformed():
