@@ -17,6 +17,11 @@ cost O(|G|^ceil(m/2) * m_resp * |G|); each assignment then costs O(m_resp * |G|)
 The tables are question-major, so a chunk is scored one responder's question
 at a time, as a maximum over the |G| answers added into a vector of chunk
 scores, in O(chunk) memory.
+
+Exact weights are scored in the narrowest of int8, int16, int32 and int64
+that holds q_den.  This is exact: every table entry, every sum of a high and
+a low entry and every chunk score adds each weight q_num(u, v) at most once,
+so none exceeds the sum of all of them, q_den.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-DEFAULT_CHUNK_SIZE = 32768
+DEFAULT_CHUNK_BYTES = 2**18  # per chunk buffer
 
 # Slack applied when comparing the float classical value against the clamped
 # quantum bound in the report invariant chain.
@@ -159,7 +164,7 @@ def _score_table(weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
 def classical_value(
     game: LinearGame,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = None,
 ) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies.
 
@@ -174,10 +179,13 @@ def classical_value(
     [responder's question v, answer g, assignment], so a chunk's score is
     the sum over v of max_g (H[v, g, high] + L[v, g, low]), each term a
     broadcast over contiguous rows, added in v order, so float sums do not
-    depend on the chunking.  A chunk holds `chunk_size` (>= 1) assignments
-    rounded down to whole blocks of |G|^(m // 2), at least one; when the
-    enumeration is smaller than `chunk_size`, several responder questions
-    share one broadcast.  Three chunk-sized buffers are the working memory.
+    depend on the chunking.  Exact weights are scored in the narrowest
+    integer type that holds q_den (see the module docstring), float weights
+    in float64.  A chunk holds `chunk_size` (>= 1) assignments, by default
+    as many as fill DEFAULT_CHUNK_BYTES in the score type, rounded down to
+    whole blocks of |G|^(m // 2), at least one; when the enumeration is
+    smaller than a chunk, several responder questions share one broadcast.
+    Three chunk-sized buffers are the working memory.
 
     The result is the optimal Alice assignment with the smallest enumeration
     id (question 0 varies fastest), whichever side is enumerated: the optimal
@@ -189,7 +197,7 @@ def classical_value(
     is scored in that orientation, so the result does not depend on the
     chunking.
     """
-    if chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     n = game.order
     by_bob = game.mB < game.mA
@@ -202,10 +210,16 @@ def classical_value(
             f"player with fewer questions, over the budget of {budget}"
         )
     weights = game.q_num if game.has_exact_q else game.q
+    score_type = weights.dtype
+    if game.has_exact_q:  # every score is at most q_den
+        ints = (np.int8, np.int16, np.int32, np.int64)
+        score_type = np.dtype(next(t for t in ints if np.iinfo(t).max >= game.q_den))
+    chunk_size = chunk_size or DEFAULT_CHUNK_BYTES // score_type.itemsize
     winning = game.winning_answers()
     enum_weights, enum_winning = (
         (weights.T, winning.transpose(1, 0, 2)) if by_bob else (weights, winning)
     )
+    enum_weights = enum_weights.astype(score_type)
     # Question 0 varies fastest, so id = low + block * high.
     lo = m_enum // 2
     block = n**lo
@@ -214,12 +228,12 @@ def classical_value(
     m_resp, n_high = low.shape[0], high.shape[2]
     step = max(1, chunk_size // block)
     group = min(m_resp, max(1, chunk_size // (min(step, n_high) * block)))
-    buffers = np.empty((2, group, min(step, n_high), block), weights.dtype)
+    buffers = np.empty((2, group, min(step, n_high), block), score_type)
 
     best_val, alice_idx = -1, None  # every value is a sum of weights >= 0
     for start in range(0, n_high, step):
         h = high[:, :, start : start + step, None]
-        vals = np.zeros((h.shape[2], block), weights.dtype)
+        vals = np.zeros((h.shape[2], block), score_type)
         for v in range(0, m_resp, group):
             hv, lv = h[v : v + group], low[v : v + group, :, None]
             best, other = buffers[:, : len(hv), : len(vals)]

@@ -137,12 +137,6 @@ class LinearGame:
             return None
         return Fraction(int(self.q_num[u, v]), self.q_den)
 
-    def is_uniform_q(self, tol: float = NORMALIZATION_TOL) -> bool:
-        if self.q_num is not None:
-            num = int(self.q_num[0, 0])
-            return bool(np.all(self.q_num == num)) and num * self.mA * self.mB == self.q_den
-        return float(np.max(np.abs(self.q - 1.0 / (self.mA * self.mB)))) <= tol
-
 
 def _parse_weight(entry) -> Fraction | float:
     """Interpret one q entry; Fractions, ints and (num, den) pairs stay exact."""

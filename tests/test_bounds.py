@@ -6,7 +6,6 @@ import pytest
 
 from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
-    DEFAULT_CHUNK_SIZE,
     EnumerationBudgetError,
     _game_matrices,
     analyze,
@@ -365,8 +364,10 @@ FLOAT_KERNEL_SHAPES += [(2, 12, 5), (2, 11, 8), (3, 8, 4), (3, 7, 6)]
 
 
 def kernel_chunk_sizes(game):
+    """Chunk sizes around one high-digit block, then None: the default, sized
+    in bytes of the game's score type."""
     block = game.order ** (min(game.mA, game.mB) // 2)
-    return sorted({1, block - 1, block, block + 1, DEFAULT_CHUNK_SIZE} - {0})
+    return sorted({1, block - 1, block, block + 1} - {0}) + [None]
 
 
 @pytest.mark.parametrize("shape", FLOAT_KERNEL_SHAPES)
@@ -391,23 +392,65 @@ def test_kernel_matches_the_alice_side_reference_on_a_tied_nlc_game(g):
         assert classical_value(game, chunk_size=chunk_size) == ref
 
 
-# Measured peaks are 1.4 to 2.0 MiB, the answer-major kernel's 1.3 to 5.2 MiB.
+# Measured peaks are 1.0 to 1.2 MiB with integer scores and 1.4 to 2.0 MiB
+# with float scores; the answer-major kernel's were 1.3 to 5.2 MiB.
 PEAK_BOUND = 3 * 2**20
 
 
 def test_classical_value_peak_memory_is_bounded():
-    # Square games at the largest m within the default budget for each order.
-    # The chunk buffers take 3 * DEFAULT_CHUNK_SIZE * 8 bytes, 0.75 MiB; the
-    # score tables are at most 1.1 MiB (d = 7, m = 7).
+    # Square games at the largest m within the default budget for each order,
+    # with uniform exact weights (int16 scores for d = 2, 3; int8 for d = 5, 7)
+    # and the same weights as floats.  Each of the three chunk buffers takes
+    # DEFAULT_CHUNK_BYTES, 0.75 MiB in all: 262,144 assignments in int8 (as for
+    # d = 5, m = 8, q_den 64), 131,072 in int16 and 32,768 in float64.  The
+    # score tables are at most 1.1 MiB (d = 7, m = 7, float64).
     for d, m in ((2, 19), (3, 12), (5, 8), (7, 7)):
         game = random_xor_game(SplitMix64(m), d, m)
-        tracemalloc.start()
-        try:
-            classical_value(game)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= PEAK_BOUND, (d, m, peak)
+        for g in (game, LinearGame(game.group, game.f_idx, q=game.q)):
+            tracemalloc.start()
+            try:
+                classical_value(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= PEAK_BOUND, (d, m, g.has_exact_q, peak)
+
+
+# The largest q_den of each score type, and one more.
+TYPE_EDGE_DENOMINATORS = [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31]
+# Alice enumerated (square, wide) and Bob enumerated (tall), 4 questions
+# enumerated in each.
+TYPE_EDGE_SHAPES = [(Z3, 4, 4), (FiniteAbelianGroup([5]), 4, 6), (Z2, 7, 4)]
+
+
+def type_edge_games(rng, q_den):
+    """Per shape, a game that wins every weight and one where every assignment
+    ties, both at value 1, so the winning scores reach q_den itself."""
+    for group, m_a, m_b in TYPE_EDGE_SHAPES:
+        n = group.order
+        # Positive numerators summing to q_den.
+        num = 1 + rng.multinomial(q_den - m_a * m_b, np.full(m_a * m_b, 1 / (m_a * m_b)))
+        x, y = rng.integers(0, n, m_a), rng.integers(0, n, m_b)
+        f = group.addition_table()[x[:, None], y[None, :]]
+        yield LinearGame(group, f, q_num=num.reshape(m_a, m_b), q_den=q_den)
+        # Each responder question carries one weight, so every assignment of
+        # the enumerated player wins all of it.
+        diag = np.zeros((m_a, m_b), dtype=np.int64)
+        diag[range(min(m_a, m_b)), range(min(m_a, m_b))] = num[: min(m_a, m_b)]
+        diag[0, 0] += q_den - diag.sum()
+        yield LinearGame(group, rng.integers(0, n, (m_a, m_b)), q_num=diag, q_den=q_den)
+
+
+@pytest.mark.parametrize("q_den", TYPE_EDGE_DENOMINATORS)
+def test_scores_at_the_edge_of_each_integer_type(q_den):
+    # numpy integer arrays wrap without a warning, so a score type one size
+    # too narrow shows only as a wrong optimum.
+    rng = np.random.default_rng(q_den)
+    for game in type_edge_games(rng, q_den):
+        ref = alice_side_classical_value(game)
+        assert ref.exact == 1
+        for chunk_size in kernel_chunk_sizes(game):
+            assert classical_value(game, chunk_size=chunk_size) == ref
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_chsh2_construction():
     assert CHSH2.has_exact_q
     assert CHSH2.q_fraction(0, 0) == Fraction(1, 4)
     assert CHSH2.f_idx[1, 1] == 1
-    assert CHSH2.is_uniform_q()
+    assert np.all(CHSH2.q_num * CHSH2.q_num.size == CHSH2.q_den)
 
 
 def test_unnormalized_q_rejected():
@@ -95,7 +95,7 @@ def test_float_q_loses_exact_mode():
     g = small_game(Z2, [[0, 0], [0, 1]], q=[[0.25, 0.25], [0.25, 0.25]])
     assert not g.has_exact_q
     assert g.q_fraction(0, 0) is None
-    assert g.is_uniform_q()
+    assert np.all(g.q == 0.25)
 
 
 def test_tables_are_frozen():
@@ -389,7 +389,7 @@ def test_random_xor_game_is_reproducible():
     g1 = random_xor_game(SplitMix64(7), 3, 4)
     g2 = random_xor_game(SplitMix64(7), 3, 4)
     assert np.array_equal(g1.f_idx, g2.f_idx)
-    assert g1.has_exact_q and g1.is_uniform_q()
+    assert g1.has_exact_q and np.all(g1.q_num * g1.q_num.size == g1.q_den)
     g3 = random_xor_game(SplitMix64(8), 3, 4)
     assert not np.array_equal(g1.f_idx, g3.f_idx)
 

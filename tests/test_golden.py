@@ -38,6 +38,10 @@ COMMANDS = {
     "analyze_gf9_json": ["analyze", "gf9.json", "--format", "json"],
     # lcm of the weights' denominators is 2.1e15, above the exact cap.
     "analyze_z3_bigden_json": ["analyze", "z3_bigden.json", "--format", "json"],
+    # Denominators 1,000,003 (int32 scores; Bob is enumerated) and 10^12 + 39
+    # (int64 scores); the other exact goldens score in int8 or int16.
+    "analyze_z3_int32_tall_json": ["analyze", "z3_int32_tall.json", "--format", "json"],
+    "analyze_z5_int64_json": ["analyze", "z5_int64.json", "--format", "json"],
     "analyze_z3_text": ["analyze", "z3.json"],
     # Transposes of z3.json (exact) and a 5 x 2 float game: Bob is enumerated.
     "analyze_z3_tall_text": ["analyze", "z3_tall.json"],

@@ -125,7 +125,7 @@ def test_two_dit_game_block_structure():
         u, v = 2 * x1 + x2, 2 * y1 + y2
         assert game.f_idx[u, v] == ((x1 ^ y1) * (x2 ^ y2)) % 2
     assert game.has_exact_q
-    assert game.is_uniform_q()
+    assert np.all(game.q_num * game.q_num.size == game.q_den)
 
 
 def test_weighted_game_q_table():
