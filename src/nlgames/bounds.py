@@ -32,24 +32,27 @@ from fractions import Fraction
 import numpy as np
 
 from .games import Box, LinearGame, evaluate_box
-from .numerics import DEFAULT_RANK_TOL, singular_value_rank, singular_values
+from .numerics import DEFAULT_RANK_TOL, singular_value_rank, stacked_singular_values
 
 __all__ = [
     "EnumerationBudgetError",
     "ChainViolationError",
     "ClassicalOptimum",
     "GameReport",
+    "phi_spectra",
     "phi_norms",
     "bound_from_norms",
     "quantum_bound",
     "classical_value",
     "lemma1_bound",
     "ns_winning_box",
+    "report_from_spectra",
     "analyze",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 DEFAULT_CHUNK_BYTES = 2**18  # per chunk buffer
+STACK_ENTRIES = 2**12  # matrix entries per stacked singular-value solve
 
 # Slack applied when comparing the float classical value against the clamped
 # quantum bound in the report invariant chain.
@@ -64,34 +67,54 @@ class ChainViolationError(RuntimeError):
     """The value ordering lemma1 <= classical <= bound <= ns failed."""
 
 
+def _game_matrix(game: LinearGame, chars: np.ndarray, x: int, out=None) -> np.ndarray:
+    """Phi_x[u, v] = q(u, v) * chi_x(f(u, v)), from the character table `chars`."""
+    return np.multiply(game.q, chars[x][game.f_idx], out=out)
+
+
 def _game_matrices(game: LinearGame):
     """Yield Phi_x for x = 1..|G|-1 in canonical order, one at a time, from a
     single character table."""
     chars = game.group.character_table()
-    for row in chars[1:]:
-        yield game.q * row[game.f_idx]
+    for x in range(1, game.order):
+        yield _game_matrix(game, chars, x)
 
 
-def _phi_spectra(game: LinearGame):
-    """Yield (Phi_x, singular values of Phi_x) for x = 1..|G|-1 in canonical
-    order.
+def phi_spectra(games) -> list[list[np.ndarray]]:
+    """Singular values of Phi_x for x = 1..|G|-1 in canonical order, one list
+    per game of `games`, which share one group and one question shape.
 
-    q is real, so Phi_{-x} = conj(Phi_x), and `singular_values` gives the same
-    bits on a conjugated matrix: each pair {x, -x} is solved once, at its
-    first member.  Only the current Phi_x is alive at a time.
+    q is real, so Phi_{-x} = conj(Phi_x), and the solver gives the same bits
+    on a conjugated matrix: each pair {x, -x} is solved once, at its first
+    member.  The first members of all games are solved in stacks of at most
+    STACK_ENTRIES matrix entries, or of one larger matrix, and each Phi_x is
+    built only when its stack is.  A stacked solve gives every matrix the
+    bits of its solo solve.
     """
-    negation = game.group.negation_table()
-    spectra = {}
-    for x, phi in enumerate(_game_matrices(game), start=1):
-        s = spectra.get(int(negation[x]))
-        if s is None:
-            s = spectra[x] = singular_values(phi)
-        yield phi, s
+    group = games[0].group
+    chars, negation = group.character_table(), group.negation_table()
+    first = [min(x, int(negation[x])) for x in range(1, group.order)]
+    solved = sorted(set(first))
+    jobs = [(game, x) for game in games for x in solved]
+    shape = games[0].f_idx.shape
+    per_stack = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
+    values = []
+    for start in range(0, len(jobs), per_stack):
+        batch = jobs[start : start + per_stack]
+        stack = np.empty((len(batch), *shape), dtype=np.complex128)
+        for phi, (game, x) in zip(stack, batch):
+            _game_matrix(game, chars, x, out=phi)
+        values.extend(stacked_singular_values(stack))
+    spectra = []
+    for i in range(0, len(values), len(solved)):
+        by_x = dict(zip(solved, values[i : i + len(solved)]))
+        spectra.append([by_x[x] for x in first])
+    return spectra
 
 
 def phi_norms(game: LinearGame) -> list[float]:
     """Spectral norms ||Phi_x|| for each nonidentity x, in canonical element order."""
-    return [float(s[0]) for _, s in _phi_spectra(game)]
+    return [float(s[0]) for s in phi_spectra([game])[0]]
 
 
 def bound_from_norms(order: int, m_a: int, m_b: int, norms) -> float:
@@ -342,12 +365,24 @@ def analyze(
 ) -> GameReport:
     """Full report: classical optimum, spectral bound, no-signaling value.
 
-    Enforces the ordering chain lemma1 <= classical <= min(1, bound) and the
-    unit no-signaling value; a violation means an internal defect and raises.
     The enumeration budget is checked before any spectral solve.
     """
     optimum = classical_value(game, budget=budget)
-    spectra = [s for _, s in _phi_spectra(game)]
+    return report_from_spectra(game, optimum, phi_spectra([game])[0], rank_tol)
+
+
+def report_from_spectra(
+    game: LinearGame,
+    optimum: ClassicalOptimum,
+    spectra,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> GameReport:
+    """Report for `game` from its classical optimum and the singular values
+    of its Phi_x, as `classical_value` and `phi_spectra` give them.
+
+    Enforces the ordering chain lemma1 <= classical <= min(1, bound) and the
+    unit no-signaling value; a violation means an internal defect and raises.
+    """
     rank1 = singular_value_rank(spectra[0], rank_tol)
     norms = [float(s[0]) for s in spectra]
     raw = bound_from_norms(game.order, game.mA, game.mB, norms)

@@ -2,8 +2,9 @@
 no-quantum-advantage games, scan random corpora, and run the acceptance suite.
 
 Exit codes: 0 success, 1 validation or verification failure or a Jacobi
-solve that did not converge (ArithmeticError), 2 parse error, 3 enumeration
-budget exceeded.  Floats print with 12 significant digits and rationals as
+solve that did not converge (ArithmeticError), 2 parse error or an option
+value out of range, checked before any output, 3 enumeration budget
+exceeded.  Floats print with 12 significant digits and rationals as
 "num/den (decimal)", so runs with the same inputs and seed are
 byte-identical.
 """
@@ -14,10 +15,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
+from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, classical_value
+from .bounds import phi_norms, phi_spectra, report_from_spectra
 from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
 from .numerics import DEFAULT_RANK_TOL
@@ -28,6 +31,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+SCAN_BLOCK = 32  # games per block, whose spectra are solved in one stack
 
 SCAN_COLUMNS = [
     "index",
@@ -176,20 +181,27 @@ def cmd_nlc(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    """Analyze the games in blocks of SCAN_BLOCK: each game's classical value
+    first, then one stacked spectral solve per block, then the block's rows
+    in order."""
     rng = SplitMix64(args.seed)
     writer = csv.DictWriter(sys.stdout, fieldnames=SCAN_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for index in range(args.count):
-        game = random_xor_game(rng, args.d, args.m)
-        try:
-            report = analyze(game, rank_tol=args.rank_tol)
-        except ChainViolationError:
-            print(
-                "chain violation; offending game: " + json.dumps(game_to_json(game)),
-                file=sys.stderr,
-            )
-            raise
-        writer.writerow(_report_scalars(report, index=index))
+    for start in range(0, args.count, SCAN_BLOCK):
+        size = min(SCAN_BLOCK, args.count - start)
+        block = [random_xor_game(rng, args.d, args.m) for _ in range(size)]
+        optima = [classical_value(game) for game in block]
+        solved = zip(block, optima, phi_spectra(block))
+        for index, (game, optimum, spectra) in enumerate(solved, start):
+            try:
+                report = report_from_spectra(game, optimum, spectra, rank_tol=args.rank_tol)
+            except ChainViolationError:
+                print(
+                    "chain violation; offending game: " + json.dumps(game_to_json(game)),
+                    file=sys.stderr,
+                )
+                raise
+            writer.writerow(_report_scalars(report, index=index))
     return EXIT_OK
 
 
@@ -235,11 +247,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject option values no command can use, before anything is printed."""
+    for name in ("rank_tol", "eq_tol"):
+        value = getattr(args, name, 1.0)
+        if not 0 < value < math.inf:
+            raise GameFormatError(f"tolerances must be positive and finite, got {value}")
+    if args.command == "scan":
+        for name, least in (("count", 0), ("d", 2), ("m", 1)):
+            value = getattr(args, name)
+            if value < least:
+                raise GameFormatError(f"scan --{name} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "rank_tol", 1.0) <= 0 or getattr(args, "eq_tol", 1.0) <= 0:
-            raise GameFormatError("tolerances must be positive")
+        _check_options(args)
         return args.run(args)
     except (json.JSONDecodeError, GameFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

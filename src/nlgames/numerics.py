@@ -7,6 +7,13 @@ where the eigenvalues of A^dagger A cannot.  Pairs are rotated in a fixed
 round-robin order (Brent and Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985)
 with numpy elementwise arithmetic.  BLAS computes only the convergence
 gate's product A^dagger A, whose diagonal also gives the final norms.
+
+The solver works on a (batch, rows, cols) stack of same-shape matrices, so
+one Python round loop serves every matrix of the stack; `singular_values`
+is a stack of one.  Each matrix keeps its own gate and floor and leaves the
+stack once it has converged, so it goes through exactly the rotations of its
+solo solve and its singular values carry the same bits.  Callers bound the
+size of a stack (see `bounds.STACK_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 __all__ = [
     "as_cmatrix",
     "singular_values",
+    "stacked_singular_values",
     "singular_value_rank",
 ]
 
@@ -31,14 +39,18 @@ _MAX_SWEEPS = 100
 _FLOOR_EPS = float(np.finfo(np.float64).eps)
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a nonempty 2-D complex128 array with finite entries."""
-    m = np.array(a, dtype=np.complex128, order="C")
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+def _as_complex(a, ndim: int, what: str) -> np.ndarray:
+    m = np.asarray(a, dtype=np.complex128, order="C")
+    if m.ndim != ndim or m.size == 0:
+        raise ValueError(f"expected a nonempty {what}, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_cmatrix(a) -> np.ndarray:
+    """Coerce to a nonempty 2-D complex128 array with finite entries."""
+    return _as_complex(a, 2, "2-D matrix")
 
 
 @functools.cache
@@ -56,13 +68,47 @@ def _round_robin(size: int) -> np.ndarray:
     return np.array([position[player] for player in stored(following)], dtype=np.intp)
 
 
-def _sweep(rows: np.ndarray, floor: float):
-    """One round-robin sweep over `rows` in place, each round rotating its
-    disjoint pairs at once; returns whether any pair rotated."""
-    size = rows.shape[0]
-    half = size // 2
-    follow = _round_robin(size)
-    rotated = False
+def _rotation(x, y, gamma, alpha, beta, r):
+    """Rows x[i] and y[i] after the rotation that makes them orthogonal, given
+    their inner product gamma[i], squared norms alpha[i] and beta[i], and
+    r[i] = |gamma[i]|."""
+    # Phase y so that <x, y> is real and positive, then apply the real
+    # Jacobi rotation that annihilates it.
+    y = y * (gamma.conj() / r)[:, None]
+    tau = (beta - alpha) / (2.0 * r)
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.hypot(1.0, t)
+    s, c = (t * c)[:, None], c[:, None]
+    xf, yf = x.view(np.float64), y.view(np.float64)
+    return (c * xf - s * yf).view(np.complex128), (s * xf + c * yf).view(np.complex128)
+
+
+@functools.cache
+def _stack_layout(size: int, batch: int):
+    """For `batch` matrices of `size` rows held position-major (row p of
+    matrix j at p * batch + j): the row permutation of one round, and the
+    matrix of each first member of a pair."""
+    follow = (_round_robin(size)[:, None] * batch + np.arange(batch)).ravel()
+    return follow, np.arange(size // 2 * batch) % batch
+
+
+def _sweep(rows: np.ndarray, floor: np.ndarray):
+    """One round-robin sweep over each matrix of the (size, batch, cols)
+    stack `rows`, whose row p of matrix j is rows[p, j].
+
+    Each round rotates the disjoint pairs of every matrix at once.  Rows are
+    held position-major, so the first members of all pairs, and the second
+    members, are each one contiguous block, and a round is the arithmetic of
+    a solo solve on longer arrays, applied to the blocks in place with no
+    gather.  `floor` holds each matrix's rotation floor.  Returns the swept
+    stack and, per matrix, whether any of its pairs rotated.
+    """
+    size, batch, cols = rows.shape
+    half = size // 2 * batch
+    follow, owner = _stack_layout(size, batch)
+    rows = rows.reshape(size * batch, cols)
+    floor = floor[owner]
+    acted = np.zeros(half, dtype=bool)
     for _ in range(size - 1):
         x, y = rows[:half], rows[half:]
         flat = rows.view(np.float64)
@@ -70,58 +116,86 @@ def _sweep(rows: np.ndarray, floor: float):
         alpha, beta = norms2[:half], norms2[half:]
         gamma = np.einsum("ij,ij->i", x.conj(), y)
         r = np.abs(gamma)
-        act = np.flatnonzero(r > np.maximum(_CONVERGENCE_EPS * np.sqrt(alpha * beta), floor))
-        if act.size:
-            rotated = True
-            # Phase y so that <x, y> is real and positive, then apply the
-            # real Jacobi rotation that annihilates it.
-            x, y, alpha, beta, r = x[act], y[act], alpha[act], beta[act], r[act]
-            y = y * (gamma[act].conj() / r)[:, None]
-            tau = (beta - alpha) / (2.0 * r)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.hypot(1.0, t)
-            s, c = (t * c)[:, None], c[:, None]
-            xf, yf = x.view(np.float64), y.view(np.float64)
-            rows[act] = (c * xf - s * yf).view(np.complex128)
-            rows[half + act] = (s * xf + c * yf).view(np.complex128)
-        rows[:] = rows[follow]
-    return rotated
+        act = r > np.maximum(_CONVERGENCE_EPS * np.sqrt(alpha * beta), floor)
+        count = np.count_nonzero(act)
+        if count == half:
+            x[:], y[:] = _rotation(x, y, gamma, alpha, beta, r)
+            acted[:] = True
+        elif count:
+            # Rotate every pair, dividing by 1 where |gamma| fails the test,
+            # and keep the rotated rows of the pairs that pass it.
+            new_x, new_y = _rotation(x, y, gamma, alpha, beta, np.where(act, r, 1.0))
+            np.copyto(x, new_x, where=act[:, None])
+            np.copyto(y, new_y, where=act[:, None])
+            acted |= act
+        rows = rows[follow]
+    return rows.reshape(size, batch, cols), acted.reshape(size // 2, batch).any(axis=0)
+
+
+def stacked_singular_values(stack) -> np.ndarray:
+    """Singular values of each matrix of a (batch, rows, cols) stack, one
+    descending row per matrix, by one-sided Jacobi.
+
+    The rows of each matrix, or its columns when it is taller than wide, are
+    rotated pairwise until they are mutually orthogonal; the singular values
+    are then their norms.  Working on the rows is working on the columns of
+    A^dagger up to a conjugation, and a conjugated input gives bit-identical
+    output.  Every matrix is gated on its own product A^dagger A, with its
+    own floor, and leaves the stack when its gate passes or a sweep rotates
+    none of its pairs, so its values are bit-identical to those of its solo
+    solve.  Raises `ArithmeticError`, naming the first matrix left, after
+    `_MAX_SWEEPS` sweeps without convergence.
+    """
+    return _jacobi(_as_complex(stack, 3, "3-D stack of matrices"))
+
+
+def _jacobi(m: np.ndarray) -> np.ndarray:
+    """`stacked_singular_values` on a checked complex128 stack."""
+    vectors = m if m.shape[1] < m.shape[2] else m.transpose(0, 2, 1)
+    batch, n, cols = vectors.shape
+    # An odd count gets a zero row, which never rotates.
+    rows = np.zeros((n + n % 2, batch, cols), dtype=np.complex128)
+    rows[:n] = vectors.transpose(1, 0, 2)
+    values = np.empty((batch, n))
+    live = np.arange(batch)  # stack index of each matrix in `rows`
+    rotated = np.ones(batch, dtype=bool)
+    for sweep in range(_MAX_SWEEPS + 1):
+        if sweep:
+            rows, rotated = _sweep(rows, floor)
+        mats = np.ascontiguousarray(rows.transpose(1, 0, 2))
+        gram = mats.conj() @ mats.transpose(0, 2, 1)
+        d = gram.diagonal(axis1=1, axis2=2).real
+        # A matrix is done when the last sweep rotated none of its pairs and
+        # so left it as the previous gate saw it or, while sweeps remain,
+        # when no pair would pass the rotation test on this product.
+        done = ~rotated
+        if sweep < _MAX_SWEEPS:
+            floor = _FLOOR_EPS * d.sum(axis=1)
+            limit = np.maximum(
+                _CONVERGENCE_EPS * np.sqrt(d[:, :, None] * d[:, None, :]), floor[:, None, None]
+            )
+            limit.reshape(len(limit), -1)[:, :: rows.shape[0] + 1] = np.inf  # the diagonals
+            done |= np.all(np.abs(gram) <= limit, axis=(1, 2))
+        if done.any():
+            values[live[done]] = np.sort(np.sqrt(d[done]), axis=1)[:, ::-1][:, :n]
+            if done.all():
+                return values
+            keep = ~done
+            live, rows, floor = live[keep], rows[:, keep], floor[keep]
+    raise ArithmeticError(
+        f"Jacobi iteration did not converge on matrix {live[0]} of a stack of {batch}"
+    )
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values in descending order, by one-sided Jacobi.
-
-    The rows of `a`, or its columns when it is taller than wide, are rotated
-    pairwise until they are mutually orthogonal; the singular values are then
-    their norms.  Working on the rows is working on the columns of A^dagger
-    up to a conjugation, and a conjugated input gives bit-identical output.
-    Raises `ArithmeticError` after `_MAX_SWEEPS` sweeps without convergence.
-    """
-    m = as_cmatrix(a)
-    vectors = m if m.shape[0] < m.shape[1] else m.T
-    n = vectors.shape[0]
-    # An odd count gets a zero row, which never rotates.
-    rows = np.zeros((n + n % 2, vectors.shape[1]), dtype=np.complex128)
-    rows[:n] = vectors
-    for _ in range(_MAX_SWEEPS):
-        # Gate: stop when no pair would pass the rotation test on this product.
-        gram = rows.conj() @ rows.T
-        d = gram.diagonal().real
-        floor = _FLOOR_EPS * float(d.sum())
-        limit = np.maximum(_CONVERGENCE_EPS * np.sqrt(np.outer(d, d)), floor)
-        np.fill_diagonal(limit, np.inf)
-        if np.all(np.abs(gram) <= limit):
-            break
-        if not _sweep(rows, floor):
-            break
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    return np.sort(np.sqrt(d))[::-1][:n]
+    """Singular values of one matrix in descending order: a stack of one for
+    `stacked_singular_values`."""
+    return _jacobi(as_cmatrix(a)[None])[0]
 
 
 def singular_value_rank(s: np.ndarray, tol: float) -> int:
     """Number of descending singular values `s` exceeding tol * s[0]; 0 when all vanish."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"rank tolerance must be positive, got {tol}")
     if s[0] == 0.0:
         return 0

@@ -219,13 +219,34 @@ def test_scan_chain_holds(capsys):
         assert float(parts[9]) == 1.0
 
 
-def test_bad_tolerance_exits_2(chsh2_file):
-    assert main(["analyze", chsh2_file, "--rank-tol", "-1"]) == EXIT_PARSE
+NOT_FINITE_AND_POSITIVE = ["0", "-1", "nan", "inf", "-inf"]
+
+
+def test_bad_tolerance_exits_2(chsh2_file, capsys):
+    for tol in NOT_FINITE_AND_POSITIVE:
+        for argv in (["analyze", chsh2_file], ["scan", "--count", "2"]):
+            assert main([*argv, f"--rank-tol={tol}"]) == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "tolerances must be positive" in err
 
 
 def test_bad_eq_tolerance_exits_2(capsys):
-    assert main(["chsh", "3", "--eq-tol", "0"]) == EXIT_PARSE
-    assert "tolerances must be positive" in capsys.readouterr().err
+    for tol in NOT_FINITE_AND_POSITIVE:
+        assert main(["chsh", "3", f"--eq-tol={tol}"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tolerances must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--count", "-3"], ["--d", "1"], ["--d", "0"], ["--m", "0"], ["--m", "-2"]]
+)
+def test_bad_scan_arguments_exit_2_before_the_header(flags, capsys):
+    assert main(["scan", *flags]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"scan {flags[0]} must be at least" in err
 
 
 def test_scan_over_budget_is_not_a_chain_violation(capsys):
@@ -240,8 +261,8 @@ def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsy
     from nlgames.algebra import Group
 
     started = []
-    for module in (numerics, bounds):
-        monkeypatch.setattr(module, "singular_values", lambda *args: started.append("solve"))
+    monkeypatch.setattr(numerics, "_jacobi", lambda *args: started.append("solve"))
+    monkeypatch.setattr(bounds, "stacked_singular_values", lambda *args: started.append("solve"))
     monkeypatch.setattr(Group, "character_table", lambda self: started.append("table"))
     doc = {
         "group": {"factors": [2]},
@@ -254,6 +275,8 @@ def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsy
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
+    assert main(["scan", "--d", "2", "--m", "21"]) == EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
     assert started == []
 
 
@@ -263,3 +286,8 @@ def test_nonconverging_eigensolver_exits_1(chsh2_file, monkeypatch, capsys):
     monkeypatch.setattr(numerics, "_MAX_SWEEPS", 0)
     assert main(["analyze", chsh2_file]) == EXIT_FAILURE
     assert "did not converge" in capsys.readouterr().err
+    # One sweep leaves the 6 x 6 games over Z_5 unconverged: the block's
+    # first stack names its first matrix.
+    monkeypatch.setattr(numerics, "_MAX_SWEEPS", 1)
+    assert main(["scan", "--d", "5", "--m", "6"]) == EXIT_FAILURE
+    assert "did not converge on matrix 0 of a stack of 20" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """Each expensive object is built once per result: one character table per
-bound or report, one singular-value solve per conjugate pair {Phi_x,
-Phi_-x}, an NLC game only for the brute-force leg and no solve in a check,
-and built-in games from integer arrays with no table parsing."""
+bound, report or scan block, one solved matrix per conjugate pair {Phi_x,
+Phi_-x}, whether solo or in a stack, an NLC game only for the brute-force
+leg and no solve in a check, and built-in games from integer arrays with no
+table parsing."""
 
 import json
 
@@ -41,7 +42,17 @@ def count_everywhere(monkeypatch, module, name) -> list:
 
 
 def count_solves(monkeypatch) -> list:
-    return count_everywhere(monkeypatch, numerics, "singular_values")
+    """The matrices solved, one entry each, whether solo or in a stack: every
+    solve goes through `numerics._jacobi` with a (batch, rows, cols) stack."""
+    solved = []
+    original = numerics._jacobi
+
+    def counted(stack):
+        solved.extend(stack)
+        return original(stack)
+
+    monkeypatch.setattr(numerics, "_jacobi", counted)
+    return solved
 
 
 def test_quantum_bound_builds_one_character_table(monkeypatch):
@@ -68,6 +79,20 @@ def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
         negation = game.group.negation_table()
         assert all(report.norms[x - 1] == report.norms[negation[x] - 1] for x in range(1, game.order))
         monkeypatch.undo()
+
+
+def test_scan_solves_each_phi_once_in_one_stack_per_block(monkeypatch, capsys):
+    # 40 games over Z_5 in blocks of 32 and 8: two pairs per game, each
+    # block's 64 or 16 matrices of 3 x 3 in one stack, one table per block.
+    assert cli.SCAN_BLOCK == 32
+    tables = count_calls(monkeypatch, Group, "character_table")
+    solved = count_solves(monkeypatch)
+    stacks = count_calls(monkeypatch, numerics, "_jacobi")
+    assert main(["scan", "--count", "40", "--d", "5", "--m", "3"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 41
+    assert len(tables) == 2
+    assert len(solved) == 80
+    assert [len(stack) for stack, in stacks] == [64, 16]
 
 
 def test_verify_theorem3_builds_the_game_once(monkeypatch):

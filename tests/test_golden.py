@@ -32,6 +32,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMMANDS = {
     "scan_d3_m4": ["scan", "--seed", "0", "--count", "50", "--d", "3", "--m", "4"],
+    # Two scan blocks, of 32 and 28 games, each one stack of 5 x 5 matrices.
+    "scan_d5_m5": ["scan", "--seed", "1", "--count", "60", "--d", "5", "--m", "5"],
     "analyze_z3_json": ["analyze", "z3.json", "--format", "json"],
     "analyze_z2xz3_json": ["analyze", "z2xz3.json", "--format", "json"],
     "analyze_z2xz4_json": ["analyze", "z2xz4.json", "--format", "json"],
@@ -50,6 +52,8 @@ COMMANDS = {
     "chsh_7_2": ["chsh", "7", "2"],
     "chsh_61": ["chsh", "61"],
     "chsh_3_4": ["chsh", "3", "4"],
+    # GF(16) has 15 self-inverse characters: one stack of 15 matrices of 16 x 16.
+    "chsh_2_4": ["chsh", "2", "4"],
     "nlc_d3_n3": ["nlc", "nlc_d3_n3.json"],
     "nlc_d3_n3_verify": ["nlc", "nlc_d3_n3.json", "--verify"],
     "nlc_d5_n2_verify": ["nlc", "nlc_d5_n2.json", "--verify"],

@@ -10,7 +10,7 @@ import pytest
 
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import _game_matrices, _phi_spectra, quantum_bound
+from nlgames.bounds import _game_matrices, phi_spectra, quantum_bound
 from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box, strategy_box
 from nlgames.nlc import (
     BlockStructureError,
@@ -451,7 +451,7 @@ def test_fft_spectra_match_jacobi(spec):
     game = nlc_game(spec)
     spectra = list(nlc._spectra(nlc._row0(spec), spec.d, spec.n))
     assert len(spectra) == spec.d - 1
-    for fft, (_, s) in zip(spectra, _phi_spectra(game)):
+    for fft, s in zip(spectra, phi_spectra([game])[0]):
         assert fft.shape == (spec.d,) * spec.n
         assert np.max(np.abs(np.sort(fft.ravel())[::-1] - s)) <= 1e-12 * s[0]
 

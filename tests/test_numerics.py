@@ -7,6 +7,7 @@ from nlgames.numerics import (
     as_cmatrix,
     singular_value_rank,
     singular_values,
+    stacked_singular_values,
 )
 from oracles import chsh_phi, power_iteration_norm
 
@@ -88,6 +89,67 @@ def test_nonconverging_solver_raises(monkeypatch):
         singular_values(np.eye(2))
 
 
+def swept_batches(monkeypatch, stack) -> list:
+    """The number of matrices in each sweep of a solve of `stack`."""
+    batches = []
+    original = numerics._sweep
+
+    def counted(rows, floor):
+        batches.append(rows.shape[1])
+        return original(rows, floor)
+
+    monkeypatch.setattr(numerics, "_sweep", counted)
+    stacked_singular_values(stack)
+    monkeypatch.undo()
+    return batches
+
+
+def test_stack_of_one_equals_singular_values():
+    for a in singular_value_cases():
+        assert np.array_equal(stacked_singular_values(a[None]), singular_values(a)[None])
+
+
+def test_stack_members_needing_different_sweeps_keep_their_solo_bits(monkeypatch):
+    # An already orthogonal matrix passes its first gate, the others leave
+    # the stack after different numbers of sweeps, each with the bits of
+    # its solo solve, wherever it sits in the stack, and each takes part in
+    # as many sweeps as alone.
+    rng = np.random.default_rng(29)
+    members = [
+        np.exp(2j * np.pi * np.outer(range(6), range(6)) / 6),
+        random_complex(rng, (6, 6)),
+        np.diag([3.0, 1.0, 1e-9, 0.0, 2.0, 5.0]) + 1e-3 * random_complex(rng, (6, 6)),
+        random_complex(rng, (6, 6)) * 1e-100,
+        np.hstack([random_complex(rng, (6, 2))] * 3),
+    ]
+    sweeps = [len(swept_batches(monkeypatch, a[None])) for a in members]
+    assert sweeps[0] == 0 and len(set(sweeps)) >= 4, sweeps
+    solo = [singular_values(a) for a in members]
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+        stack = np.array([members[i] for i in order])
+        assert sum(swept_batches(monkeypatch, stack)) == sum(sweeps)
+        for row, i in zip(stacked_singular_values(stack), order):
+            assert np.array_equal(row, solo[i])
+
+
+def test_nonconverging_stack_names_its_matrix(monkeypatch):
+    # With one sweep allowed, the orthogonal matrix converges at its first
+    # gate and the random one does not.
+    rng = np.random.default_rng(31)
+    stack = np.array([np.eye(5), random_complex(rng, (5, 5))])
+    monkeypatch.setattr(numerics, "_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge on matrix 1 of a stack of 2"):
+        stacked_singular_values(stack)
+    with pytest.raises(ArithmeticError, match="did not converge on matrix 0 of a stack of 2"):
+        stacked_singular_values(stack[::-1])
+
+
+def test_stacked_singular_values_reject_bad_input():
+    for bad in (np.zeros((3, 4)), np.zeros((0, 3, 3)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(ValueError):
+            stacked_singular_values(bad)
+
+
 def test_spectral_norm_identity():
     for n in (1, 2, 5):
         assert singular_values(np.eye(n))[0] == pytest.approx(1.0)
@@ -142,5 +204,6 @@ def test_numerical_rank_tolerance():
     assert rank(m, tol=1e-8) == 2
     assert rank(m, tol=1e-6) == 2
     assert rank(m, tol=1e-3) == 1
-    with pytest.raises(ValueError):
-        rank(m, tol=0.0)
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            rank(m, tol=tol)
