@@ -56,10 +56,7 @@ from .nlc import (
     nlc_spec_from_json,
     verify_theorem3,
 )
-from .numerics import (
-    singular_value_rank,
-    singular_values,
-)
+from .numerics import singular_value_rank
 from .rng import SplitMix64
 
 __version__ = "0.1.0"

@@ -109,6 +109,12 @@ class Group:
         """JSON-compatible descriptor of the group."""
         raise NotImplementedError
 
+    def presentation(self) -> tuple:
+        """The integer arithmetic given to `Group.__init__`, as a hashable
+        key: groups with equal keys have equal tables and characters."""
+        arrays = (self._coords, self._moduli, self._place, self._pairing)
+        return (*((a.shape, a.tobytes()) for a in arrays), self._exponent)
+
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 

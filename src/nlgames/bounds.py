@@ -46,7 +46,6 @@ __all__ = [
     "classical_value",
     "lemma1_bound",
     "ns_winning_box",
-    "report_from_spectra",
     "analyze",
 ]
 
@@ -64,7 +63,12 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class ChainViolationError(RuntimeError):
-    """The value ordering lemma1 <= classical <= bound <= ns failed."""
+    """The value ordering lemma1 <= classical <= bound <= ns failed for
+    `.game`."""
+
+    def __init__(self, message: str, game: LinearGame):
+        super().__init__(message)
+        self.game = game
 
 
 def _game_matrix(game: LinearGame, chars: np.ndarray, x: int, out=None) -> np.ndarray:
@@ -72,43 +76,39 @@ def _game_matrix(game: LinearGame, chars: np.ndarray, x: int, out=None) -> np.nd
     return np.multiply(game.q, chars[x][game.f_idx], out=out)
 
 
-def _game_matrices(game: LinearGame):
-    """Yield Phi_x for x = 1..|G|-1 in canonical order, one at a time, from a
-    single character table."""
-    chars = game.group.character_table()
-    for x in range(1, game.order):
-        yield _game_matrix(game, chars, x)
-
-
 def phi_spectra(games) -> list[list[np.ndarray]]:
     """Singular values of Phi_x for x = 1..|G|-1 in canonical order, one list
-    per game of `games`, which share one group and one question shape.
+    per game of `games`, in input order.
 
-    q is real, so Phi_{-x} = conj(Phi_x), and the solver gives the same bits
-    on a conjugated matrix: each pair {x, -x} is solved once, at its first
-    member.  The first members of all games are solved in stacks of at most
-    STACK_ENTRIES matrix entries, or of one larger matrix, and each Phi_x is
-    built only when its stack is.  A stacked solve gives every matrix the
-    bits of its solo solve.
+    The games are grouped by question shape and by group presentation
+    (`Group.presentation`, not `describe`, since fields with different
+    moduli describe themselves alike), and each group of games is solved
+    from one character table.  q is real, so Phi_{-x} = conj(Phi_x), and the
+    solver gives the same bits on a conjugated matrix: each pair {x, -x} is
+    solved once, at its first member.  The first members of all games of a
+    group are solved in stacks of at most STACK_ENTRIES matrix entries, or
+    of one larger matrix, and each Phi_x is built only when its stack is.  A
+    stacked solve gives every matrix the bits of its solo solve.
     """
-    group = games[0].group
-    chars, negation = group.character_table(), group.negation_table()
-    first = [min(x, int(negation[x])) for x in range(1, group.order)]
-    solved = sorted(set(first))
-    jobs = [(game, x) for game in games for x in solved]
-    shape = games[0].f_idx.shape
-    per_stack = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
-    values = []
-    for start in range(0, len(jobs), per_stack):
-        batch = jobs[start : start + per_stack]
-        stack = np.empty((len(batch), *shape), dtype=np.complex128)
-        for phi, (game, x) in zip(stack, batch):
-            _game_matrix(game, chars, x, out=phi)
-        values.extend(stacked_singular_values(stack))
-    spectra = []
-    for i in range(0, len(values), len(solved)):
-        by_x = dict(zip(solved, values[i : i + len(solved)]))
-        spectra.append([by_x[x] for x in first])
+    classes: dict = {}
+    for i, game in enumerate(games):
+        classes.setdefault((game.f_idx.shape, game.group.presentation()), []).append(i)
+    spectra = [None] * len(games)
+    for (shape, _), members in classes.items():
+        group = games[members[0]].group
+        chars, negation = group.character_table(), group.negation_table()
+        first = [min(x, int(negation[x])) for x in range(1, group.order)]
+        jobs = [(i, x) for i in members for x in sorted(set(first))]
+        per_stack = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
+        values = {}
+        for start in range(0, len(jobs), per_stack):
+            batch = jobs[start : start + per_stack]
+            stack = np.empty((len(batch), *shape), dtype=np.complex128)
+            for phi, (i, x) in zip(stack, batch):
+                _game_matrix(games[i], chars, x, out=phi)
+            values.update(zip(batch, stacked_singular_values(stack)))
+        for i in members:
+            spectra[i] = [values[i, x] for x in first]
     return spectra
 
 
@@ -359,26 +359,25 @@ class GameReport:
 
 
 def analyze(
-    game: LinearGame,
+    games,
     rank_tol: float = DEFAULT_RANK_TOL,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> GameReport:
-    """Full report: classical optimum, spectral bound, no-signaling value.
+) -> list[GameReport]:
+    """Full reports, one per game of `games` in order: classical optimum,
+    spectral bound, no-signaling value.
 
-    The enumeration budget is checked before any spectral solve.
+    Every classical value is found, and so every enumeration budget checked,
+    before any spectral solve; the spectra then come from one `phi_spectra`
+    call.
     """
-    optimum = classical_value(game, budget=budget)
-    return report_from_spectra(game, optimum, phi_spectra([game])[0], rank_tol)
+    optima = [classical_value(game, budget=budget) for game in games]
+    solved = zip(games, optima, phi_spectra(games))
+    return [_report(game, optimum, spectra, rank_tol) for game, optimum, spectra in solved]
 
 
-def report_from_spectra(
-    game: LinearGame,
-    optimum: ClassicalOptimum,
-    spectra,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> GameReport:
+def _report(game: LinearGame, optimum: ClassicalOptimum, spectra, rank_tol: float) -> GameReport:
     """Report for `game` from its classical optimum and the singular values
-    of its Phi_x, as `classical_value` and `phi_spectra` give them.
+    of its Phi_x.
 
     Enforces the ordering chain lemma1 <= classical <= min(1, bound) and the
     unit no-signaling value; a violation means an internal defect and raises.
@@ -393,14 +392,16 @@ def report_from_spectra(
     if optimum.value < lemma1 - 1e-12:
         raise ChainViolationError(
             f"classical value {optimum.value} fell below the shared-randomness "
-            f"bound {lemma1}"
+            f"bound {lemma1}",
+            game,
         )
     if optimum.value > clamped + CHAIN_SLACK:
         raise ChainViolationError(
-            f"classical value {optimum.value} exceeds the quantum bound {clamped}"
+            f"classical value {optimum.value} exceeds the quantum bound {clamped}",
+            game,
         )
     if abs(ns_value - 1.0) > 1e-12:
-        raise ChainViolationError(f"no-signaling winning box scored {ns_value}, not 1")
+        raise ChainViolationError(f"no-signaling winning box scored {ns_value}, not 1", game)
 
     return GameReport(
         group=game.group.describe(),

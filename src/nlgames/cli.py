@@ -19,8 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, classical_value
-from .bounds import phi_norms, phi_spectra, report_from_spectra
+from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
 from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
 from .numerics import DEFAULT_RANK_TOL
@@ -122,7 +121,7 @@ def _print_report(report: GameReport, fmt: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     game = game_from_json(_load_json(args.path))
-    report = analyze(game, rank_tol=args.rank_tol)
+    report = analyze([game], rank_tol=args.rank_tol)[0]
     _print_report(report, args.format)
     return EXIT_OK
 
@@ -181,26 +180,24 @@ def cmd_nlc(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    """Analyze the games in blocks of SCAN_BLOCK: each game's classical value
-    first, then one stacked spectral solve per block, then the block's rows
-    in order."""
+    """Analyze the games in blocks of SCAN_BLOCK, one `analyze` call each, so
+    a block's spectra are solved in one stack; a chain violation prints the
+    offending game and none of its block's rows."""
     rng = SplitMix64(args.seed)
     writer = csv.DictWriter(sys.stdout, fieldnames=SCAN_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for start in range(0, args.count, SCAN_BLOCK):
         size = min(SCAN_BLOCK, args.count - start)
         block = [random_xor_game(rng, args.d, args.m) for _ in range(size)]
-        optima = [classical_value(game) for game in block]
-        solved = zip(block, optima, phi_spectra(block))
-        for index, (game, optimum, spectra) in enumerate(solved, start):
-            try:
-                report = report_from_spectra(game, optimum, spectra, rank_tol=args.rank_tol)
-            except ChainViolationError:
-                print(
-                    "chain violation; offending game: " + json.dumps(game_to_json(game)),
-                    file=sys.stderr,
-                )
-                raise
+        try:
+            reports = analyze(block, rank_tol=args.rank_tol)
+        except ChainViolationError as exc:
+            print(
+                "chain violation; offending game: " + json.dumps(game_to_json(exc.game)),
+                file=sys.stderr,
+            )
+            raise
+        for index, report in enumerate(reports, start):
             writer.writerow(_report_scalars(report, index=index))
     return EXIT_OK
 

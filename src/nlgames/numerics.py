@@ -9,11 +9,11 @@ with numpy elementwise arithmetic.  BLAS computes only the convergence
 gate's product A^dagger A, whose diagonal also gives the final norms.
 
 The solver works on a (batch, rows, cols) stack of same-shape matrices, so
-one Python round loop serves every matrix of the stack; `singular_values`
-is a stack of one.  Each matrix keeps its own gate and floor and leaves the
-stack once it has converged, so it goes through exactly the rotations of its
-solo solve and its singular values carry the same bits.  Callers bound the
-size of a stack (see `bounds.STACK_ENTRIES`).
+one Python round loop serves every matrix of the stack, and one matrix is
+solved as a stack of one.  Each matrix keeps its own gate and floor and
+leaves the stack once it has converged, so it goes through exactly the
+rotations of its solo solve and its singular values carry the same bits.
+Callers bound the size of a stack (see `bounds.STACK_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import functools
 import numpy as np
 
 __all__ = [
-    "as_cmatrix",
-    "singular_values",
     "stacked_singular_values",
     "singular_value_rank",
 ]
@@ -37,20 +35,6 @@ _MAX_SWEEPS = 100
 # alone: rotating them only stirs rounding noise, and the rotation formula
 # divides by the inner product.
 _FLOOR_EPS = float(np.finfo(np.float64).eps)
-
-
-def _as_complex(a, ndim: int, what: str) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128, order="C")
-    if m.ndim != ndim or m.size == 0:
-        raise ValueError(f"expected a nonempty {what}, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a nonempty 2-D complex128 array with finite entries."""
-    return _as_complex(a, 2, "2-D matrix")
 
 
 @functools.cache
@@ -146,7 +130,12 @@ def stacked_singular_values(stack) -> np.ndarray:
     solve.  Raises `ArithmeticError`, naming the first matrix left, after
     `_MAX_SWEEPS` sweeps without convergence.
     """
-    return _jacobi(_as_complex(stack, 3, "3-D stack of matrices"))
+    m = np.asarray(stack, dtype=np.complex128, order="C")
+    if m.ndim != 3 or m.size == 0:
+        raise ValueError(f"expected a nonempty 3-D stack of matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return _jacobi(m)
 
 
 def _jacobi(m: np.ndarray) -> np.ndarray:
@@ -185,12 +174,6 @@ def _jacobi(m: np.ndarray) -> np.ndarray:
     raise ArithmeticError(
         f"Jacobi iteration did not converge on matrix {live[0]} of a stack of {batch}"
     )
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values of one matrix in descending order: a stack of one for
-    `stacked_singular_values`."""
-    return _jacobi(as_cmatrix(a)[None])[0]
 
 
 def singular_value_rank(s: np.ndarray, tol: float) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import FiniteAbelianGroup
 from .bounds import (
-    _game_matrices,
+    ChainViolationError,
     analyze,
     bound_from_norms,
     classical_value,
@@ -30,12 +30,10 @@ from .games import (
     chsh_closed_form,
     chsh_d,
     correlators_from_box,
-    evaluate_box,
     random_xor_game,
     win_prob_from_correlators,
 )
 from .nlc import nlc_spec, verify_theorem3
-from .numerics import DEFAULT_RANK_TOL, singular_value_rank, singular_values
 from .rng import SplitMix64
 
 __all__ = ["CheckResult", "ACCEPTANCE_CHECKS", "run_all"]
@@ -232,26 +230,21 @@ def _scan_corpus(seed: int, count: int):
 
 
 def check_ordering_chain() -> CheckResult:
-    """500 seeded games: value chain holds and the winning box is perfect."""
+    """500 seeded games: value chain holds (`analyze` enforces it) and the
+    winning box has uniform marginals."""
     start = time.perf_counter()
+    corpus = list(_scan_corpus(seed=0, count=500))
+    detail = f"{len(corpus)} seeded games"
+    try:
+        reports = analyze(corpus)
+    except ChainViolationError as exc:
+        return _result("ordering-chain", start, [str(exc)], detail)
     failures = []
-    for i, game in enumerate(_scan_corpus(seed=0, count=500)):
+    for i, (game, report) in enumerate(zip(corpus, reports)):
         d = game.order
-        report = analyze(game)
-        chain = (
-            1.0 / d <= report.lemma1_bound + 1e-12
-            and report.lemma1_bound <= report.classical_value + 1e-12
-            and report.classical_value <= min(1.0, report.quantum_bound) + 1e-9
-        )
-        if not chain:
-            failures.append(
-                f"game {i}: chain broke ({report.lemma1_bound}, "
-                f"{report.classical_value}, {report.quantum_bound})"
-            )
+        if 1.0 / d > report.lemma1_bound + 1e-12:
+            failures.append(f"game {i}: lemma1 bound {report.lemma1_bound} below 1/{d}")
         box = ns_winning_box(game)
-        value = evaluate_box(game, box)
-        if abs(value - 1.0) > 1e-12:
-            failures.append(f"game {i}: winning box scored {value!r}")
         marg = max(
             float(np.max(np.abs(box.alice_marginals() - 1.0 / d))),
             float(np.max(np.abs(box.bob_marginals() - 1.0 / d))),
@@ -260,7 +253,7 @@ def check_ordering_chain() -> CheckResult:
             failures.append(f"game {i}: marginal deviation {marg!r}")
         if len(failures) > 5:
             break
-    return _result("ordering-chain", start, failures, "500 seeded games")
+    return _result("ordering-chain", start, failures, detail)
 
 
 def _uniform_rank_one(f: np.ndarray, d: int) -> bool:
@@ -296,16 +289,20 @@ def check_lemma2_equivalence() -> CheckResult:
         else:
             game = random_xor_game(rng, d, m)
         games.append((f"game {i}", game))
-    for name, game in games:
-        phi1 = next(_game_matrices(game))
-        rank1 = singular_value_rank(singular_values(phi1), DEFAULT_RANK_TOL) == 1
-        win = classical_value(game).exact == 1
+    detail = f"{len(games)} games"
+    try:
+        reports = analyze([game for _, game in games])
+    except ChainViolationError as exc:
+        return _result("lemma2-equivalence", start, [str(exc)], detail)
+    for (name, game), report in zip(games, reports):
+        rank1 = report.rank_phi1 == 1
+        win = report.classical_value_exact == 1
         minors = _uniform_rank_one(game.f_idx, game.order)
         if not rank1 == win == minors:
             failures.append(
                 f"{name} over Z_{game.order}: rank1={rank1}, win={win}, minors={minors}"
             )
-    return _result("lemma2-equivalence", start, failures, f"{len(games)} games")
+    return _result("lemma2-equivalence", start, failures, detail)
 
 
 ACCEPTANCE_CHECKS = [

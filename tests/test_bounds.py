@@ -7,12 +7,13 @@ import pytest
 from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
     EnumerationBudgetError,
-    _game_matrices,
+    _game_matrix,
     analyze,
     classical_value,
     lemma1_bound,
     ns_winning_box,
     phi_norms,
+    phi_spectra,
     quantum_bound,
 )
 from nlgames.games import (
@@ -29,6 +30,12 @@ from oracles import alice_side_classical_value, double_enumeration_optimum, phi1
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
+
+
+def game_matrices(game) -> list:
+    """Phi_x for x = 1..|G|-1 in canonical order."""
+    chars = game.group.character_table()
+    return [_game_matrix(game, chars, x) for x in range(1, game.order)]
 
 
 def uniform_game(group, f):
@@ -53,12 +60,12 @@ CHSH3 = chsh_d(3, 1)
 
 
 def test_game_matrix_chsh2():
-    phi = next(_game_matrices(CHSH2))
+    phi = game_matrices(CHSH2)[0]
     assert np.allclose(phi, np.array([[1, 1], [1, -1]]) / 4.0)
 
 
 def test_chsh3_matrices_equal_up_to_row_permutation():
-    phi1, phi2 = _game_matrices(CHSH3)
+    phi1, phi2 = game_matrices(CHSH3)
     perms = [
         perm
         for perm in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0])
@@ -71,7 +78,7 @@ def test_uniform_game_row_and_column_sums():
     rng = SplitMix64(3)
     for _ in range(5):
         game = random_xor_game(rng, 3, 4)
-        for phi in _game_matrices(game):
+        for phi in game_matrices(game):
             assert np.max(np.abs(phi).sum(axis=0)) == pytest.approx(1.0 / 4)
             assert np.max(np.abs(phi).sum(axis=1)) == pytest.approx(1.0 / 4)
 
@@ -80,7 +87,7 @@ def test_uniform_game_row_and_column_sums():
 def test_chsh_d_gram_identity(p, r):
     game = chsh_d(p, r)
     d = game.order
-    for phi in _game_matrices(game):
+    for phi in game_matrices(game):
         gram = phi.conj().T @ phi
         assert np.max(np.abs(gram - np.eye(d) / d**3)) < 1e-12
 
@@ -498,10 +505,10 @@ def test_ns_winning_box_scores_one_with_uniform_marginals():
 
 
 def test_pseudo_telepathy_check_examples():
-    winnable = analyze(rank_one_game(Z3, [0, 1, 2], [1, 1, 0]))
+    winnable = analyze([rank_one_game(Z3, [0, 1, 2], [1, 1, 0])])[0]
     assert winnable.rank_phi1 == 1
     assert winnable.classical_value_exact == 1
-    chsh3 = analyze(CHSH3)
+    chsh3 = analyze([CHSH3])[0]
     assert chsh3.rank_phi1 == 3
     assert chsh3.classical_value_exact < 1
 
@@ -509,8 +516,7 @@ def test_pseudo_telepathy_check_examples():
 def test_pseudo_telepathy_check_corpus_agreement():
     rng = SplitMix64(1)
     seen_win = 0
-    for _ in range(200):
-        report = analyze(random_xor_game(rng, 3, 3))
+    for report in analyze([random_xor_game(rng, 3, 3) for _ in range(200)]):
         win = report.classical_value_exact == 1
         assert (report.rank_phi1 == 1) == win
         seen_win += int(win)
@@ -527,11 +533,11 @@ ADDITIVE_Z6 = LinearGame(
 
 def test_additive_z6_game_has_rank_one():
     assert phi1_rank_at_most_one(ADDITIVE_Z6)
-    assert analyze(ADDITIVE_Z6).rank_phi1 == 1
+    assert analyze([ADDITIVE_Z6])[0].rank_phi1 == 1
 
 
 def test_additive_z6_game_passes_pseudo_telepathy_check():
-    report = analyze(ADDITIVE_Z6)
+    report = analyze([ADDITIVE_Z6])[0]
     assert report.rank_phi1 == 1
     assert report.classical_value_exact == 1
 
@@ -554,9 +560,9 @@ def rank_corpus(seed: int, count: int):
 
 def test_rank_phi1_matches_minor_oracle_on_corpus():
     rank_one = 0
-    for game in rank_corpus(seed=6, count=1200):
+    corpus = list(rank_corpus(seed=6, count=1200))
+    for game, report in zip(corpus, analyze(corpus)):
         expected = phi1_rank_at_most_one(game)
-        report = analyze(game)
         assert (report.rank_phi1 == 1) == expected, game.f_idx.tolist()
         assert (report.classical_value_exact == 1) == expected
         rank_one += expected
@@ -573,7 +579,7 @@ def test_pseudo_telepathy_check_float_q_matches_exact_q():
     for exact in games:
         as_float = game_from_tables(exact.group, exact.q.tolist(), exact.f_idx.tolist())
         assert not as_float.has_exact_q
-        expected, report = analyze(exact), analyze(as_float)
+        expected, report = analyze([exact, as_float])
         assert report.rank_phi1 == expected.rank_phi1
         assert report.classical_value == pytest.approx(expected.classical_value, abs=1e-12)
         ranks.add(expected.rank_phi1 == 1)
@@ -584,7 +590,7 @@ def test_exhaustive_two_question_binary_games():
     # All 16 winning tables for d = 2, m = 2: rank(Phi_1) = 1 iff winnable.
     for code in range(16):
         f = [[(code >> (2 * u + v)) & 1 for v in range(2)] for u in range(2)]
-        report = analyze(uniform_game(Z2, f))
+        report = analyze([uniform_game(Z2, f)])[0]
         assert (report.rank_phi1 == 1) == (report.classical_value_exact == 1)
 
 
@@ -594,7 +600,7 @@ def test_exhaustive_two_question_binary_games():
 
 
 def test_analyze_chsh2_report():
-    report = analyze(CHSH2)
+    report = analyze([CHSH2])[0]
     assert report.classical_value_exact == Fraction(3, 4)
     assert report.quantum_bound == pytest.approx(0.8535533906, abs=1e-9)
     assert report.quantum_bound_raw == report.quantum_bound
@@ -606,14 +612,14 @@ def test_analyze_chsh2_report():
 
 def test_analyze_rank_one_game_flags_perfect_play():
     game = rank_one_game(Z2, [0, 1], [1, 0])
-    report = analyze(game)
+    report = analyze([game])[0]
     assert report.pseudo_telepathy_possible
     assert report.classical_value_exact == 1
     assert report.quantum_bound == pytest.approx(1.0)
 
 
 def test_report_json_schema():
-    doc = analyze(CHSH3).to_json_dict()
+    doc = analyze([CHSH3])[0].to_json_dict()
     assert doc["schema"] == "nlgames/game-report/v1"
     assert doc["classical_value_exact"] == "2/3"
     assert doc["group"] == {"field": {"p": 3, "r": 1}}
@@ -626,7 +632,7 @@ def test_raw_bound_above_one_is_clamped():
     # vacuous; the report keeps the raw value and clamps the usable one.
     q = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
     game = game_from_tables(Z2, q, [[0, 0], [0, 1]])
-    report = analyze(game)
+    report = analyze([game])[0]
     assert report.quantum_bound_raw > 1.0
     assert report.quantum_bound == 1.0
     assert report.classical_value_exact == 1
@@ -642,12 +648,52 @@ def test_f_entry_none_is_validation_error():
 
 def test_ordering_chain_on_seeded_corpus():
     rng = SplitMix64(0)
-    for i in range(120):
-        d = 2 if i % 2 == 0 else 3
-        m = 2 + (i % 3)
-        game = random_xor_game(rng, d, m)
-        report = analyze(game)
+    corpus = [random_xor_game(rng, 2 if i % 2 == 0 else 3, 2 + (i % 3)) for i in range(120)]
+    for game, report in zip(corpus, analyze(corpus)):
+        d = game.order
         assert 1.0 / d <= report.lemma1_bound + 1e-12
         assert report.lemma1_bound <= report.classical_value + 1e-12
         assert report.classical_value <= min(1.0, report.quantum_bound) + 1e-9
         assert report.ns_value == pytest.approx(1.0, abs=1e-12)
+
+
+def random_f_game(group, rng, m_a, m_b, exact=True):
+    f = np.array([[rng.randbelow(group.order) for _ in range(m_b)] for _ in range(m_a)])
+    if exact:
+        return LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
+    return LinearGame(group, f, q=np.full(f.shape, 1.0 / f.size))
+
+
+def test_analyze_mixed_list_equals_solo_reports():
+    # GF(9) under the moduli x^2 + 1 (the default) and x^2 + 2x + 2 describes
+    # itself alike, but its character tables differ: grouping by `describe`
+    # would solve the second game with the first one's characters.
+    rng = SplitMix64(12)
+    gf9 = [FieldAdditiveGroup(FiniteField(3, 2, modulus=m)) for m in (None, (2, 2, 1))]
+    assert gf9[0].describe() == gf9[1].describe()
+    f9 = np.array([[rng.randbelow(9) for _ in range(3)] for _ in range(3)])
+    gf9_games = [LinearGame(g, f9, q_num=np.ones_like(f9), q_den=9) for g in gf9]
+    z5 = [random_f_game(FiniteAbelianGroup([5]), rng, 3, 3) for _ in range(3)]
+    z2 = [random_f_game(Z2, rng, 4, 4) for _ in range(3)]
+    z2z3 = [random_f_game(FiniteAbelianGroup([2, 3]), rng, 2, 3, exact=False) for _ in range(2)]
+    games = [z5[0], z2[0], gf9_games[0], z2z3[0], z5[1], gf9_games[1], z2[1], z2z3[1], z5[2], z2[2]]
+    mixed = analyze(games)
+    assert len(mixed) == len(games)
+    for report, game in zip(mixed, games):
+        solo = analyze([game])[0]
+        assert report == solo
+        assert np.array(report.norms).tobytes() == np.array(solo.norms).tobytes()
+    assert mixed[2].norms != mixed[5].norms
+
+
+def test_phi_spectra_groups_games_of_different_groups():
+    rng = SplitMix64(5)
+    z5_game = random_xor_game(rng, 5, 3)
+    z3_game = random_xor_game(rng, 3, 3)
+    spectra = phi_spectra([z5_game, z3_game])
+    assert [len(s) for s in spectra] == [4, 2]
+    for game, values in zip((z5_game, z3_game), spectra):
+        for s, solo in zip(values, phi_spectra([game])[0]):
+            assert np.array_equal(s, solo)
+    assert phi_spectra([]) == []
+    assert analyze([]) == []

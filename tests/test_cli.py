@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nlgames import bounds
 from nlgames.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, EXIT_PARSE, main
-from nlgames.games import chsh_d, game_to_json
+from nlgames.games import chsh_d, game_to_json, random_xor_game
+from nlgames.rng import SplitMix64
+from nlgames.selftest import run_all
 
 
 @pytest.fixture
@@ -217,6 +220,32 @@ def test_scan_chain_holds(capsys):
         lemma1, classical, bound = float(parts[4]), float(parts[5]), float(parts[8])
         assert lemma1 <= classical + 1e-9 <= min(1.0, bound) + 2e-9
         assert float(parts[9]) == 1.0
+
+
+def test_scan_chain_violation_prints_the_offending_game(monkeypatch, capsys):
+    # With a negative slack every game violates the chain, so the first
+    # block fails at its first game and none of its rows is printed.
+    monkeypatch.setattr(bounds, "CHAIN_SLACK", -1.0)
+    assert main(["scan", "--count", "3"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "index,order,mA,mB,lemma1_bound,classical_value,classical_value_exact,"
+        "quantum_bound_raw,quantum_bound,ns_value,rank_phi1,pseudo_telepathy_possible"
+    ]
+    first = json.dumps(game_to_json(random_xor_game(SplitMix64(0), 2, 3)))
+    assert err.splitlines()[0] == "chain violation; offending game: " + first
+
+
+def test_selftest_chain_violation_is_a_fail_line(monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "CHAIN_SLACK", -1.0)
+    results = run_all()
+    assert len(results) == 8
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["ordering-chain", "lemma2-equivalence"]
+    assert main(["selftest"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 6 + ["FAIL"] * 2
+    assert err == ""
 
 
 NOT_FINITE_AND_POSITIVE = ["0", "-1", "nan", "inf", "-inf"]

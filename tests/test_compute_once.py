@@ -1,12 +1,13 @@
 """Each expensive object is built once per result: one character table per
-bound, report or scan block, one solved matrix per conjugate pair {Phi_x,
-Phi_-x}, whether solo or in a stack, an NLC game only for the brute-force
-leg and no solve in a check, and built-in games from integer arrays with no
-table parsing."""
+bound, and per group and question shape of an `analyze` call (a report, a
+scan block, a selftest corpus), one solved matrix per conjugate pair
+{Phi_x, Phi_-x}, whether solo or in a stack, an NLC game only for the
+brute-force leg and no solve in a check, and built-in games from integer
+arrays with no table parsing."""
 
 import json
 
-from nlgames import bounds, cli, games, nlc, numerics
+from nlgames import bounds, cli, games, nlc, numerics, selftest
 from nlgames.algebra import FiniteAbelianGroup, Group
 from nlgames.cli import EXIT_OK, main
 from nlgames.games import chsh_d, game_from_tables, random_xor_game
@@ -73,7 +74,7 @@ def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
     for game, pairs in ((random_xor_game(SplitMix64(3), 5, 3), 2), (z2z3, 3), (chsh_d(2, 2), 3)):
         tables = count_calls(monkeypatch, Group, "character_table")
         solves = count_solves(monkeypatch)
-        report = bounds.analyze(game)
+        report = bounds.analyze([game])[0]
         assert len(tables) == 1
         assert len(solves) == pairs
         negation = game.group.negation_table()
@@ -93,6 +94,16 @@ def test_scan_solves_each_phi_once_in_one_stack_per_block(monkeypatch, capsys):
     assert len(tables) == 2
     assert len(solved) == 80
     assert [len(stack) for stack, in stacks] == [64, 16]
+
+
+def test_selftest_chain_checks_build_one_table_per_class(monkeypatch):
+    # ordering-chain: d = 2, 3 by m = 2, 3, 4 questions a side; lemma2: Z_2..Z_6
+    # by m = 2..5, the 16 binary tables being Z_2 games of m = 2.
+    for check, classes in ((selftest.check_ordering_chain, 6), (selftest.check_lemma2_equivalence, 20)):
+        tables = count_calls(monkeypatch, Group, "character_table")
+        assert check().passed
+        assert len(tables) == classes
+        monkeypatch.undo()
 
 
 def test_verify_theorem3_builds_the_game_once(monkeypatch):

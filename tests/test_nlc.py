@@ -10,7 +10,7 @@ import pytest
 
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import _game_matrices, phi_spectra, quantum_bound
+from nlgames.bounds import _game_matrix, phi_spectra, quantum_bound
 from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box, strategy_box
 from nlgames.nlc import (
     BlockStructureError,
@@ -113,7 +113,9 @@ def test_single_dit_game_is_building_block(d, t):
         for y in range(d):
             assert game.f_idx[x, y] == (t * (x + y)) % d
             assert game.q_fraction(x, y) == Fraction(1, d * d)
-    for k, phi in enumerate(_game_matrices(game), start=1):
+    chars = game.group.character_table()
+    for k in range(1, d):
+        phi = _game_matrix(game, chars, k)
         assert np.max(np.abs(phi - building_block_matrix(d, k, t) / d**2)) < 1e-14
 
 

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from nlgames import numerics
-from nlgames.numerics import (
-    DEFAULT_RANK_TOL,
-    as_cmatrix,
-    singular_value_rank,
-    singular_values,
-    stacked_singular_values,
-)
+from nlgames.numerics import DEFAULT_RANK_TOL, singular_value_rank, stacked_singular_values
 from oracles import chsh_phi, power_iteration_norm
 
 
@@ -16,15 +10,9 @@ def random_complex(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_as_cmatrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        as_cmatrix([1, 2, 3])
-    with pytest.raises(ValueError):
-        as_cmatrix(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        as_cmatrix([[np.inf, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        as_cmatrix([[complex(0, np.nan), 0.0], [0.0, 1.0]])
+def singular_values(a) -> np.ndarray:
+    """One matrix's singular values, solved as a stack of one."""
+    return stacked_singular_values(np.asarray(a)[None])[0]
 
 
 def test_chsh3_gram_is_scaled_identity():
@@ -104,11 +92,6 @@ def swept_batches(monkeypatch, stack) -> list:
     return batches
 
 
-def test_stack_of_one_equals_singular_values():
-    for a in singular_value_cases():
-        assert np.array_equal(stacked_singular_values(a[None]), singular_values(a)[None])
-
-
 def test_stack_members_needing_different_sweeps_keep_their_solo_bits(monkeypatch):
     # An already orthogonal matrix passes its first gate, the others leave
     # the stack after different numbers of sweeps, each with the bits of
@@ -145,7 +128,16 @@ def test_nonconverging_stack_names_its_matrix(monkeypatch):
 
 
 def test_stacked_singular_values_reject_bad_input():
-    for bad in (np.zeros((3, 4)), np.zeros((0, 3, 3)), np.full((2, 2, 2), np.nan)):
+    bad_inputs = (
+        np.zeros((3, 4)),
+        [1, 2, 3],
+        np.zeros((0, 3, 3)),
+        np.zeros((1, 0, 3)),
+        np.full((2, 2, 2), np.nan),
+        [[[np.inf, 0.0], [0.0, 1.0]]],
+        [[[complex(0, np.nan), 0.0], [0.0, 1.0]]],
+    )
+    for bad in bad_inputs:
         with pytest.raises(ValueError):
             stacked_singular_values(bad)
 
