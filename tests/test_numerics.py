@@ -130,16 +130,25 @@ def test_nonconverging_stack_names_its_matrix(monkeypatch):
 def test_stacked_singular_values_reject_bad_input():
     bad_inputs = (
         np.zeros((3, 4)),
-        [1, 2, 3],
         np.zeros((0, 3, 3)),
         np.zeros((1, 0, 3)),
         np.full((2, 2, 2), np.nan),
-        [[[np.inf, 0.0], [0.0, 1.0]]],
-        [[[complex(0, np.nan), 0.0], [0.0, 1.0]]],
     )
     for bad in bad_inputs:
         with pytest.raises(ValueError):
             stacked_singular_values(bad)
+
+
+def test_stack_of_one_rejects_bad_input():
+    bad_inputs = (
+        [1, 2, 3],
+        np.zeros((0, 3)),
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[complex(0, np.nan), 0.0], [0.0, 1.0]],
+    )
+    for bad in bad_inputs:
+        with pytest.raises(ValueError):
+            singular_values(bad)
 
 
 def test_spectral_norm_identity():
