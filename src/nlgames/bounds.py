@@ -8,15 +8,18 @@ q(u, v) * chi_x(f(u, v)).  The quantum value is bounded by
 
 where ||.|| is the spectral norm.  The identity character contributes
 exactly 1 through normalization, so Phi_e is never materialized.  The
-classical value is the exact maximum over deterministic assignments,
-found by enumerating the assignments of the player with fewer questions,
-|G|^min(mA, mB) of them, with the other player best-responding per question
-(optimal because the objective separates over the responder's questions).
-Score tables for the two halves of the m = min(mA, mB) enumerated questions
-cost O(|G|^ceil(m/2) * m_resp * |G|); each assignment then costs O(m_resp * |G|).
-The tables are question-major, so a chunk is scored one responder's question
-at a time, as a maximum over the |G| answers added into a vector of chunk
-scores, in O(chunk) memory.
+classical value is the exact maximum over deterministic assignments, found
+by enumerating the answers of the player with fewer questions,
+m = min(mA, mB), with the other player best-responding per question (optimal
+because the objective separates over the responder's questions).  Shifting
+every enumerated answer by c and every response by -c keeps each score, so
+only the |G|^(m-1) assignments with the identity at question 0 are scored,
+and the optimum is recovered from the shifts of the tied ones; the budget
+still counts all |G|^m.  Score tables for the two halves of the enumerated
+questions cost O(|G|^ceil(m/2) * m_resp * |G|); each scored assignment then
+costs O(m_resp * |G|).  The tables are question-major, so a chunk is scored
+one responder's question at a time, as a maximum over the |G| answers added
+into a vector of chunk scores, in O(chunk) memory.
 
 Exact weights are scored in the narrowest of int8, int16, int32 and int64
 that holds q_den.  This is exact: every table entry, every sum of a high and
@@ -170,18 +173,26 @@ def _response_scores(assign: np.ndarray, weights: np.ndarray, winning: np.ndarra
     return np.einsum("uv,cuvg->cvg", weights, onehot)
 
 
-def _score_table(weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
+def _score_table(weights: np.ndarray, winning, n: int) -> np.ndarray:
     """Per (responder's question v, answer g, assignment id), the weight the
     responder wins at v by answering g against that assignment of the questions
     in `weights`; question 0 varies fastest in the id.
 
-    Question u is added as one broadcast, id = previous id + |G|^u * a.
+    `winning[u][v, a]` is the winning answer to the a-th answer enumerated at
+    question u, so a question may enumerate fewer than its n answers.  Question
+    u is added as one broadcast, id = previous id + (ids so far) * a.
     """
-    table = np.zeros(winning.shape[1:] + (1,), dtype=weights.dtype)
-    for w, win in zip(weights, winning):  # win[v, a]: the winning answer g to a
-        wins = (win[:, None] == np.arange(win.shape[1])[:, None]) * w[:, None, None]
+    table = np.zeros((weights.shape[1], n, 1), dtype=weights.dtype)
+    for w, win in zip(weights, winning):
+        wins = (win[:, None] == np.arange(n)[:, None]) * w[:, None, None]
         table = (table[:, :, None] + wins[..., None]).reshape(wins.shape[:2] + (-1,))
     return table
+
+
+def _smallest(cand: np.ndarray) -> np.ndarray:
+    """The row of answer indices with the smallest enumeration id, compared
+    digit by digit from the last question, since an id can exceed int64."""
+    return cand[np.lexsort(cand.T)[0]]
 
 
 def classical_value(
@@ -191,34 +202,43 @@ def classical_value(
 ) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies.
 
-    Enumerates, in chunks, all |G|^min(mA, mB) assignments of the player with
-    fewer questions (Alice when mA <= mB); the other player best-responds per
-    question.  The win condition a + b = f(u, v) is symmetric, so
-    `winning_answers` also gives Alice's winning answer to Bob's b.
+    The player with fewer questions (Alice when mA <= mB) is enumerated and
+    the other best-responds per question.  The win condition a + b = f(u, v)
+    is symmetric, so `winning_answers` also gives Alice's winning answer to
+    Bob's b.  Moving every enumerated answer by c and every response by -c
+    changes no score, so of the |G|^m assignments, m = min(mA, mB), only the
+    |G|^(m - 1) whose question-0 answer is the identity are scored, one per
+    shift orbit; the budget still counts all |G|^m.
 
     Scores are L[low digits] + H[high digits], with tables over the first
-    m // 2 and the other questions: O(|G|^ceil(m/2) * m_resp * |G|) to build,
-    then O(m_resp * |G|) per assignment.  The tables are question-major,
+    lo = max(1, m // 2) questions, question 0 fixed at the identity, and over
+    the other questions: O(|G|^ceil(m/2) * m_resp * |G|) to build, then
+    O(m_resp * |G|) per scored assignment.  The tables are question-major,
     [responder's question v, answer g, assignment], so a chunk's score is
     the sum over v of max_g (H[v, g, high] + L[v, g, low]), each term a
     broadcast over contiguous rows, added in v order, so float sums do not
-    depend on the chunking.  Exact weights are scored in the narrowest
-    integer type that holds q_den (see the module docstring), float weights
-    in float64.  A chunk holds `chunk_size` (>= 1) assignments, by default
-    as many as fill DEFAULT_CHUNK_BYTES in the score type, rounded down to
-    whole blocks of |G|^(m // 2), at least one; when the enumeration is
-    smaller than a chunk, several responder questions share one broadcast.
-    Three chunk-sized buffers are the working memory.
+    depend on the chunking.  A shifted assignment sums the same terms in the
+    same order, so its score has the same bits as its orbit's.  Exact
+    weights are scored in the narrowest integer type that holds q_den (see
+    the module docstring), float weights in float64.  A chunk holds
+    `chunk_size` (>= 1) scored assignments, by default as many as fill
+    DEFAULT_CHUNK_BYTES in the score type, rounded down to whole blocks of
+    |G|^(lo - 1), at least one; when the enumeration is smaller than a
+    chunk, several responder questions share one broadcast.  Three
+    chunk-sized buffers are the working memory.
 
     The result is the optimal Alice assignment with the smallest enumeration
     id (question 0 varies fastest), whichever side is enumerated: the optimal
     Alice assignments are exactly the best responses to optimal Bob
     assignments, and the smallest-id best response takes the smallest optimal
-    answer at every question.  Candidates are compared digit by digit, since
-    an id can exceed int64.  Bob then best-responds to that assignment, ties
-    broken toward the smallest group element in canonical order, and the value
-    is scored in that orientation, so the result does not depend on the
-    chunking.
+    answer at every question.  The optimal assignments are the shift orbits
+    of the tied scored ones.  When Alice is enumerated, an orbit's smallest
+    id is its shift with the identity at the last question; when Bob is,
+    Alice's best responses are taken against each of his |G| shifts, since
+    the smallest-answer tie-break does not commute with the shift.  Bob then
+    best-responds to that assignment, ties broken toward the smallest group
+    element in canonical order, and the value is scored in that orientation,
+    so the result does not depend on the chunking.
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
@@ -243,15 +263,16 @@ def classical_value(
         (weights.T, winning.transpose(1, 0, 2)) if by_bob else (weights, winning)
     )
     enum_weights = enum_weights.astype(score_type)
-    # Question 0 varies fastest, so id = low + block * high.
-    lo = m_enum // 2
-    block = n**lo
-    low = _score_table(enum_weights[:lo], enum_winning[:lo])
-    high = _score_table(enum_weights[lo:], enum_winning[lo:])
-    m_resp, n_high = low.shape[0], high.shape[2]
+    # Question 0 is answered by the identity, index 0, so the scored id
+    # low + block * high is the assignment id divided by n.
+    lo = max(1, m_enum // 2)
+    low = _score_table(enum_weights[:lo], [enum_winning[0, :, :1], *enum_winning[1:lo]], n)
+    high = _score_table(enum_weights[lo:], enum_winning[lo:], n)
+    m_resp, block, n_high = low.shape[0], low.shape[2], high.shape[2]
     step = max(1, chunk_size // block)
     group = min(m_resp, max(1, chunk_size // (min(step, n_high) * block)))
     buffers = np.empty((2, group, min(step, n_high), block), score_type)
+    add = game.group.addition_table()
 
     best_val, alice_idx = -1, None  # every value is a sum of weights >= 0
     for start in range(0, n_high, step):
@@ -271,12 +292,15 @@ def classical_value(
         rows = np.flatnonzero(vals == top)
         if by_bob:
             h_ix, l_ix = divmod(rows, block)
-            cand = (high[:, :, start + h_ix] + low[:, :, l_ix]).argmax(axis=1).T
+            scores = high[:, :, start + h_ix] + low[:, :, l_ix]
+            # Against Bob's shift by c, Alice's answer g scores as g + c did.
+            cand = np.array([_smallest(scores[:, add[:, c]].argmax(axis=1).T) for c in range(n)])
         else:
-            cand = _assignment_digits(rows + start * block, n, m_enum)
+            digits = _assignment_digits(n * (rows + start * block), n, m_enum)
+            cand = add[digits, game.group.negation_table()[digits[:, -1:]]]
         if top == best_val:
             cand = np.vstack([alice_idx, cand])
-        alice_idx = cand[np.lexsort(cand.T)[0]]
+        alice_idx = _smallest(cand)
         best_val = top
 
     per_question = _response_scores(alice_idx[None, :], weights, winning)[0]

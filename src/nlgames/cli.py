@@ -4,9 +4,9 @@ no-quantum-advantage games, scan random corpora, and run the acceptance suite.
 Exit codes: 0 success, 1 validation or verification failure or a Jacobi
 solve that did not converge (ArithmeticError), 2 parse error or an option
 value out of range, checked before any output, 3 enumeration budget
-exceeded.  Floats print with 12 significant digits and rationals as
-"num/den (decimal)", so runs with the same inputs and seed are
-byte-identical.
+exceeded, or the estimated work of `chsh`'s spectral bound over its budget.
+Floats print with 12 significant digits and rationals as "num/den
+(decimal)", so runs with the same inputs and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
+from .algebra import FiniteField
 from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
 from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
@@ -30,6 +31,10 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+# Multiply-adds `chsh` may spend on a spectral bound.  The largest field it
+# admits, GF(373), took 2.2 s in process on a 2-vCPU host, one BLAS thread.
+CHSH_WORK_BUDGET = 10**10
 
 SCAN_BLOCK = 32  # games per block, whose spectra are solved in one stack
 
@@ -126,7 +131,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class WorkBudgetError(RuntimeError):
+    """The estimated work of a spectral bound exceeds its budget."""
+
+
 def cmd_chsh(args: argparse.Namespace) -> int:
+    q = FiniteField(args.p, args.r).size  # a bad p or r fails before the budget
+    # The q x q multiplication and character tables, then one q^3 gate
+    # product per conjugate pair {x, -x} of nonzero characters; over
+    # characteristic 2 every x is its own negative.
+    work = 2 * q**2 + (q - 1 if args.p == 2 else (q - 1) // 2) * q**3
+    if work > CHSH_WORK_BUDGET:
+        raise WorkBudgetError(
+            f"the spectral bound over GF({q}) needs about {work:.2e} multiply-adds, "
+            f"over the budget of {CHSH_WORK_BUDGET:.0e}"
+        )
     game = chsh_d(args.p, args.r)
     d = game.order
     norms = phi_norms(game)
@@ -265,7 +284,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, GameFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EnumerationBudgetError as exc:
+    except (EnumerationBudgetError, WorkBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GameValidationError, ValueError, RuntimeError, ArithmeticError) as exc:

@@ -126,8 +126,13 @@ class LinearGame:
         return self.q_num is not None
 
     def winning_answers(self) -> np.ndarray:
-        """W[u, v, a] = index of f(u, v) - a, Bob's winning answer to Alice's a."""
-        return self.group.subtraction_table()[self.f_idx]
+        """W[u, v, a] = index of f(u, v) - a, Bob's winning answer to Alice's a;
+        built on the first call and kept, read-only."""
+        if "_winning" not in self.__dict__:
+            winning = self.group.subtraction_table()[self.f_idx]
+            winning.setflags(write=False)
+            object.__setattr__(self, "_winning", winning)
+        return self._winning
 
     def f_element(self, u: int, v: int):
         return self.group.elements[self.f_idx[u, v]]

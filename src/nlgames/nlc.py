@@ -70,12 +70,19 @@ class BlockStructureError(RuntimeError):
 @dataclass(frozen=True)
 class NlcSpec:
     """Parameters of one NLC game: prime d, n input dits, target table g,
-    and the prefix distribution p (both indexed by big-endian prefix)."""
+    and the prefix distribution p = p_num / p_den (both indexed by big-endian
+    prefix), as integer numerators over their least common denominator."""
 
     d: int
     n: int
     g: tuple[int, ...]
-    p: tuple[Fraction, ...]
+    p_num: tuple[int, ...]
+    p_den: int
+
+    @property
+    def p(self) -> tuple[Fraction, ...]:
+        """The prefix weights as Fractions."""
+        return tuple(Fraction(num, self.p_den) for num in self.p_num)
 
 
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
@@ -101,45 +108,50 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     if isinstance(p, str):
         if p != "uniform":
             raise NlcValidationError(f"unknown distribution keyword {p!r}")
-        probs = (Fraction(1, size),) * size
-    else:
-        try:
-            probs = tuple(_parse_weight(entry) for entry in p)
-        except GameValidationError as exc:
-            raise NlcValidationError(
-                f"prefix probabilities must be exact rationals: {exc}"
-            ) from exc
-        inexact = [w for w in probs if not isinstance(w, Fraction)]
-        if inexact:
-            raise NlcValidationError(
-                f"prefix probabilities must be exact rationals, not {inexact[0]!r}"
-            )
-        if len(probs) != size:
-            raise NlcValidationError(
-                f"p must have {size} entries to match the prefix strings"
-            )
-        if any(w.numerator < 0 for w in probs):
-            raise NlcValidationError("prefix probabilities must be nonnegative")
-        nums, den = _common_numerators(probs)
-        if sum(nums) != den:
-            raise NlcValidationError(
-                f"prefix distribution sums to {Fraction(sum(nums), den)}, not 1"
-            )
-    return NlcSpec(d=d, n=n, g=g, p=probs)
+        return NlcSpec(d=d, n=n, g=g, p_num=(1,) * size, p_den=size)
+    nums, dens = _exact_weights(p)
+    if len(nums) != size:
+        raise NlcValidationError(f"p must have {size} entries to match the prefix strings")
+    # With any common denominator D, dividing D and the numerators by their
+    # gcd leaves the least common denominator of the reduced weights.
+    den = lcm(*dens)
+    nums = [a * (den // b) for a, b in zip(nums, dens)]
+    common = gcd(den, *nums)
+    nums, den = tuple(a // common for a in nums), den // common
+    if min(nums) < 0:
+        raise NlcValidationError("prefix probabilities must be nonnegative")
+    if sum(nums) != den:
+        raise NlcValidationError(f"prefix distribution sums to {Fraction(sum(nums), den)}, not 1")
+    return NlcSpec(d=d, n=n, g=g, p_num=nums, p_den=den)
 
 
-def _common_numerators(weights) -> tuple[list[int], int]:
-    """Integer numerators of the Fractions `weights` over their least common
-    denominator, and that denominator."""
-    den = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (den // w.denominator) for w in weights], den
+def _exact_weights(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The numerators and nonzero denominators, as ints, of the prefix weights `p`.
+
+    A list of [num, den] pairs of plain ints is split as it is, with no
+    Fraction per entry; any other list is read entry by entry through
+    `_parse_weight`, which names the first bad entry.
+    """
+    p = list(p)
+    if set(map(type, p)) <= {list, tuple} and set(map(len, p)) == {2}:
+        nums, dens = zip(*p)
+        if set(map(type, nums + dens)) == {int} and 0 not in dens:
+            return nums, dens
+    try:
+        probs = [_parse_weight(entry) for entry in p]
+    except GameValidationError as exc:
+        raise NlcValidationError(f"prefix probabilities must be exact rationals: {exc}") from exc
+    inexact = [w for w in probs if not isinstance(w, Fraction)]
+    if inexact:
+        raise NlcValidationError(f"prefix probabilities must be exact rationals, not {inexact[0]!r}")
+    return tuple(w.numerator for w in probs), tuple(w.denominator for w in probs)
 
 
 def _row0(spec: NlcSpec) -> tuple[np.ndarray, np.ndarray, int]:
     """Row 0 of the game at z = x (+) y, z' its prefix: f0(z) = g(z') * z_n mod d
     and q0(z) = p(z') / d^(n+1), as integer numerators over one denominator."""
     d = spec.d
-    nums, p_den = _common_numerators(spec.p)
+    nums, p_den = spec.p_num, spec.p_den
     # The q0 are nums / (p_den * d^(n+1)); dividing out the gcd of all of them
     # leaves their least common denominator, as if each were reduced first.
     scale = p_den * d ** (spec.n + 1)
@@ -202,7 +214,7 @@ def lambda_profile(spec: NlcSpec) -> LambdaProfile:
     block has this same profile.
     """
     d = spec.d
-    nums, den = _common_numerators(spec.p)
+    nums, den = spec.p_num, spec.p_den
     counts = [0] * d
     sums = [0] * d
     for t, num in zip(spec.g, nums):

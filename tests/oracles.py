@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: norms come
 from power iteration, classical optima from full double enumeration over
 both players, win probabilities from direct sums over the constraint set,
-the rank-1 test of Phi_1 from exact 2 x 2 minors in integers, and the NLC
-building blocks and Fourier vectors entry by entry from `cmath`.
+the rank-1 test of Phi_1 from exact 2 x 2 minors in integers, the NLC
+building blocks and Fourier vectors entry by entry from `cmath`, and NLC
+prefix weights one `Fraction` per entry.
 `alice_side_classical_value` walks all of Alice's assignments whichever
 player has fewer questions; `classical_value` must match it strategy for
 strategy.
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from nlgames.bounds import ClassicalOptimum
+from nlgames.nlc import NlcValidationError
 
 
 def chsh_phi(d: int, k: int) -> np.ndarray:
@@ -188,3 +191,39 @@ def correlators_directly(game, box) -> np.ndarray:
                             )
                     out[u, v, ix, iy] = acc
     return out
+
+
+def fraction_prefix_weights(p, size: int) -> tuple[tuple[int, ...], int]:
+    """An NLC spec's prefix weights read one `Fraction` per entry: integer
+    numerators over the least common denominator, or the NlcValidationError
+    naming the first bad entry, then the first inexact one, the count, a
+    negative weight or the sum, in that order."""
+    weights = []
+    for entry in p:
+        if isinstance(entry, Fraction):
+            weights.append(entry)
+        elif isinstance(entry, (int, np.integer)) and not isinstance(entry, bool):
+            weights.append(Fraction(int(entry)))
+        elif isinstance(entry, (float, np.floating)):
+            weights.append(float(entry))
+        elif (
+            isinstance(entry, (tuple, list))
+            and len(entry) == 2
+            and all(isinstance(x, (int, np.integer)) for x in entry)
+        ):
+            weights.append(Fraction(int(entry[0]), int(entry[1])))
+        else:
+            raise NlcValidationError(
+                f"prefix probabilities must be exact rationals: invalid probability entry {entry!r}"
+            )
+    inexact = [w for w in weights if not isinstance(w, Fraction)]
+    if inexact:
+        raise NlcValidationError(f"prefix probabilities must be exact rationals, not {inexact[0]!r}")
+    if len(weights) != size:
+        raise NlcValidationError(f"p must have {size} entries to match the prefix strings")
+    if any(w < 0 for w in weights):
+        raise NlcValidationError("prefix probabilities must be nonnegative")
+    if sum(weights) != 1:
+        raise NlcValidationError(f"prefix distribution sums to {sum(weights)}, not 1")
+    den = math.lcm(*(w.denominator for w in weights))
+    return tuple(int(w * den) for w in weights), den

@@ -460,6 +460,62 @@ def test_scores_at_the_edge_of_each_integer_type(q_den):
             assert classical_value(game, chunk_size=chunk_size) == ref
 
 
+SHIFT_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 8)] + [
+    FiniteAbelianGroup([2, 3]),
+    FieldAdditiveGroup(FiniteField(2, 2)),
+    FieldAdditiveGroup(FiniteField(3, 2)),
+]
+SHIFT_KINDS = (
+    "random 1..3",
+    "sparse",
+    "all-zero f",
+    "diagonal q",
+    "random float",
+    "all-zero f float",
+    "diagonal q float",
+)
+
+
+def shift_shapes(n):
+    """Wide, square and tall shapes, m_enum = 1 included, with at most
+    ~2000 Alice assignments for the reference."""
+    top = int(np.log(2000) / np.log(n))
+    return [(1, 1), (1, 4), (4, 1), (2, 2), (top, top), (top // 2 + 1, top + 3), (top, 2), (top, top - 1)]
+
+
+def shift_game(rng, group, m_a, m_b, kind):
+    n = group.order
+    f = np.zeros((m_a, m_b), dtype=np.int64) if "all-zero f" in kind else rng.integers(0, n, (m_a, m_b))
+    if kind.startswith("diagonal q"):
+        # Each responder question carries at most one weight, so every
+        # assignment of the enumerated player ties.
+        weights = np.eye(m_a, m_b, dtype=np.int64) * rng.integers(1, 4, (m_a, m_b))
+    elif kind == "sparse":
+        weights = rng.integers(0, 3, (m_a, m_b))
+        weights[0, 0] += weights.sum() == 0
+    else:
+        weights = rng.integers(1, 4, (m_a, m_b))
+    if kind.endswith("float"):
+        q = weights * rng.random((m_a, m_b)) if kind == "random float" else weights / 1.0
+        return LinearGame(group, f, q=q / q.sum())
+    return LinearGame(group, f, q_num=weights, q_den=int(weights.sum()))
+
+
+@pytest.mark.parametrize("kind", SHIFT_KINDS)
+def test_scoring_one_assignment_per_shift_orbit_matches_the_reference(kind):
+    # Only assignments with the identity at the enumerated player's question
+    # 0 are scored; the smallest-id optimum is recovered from the shifts of
+    # the tied ones.  All-zero f makes the constant assignments, one orbit,
+    # optimal; diagonal q makes every orbit tie, in every chunk.
+    rng = np.random.default_rng(SHIFT_KINDS.index(kind))
+    for group in SHIFT_GROUPS:
+        for m_a, m_b in shift_shapes(group.order):
+            game = shift_game(rng, group, m_a, m_b, kind)
+            ref = alice_side_classical_value(game)
+            for chunk_size in (1, 7, None):
+                assert classical_value(game, chunk_size=chunk_size) == ref, (group, m_a, m_b, chunk_size)
+
+
 # ---------------------------------------------------------------------------
 # Shared-randomness lower bound
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nlgames import bounds
+from nlgames import bounds, cli
+from nlgames.algebra import is_prime
 from nlgames.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, EXIT_PARSE, main
 from nlgames.games import chsh_d, game_to_json, random_xor_game
 from nlgames.rng import SplitMix64
@@ -124,6 +125,24 @@ def test_chsh_prime_power(capsys):
 def test_chsh_rejects_composite(capsys):
     assert main(["chsh", "4"]) == EXIT_FAILURE
     assert "prime" in capsys.readouterr().err
+
+
+def test_chsh_over_its_work_budget_exits_3_before_building_the_game(monkeypatch, capsys):
+    # GF(1021) needs about 5.4e11 multiply-adds; a composite p is still a
+    # validation failure, checked first.
+    monkeypatch.setattr(cli, "chsh_d", lambda *args: pytest.fail("chsh_d was called"))
+    assert main(["chsh", "1021"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the budget of 1e+10" in captured.err
+    assert main(["chsh", "1024"]) == EXIT_FAILURE
+    assert "prime" in capsys.readouterr().err
+
+
+def test_chsh_admits_every_field_up_to_order_81(capsys):
+    fields = [(p, r) for p in range(2, 62) if is_prime(p) for r in range(1, 5) if p**r <= 61]
+    for p, r in fields + [(3, 4)]:
+        assert main(["chsh", str(p), str(r)]) == EXIT_OK, (p, r)
 
 
 def test_nlc_command(nlc_file, capsys):

@@ -1,9 +1,9 @@
 """Each expensive object is built once per result: one character table per
 bound, and per group and question shape of an `analyze` call (a report, a
 scan block, a selftest corpus), one solved matrix per conjugate pair
-{Phi_x, Phi_-x}, whether solo or in a stack, an NLC game only for the
-brute-force leg and no solve in a check, and built-in games from integer
-arrays with no table parsing."""
+{Phi_x, Phi_-x}, whether solo or in a stack, one subtraction table per game,
+an NLC game only for the brute-force leg and no solve in a check, and
+built-in games from integer arrays with no table parsing."""
 
 import json
 
@@ -80,6 +80,15 @@ def test_analyze_builds_one_table_and_solves_each_phi_once(monkeypatch):
         negation = game.group.negation_table()
         assert all(report.norms[x - 1] == report.norms[negation[x] - 1] for x in range(1, game.order))
         monkeypatch.undo()
+
+
+def test_analyze_builds_each_games_winning_answers_once(monkeypatch):
+    # The classical value, the no-signaling box and its score all read the
+    # game's winning answers, from one subtraction table per game.
+    corpus = [random_xor_game(SplitMix64(i), 3, 4) for i in range(3)] + [chsh_d(2, 2)]
+    tables = count_calls(monkeypatch, Group, "subtraction_table")
+    bounds.analyze(corpus)
+    assert len(tables) == len(corpus)
 
 
 def test_scan_solves_each_phi_once_in_one_stack_per_block(monkeypatch, capsys):

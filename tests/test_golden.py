@@ -48,6 +48,9 @@ COMMANDS = {
     # Transposes of z3.json (exact) and a 5 x 2 float game: Bob is enumerated.
     "analyze_z3_tall_text": ["analyze", "z3_tall.json"],
     "analyze_z2xz3_tall_json": ["analyze", "z2xz3_tall.json", "--format", "json"],
+    # Bob is enumerated and the optima tie across two shift orbits; Alice's
+    # smallest-id answer is not the shift of any one orbit's best response.
+    "analyze_z2xz3_tied_tall_json": ["analyze", "z2xz3_tied_tall.json", "--format", "json"],
     "analyze_z3_csv": ["analyze", "z3.json", "--format", "csv"],
     "chsh_7_2": ["chsh", "7", "2"],
     "chsh_61": ["chsh", "61"],

@@ -25,7 +25,7 @@ from nlgames.nlc import (
     verify_theorem3,
 )
 from nlgames.bounds import ns_winning_box
-from oracles import building_block_matrix, fourier_vector
+from oracles import building_block_matrix, fourier_vector, fraction_prefix_weights
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +65,55 @@ def test_out_of_range_target_names_one_entry():
     assert str(err.value) == "g values must lie in [0, 3), got g[0] = 5"
     with pytest.raises(NlcValidationError, match=r"got g\[2\] = -1$"):
         nlc_spec(2, 3, [0, 1, -1, 2])
+
+
+def prefix_weight_lists(rng, size):
+    """Seeded prefix distributions in every accepted form, and bad ones."""
+    weights = [rng.randrange(0, 10) for _ in range(size - 1)] + [1]
+    total = sum(weights)
+    scale = rng.randrange(1, 4)
+    yield [[w, total] for w in weights]  # unreduced pairs, as JSON gives them
+    yield [[w * scale, total * scale] for w in weights]
+    yield [(-w, -total) for w in weights]  # negative denominators
+    yield [Fraction(w, total) for w in weights]
+    yield [[w, total] for w in weights[:-1]] + [Fraction(1, total)]
+    yield [[True, 1]] + [[0, 1]] * (size - 1)
+    yield [np.int64(1)] + [0] * (size - 1)
+    yield [[w, total] for w in weights[:-1]]  # one entry short
+    yield [[w + 1, total] for w in weights]  # sums above 1
+    yield [[-1, total]] + [[w, total] for w in weights[1:]]
+    yield [[1, -2]] + [[w, total] for w in weights[1:]]
+    yield [0.5] + [[w, total] for w in weights[1:]]
+    yield [0.5, ["x", "y"]] + [[w, total] for w in weights[2:]]  # the bad entry wins
+    yield [[1, 2, 3]] + [[w, total] for w in weights[1:]]
+    yield ["ab"] + [[w, total] for w in weights[1:]]
+    yield [{1: 0, 2: 0}] + [[w, total] for w in weights[1:]]
+    yield [[1.0, 2]] + [[w, total] for w in weights[1:]]
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2), (5, 3), (2, 9), (3, 10)])
+def test_prefix_weights_match_one_fraction_per_entry(d, n):
+    rng = random.Random(10 * d + n)
+    size = d ** (n - 1)
+    g = [rng.randrange(d) for _ in range(size)]
+    for p in prefix_weight_lists(rng, size):
+        try:
+            expected = fraction_prefix_weights(p, size)
+        except NlcValidationError as exc:
+            with pytest.raises(NlcValidationError) as err:
+                nlc_spec(d, n, g, p)
+            assert str(err.value) == str(exc)
+            continue
+        spec = nlc_spec(d, n, g, p)
+        assert (spec.p_num, spec.p_den) == expected
+        assert spec.p == tuple(Fraction(num, expected[1]) for num in expected[0])
+    # A zero denominator fails as the Fraction would.
+    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+        nlc_spec(d, n, g, [[1, 0]] * size)
+
+
+def test_weighted_and_uniform_specs_are_equal():
+    assert nlc_spec(3, 2, [0, 1, 2], [[2, 6], [1, 3], [3, 9]]) == nlc_spec(3, 2, [0, 1, 2])
 
 
 def _row0_by_fractions(spec):
