@@ -443,7 +443,9 @@ def test_building_block_eigen_identity():
         nlc_spec(2, 3, [0, 1, 1, 0]),
         nlc_spec(3, 2, [0, 1, 2], [[1, 2], [1, 3], [1, 6]]),
     ],
-    ids=str,
+    # Named by the weights as Fractions, so the ids do not depend on how a
+    # spec stores them.
+    ids=lambda spec: f"NlcSpec(d={spec.d}, n={spec.n}, g={spec.g}, p={spec.p})",
 )
 def test_block_circulant_structure(spec):
     report = verify_theorem3(spec)
