@@ -91,6 +91,7 @@ class Group:
         self._place = np.array(place, dtype=np.int64)
         self._pairing = np.array(pairing, dtype=np.int64)
         self._exponent = int(exponent)
+        self._addition = self._negation = None
 
     @property
     def identity(self):
@@ -131,14 +132,24 @@ class Group:
         return cmath.exp(2j * cmath.pi * m / self._exponent)
 
     def addition_table(self) -> np.ndarray:
-        """Index table T[i, j] = index(elements[i] + elements[j])."""
-        table = np.zeros((self.order, self.order), dtype=np.int64)
-        for c, modulus, place in zip(self._coords.T, self._moduli, self._place):
-            table += (c[:, None] + c[None, :]) % modulus * place
-        return table
+        """Index table T[i, j] = index(elements[i] + elements[j]); built on the
+        first call and kept, read-only."""
+        if self._addition is None:
+            table = np.zeros((self.order, self.order), dtype=np.int64)
+            for c, modulus, place in zip(self._coords.T, self._moduli, self._place):
+                table += (c[:, None] + c[None, :]) % modulus * place
+            table.setflags(write=False)
+            self._addition = table
+        return self._addition
 
     def negation_table(self) -> np.ndarray:
-        return (-self._coords) % self._moduli @ self._place
+        """Index table T[i] = index(-elements[i]); built on the first call and
+        kept, read-only."""
+        if self._negation is None:
+            table = (-self._coords) % self._moduli @ self._place
+            table.setflags(write=False)
+            self._negation = table
+        return self._negation
 
     def subtraction_table(self) -> np.ndarray:
         """Index table T[i, j] = index(elements[i] - elements[j])."""

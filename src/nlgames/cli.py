@@ -136,7 +136,8 @@ class WorkBudgetError(RuntimeError):
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
-    q = FiniteField(args.p, args.r).size  # a bad p or r fails before the budget
+    field = FiniteField(args.p, args.r)  # a bad p or r fails before the budget
+    q = field.size
     # The q x q multiplication and character tables, then one q^3 gate
     # product per conjugate pair {x, -x} of nonzero characters; over
     # characteristic 2 every x is its own negative.
@@ -146,7 +147,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
             f"the spectral bound over GF({q}) needs about {work:.2e} multiply-adds, "
             f"over the budget of {CHSH_WORK_BUDGET:.0e}"
         )
-    game = chsh_d(args.p, args.r)
+    game = chsh_d(field)
     d = game.order
     norms = phi_norms(game)
     bound = bound_from_norms(d, game.mA, game.mB, norms)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -143,21 +143,54 @@ class LinearGame:
         return Fraction(int(self.q_num[u, v]), self.q_den)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _parse_weight(entry) -> Fraction | float:
     """Interpret one q entry; Fractions, ints and (num, den) pairs stay exact."""
     if isinstance(entry, Fraction):
         return entry
-    if isinstance(entry, bool):
-        raise GameValidationError(f"invalid probability entry {entry!r}")
-    if isinstance(entry, (int, np.integer)):
+    if _is_int(entry):
         return Fraction(int(entry))
     if isinstance(entry, (float, np.floating)):
         return float(entry)
     if isinstance(entry, (tuple, list)) and len(entry) == 2:
         num, den = entry
-        if isinstance(num, (int, np.integer)) and isinstance(den, (int, np.integer)):
+        if _is_int(num) and _is_int(den) and den != 0:
             return Fraction(int(num), int(den))
     raise GameValidationError(f"invalid probability entry {entry!r}")
+
+
+def _read_weights(entries: list) -> tuple[tuple[int, ...], int] | list[Fraction | float]:
+    """Read a flat list of weights: integer numerators over their least common
+    denominator when every entry is exact, else each entry as `_parse_weight`
+    reads it.
+
+    A list of [num, den] pairs of plain ints, the form `game_to_json` writes,
+    is split in one pass with no Fraction per entry; any other list is read
+    entry by entry through `_parse_weight`, which names the first bad entry.
+    """
+    pairs = set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}
+    nums, dens = zip(*entries) if pairs else ((), ())
+    if not pairs or set(map(type, nums + dens)) != {int} or 0 in dens:
+        weights = [_parse_weight(entry) for entry in entries]
+        if any(isinstance(w, float) for w in weights):
+            return weights
+        nums, dens = [w.numerator for w in weights], [w.denominator for w in weights]
+    # With any common denominator D, dividing D and the numerators by their
+    # gcd leaves the least common denominator of the reduced weights.
+    den = lcm(*dens)
+    nums = [a * (den // b) for a, b in zip(nums, dens)]
+    common = gcd(den, *nums)
+    return tuple(a // common for a in nums), den // common
+
+
+def _f_index(group: Group, entry) -> int:
+    """One win-table entry's element index; a bool is not an element."""
+    if isinstance(entry, bool):
+        raise ValueError(f"{entry!r} is not a group element")
+    return group.index(group.element(entry))
 
 
 def game_from_tables(group: Group, q, f) -> LinearGame:
@@ -167,39 +200,51 @@ def game_from_tables(group: Group, q, f) -> LinearGame:
     (num, den) pairs; the exact rational form is kept when every entry is
     exact and their common denominator is at most 10**15.  `f` is an mA x mB
     table of group elements (element objects, int indices, or coordinate
-    sequences).
+    sequences).  A table of [num, den] int pairs and one of int indices are
+    each read as one integer array.
     """
     rows = [list(row) for row in q]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise GameValidationError("q must be a rectangular, nonempty table")
+    shape = (len(rows), len(rows[0]))
 
-    weights = [[_parse_weight(entry) for entry in row] for row in rows]
+    weights = _read_weights([entry for row in rows for entry in row])
     try:
-        f_idx = np.array(
-            [[group.index(group.element(entry)) for entry in row] for row in f],
-            dtype=np.int64,
-        )
+        f_rows = [list(row) for row in f]
+        flat = [entry for row in f_rows for entry in row]
+        if (
+            [len(row) for row in f_rows] == [shape[1]] * shape[0]
+            and set(map(type, flat)) == {int}
+            and 0 <= min(flat)
+            and max(flat) < group.order
+        ):
+            f_idx = np.array(flat, dtype=np.int64).reshape(shape)
+        else:
+            f_idx = np.array([[_f_index(group, entry) for entry in row] for row in f_rows], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise GameValidationError(f"invalid winning-function entry: {exc}") from exc
 
-    # An entry outside [-1, 1] cannot be valid and its numerator may overflow
-    # int64, so such a table takes the float path, which names the fault.
-    if all(isinstance(w, Fraction) and abs(w) <= 1 for row in weights for w in row):
-        den = lcm(*(w.denominator for row in weights for w in row))
-        if den <= _MAX_EXACT_DENOMINATOR:
-            q_num = np.array([[int(w * den) for w in row] for row in weights], dtype=np.int64)
+    if isinstance(weights, tuple):
+        nums, den = weights
+        # An entry outside [-1, 1] cannot be valid and its numerator may
+        # overflow int64, so such a table takes the float path, which names
+        # the fault.
+        if den <= _MAX_EXACT_DENOMINATOR and max(map(abs, nums)) <= den:
+            q_num = np.array(nums, dtype=np.int64).reshape(shape)
             return LinearGame(group=group, f_idx=f_idx, q_num=q_num, q_den=den)
-    q_float = np.array([[float(w) for w in row] for row in weights], dtype=np.float64)
+        weights = [num / den for num in nums]  # correctly rounded, as float(Fraction) is
+    q_float = np.array([float(w) for w in weights], dtype=np.float64).reshape(shape)
     return LinearGame(group=group, f_idx=f_idx, q=q_float)
 
 
-def chsh_d(p: int, r: int = 1) -> LinearGame:
+def chsh_d(p: int | FiniteField, r: int = 1) -> LinearGame:
     """CHSH game over GF(p^r): f(u, v) = u*v in the field, uniform questions.
 
-    Answers live in the additive group of the field, so the characters used
-    by the spectral bound are the trace characters.
+    `p` may be a built `FiniteField`, which is then used as it is.  Answers
+    live in the additive group of the field, so the characters used by the
+    spectral bound are the trace characters.
     """
-    field = FiniteField(p, r)
+    field = p if isinstance(p, FiniteField) else FiniteField(p, r)
     f_idx = np.array([[int(field.mul(x, y)) for y in field.elements] for x in field.elements])
     return LinearGame(field.additive_group(), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
 
@@ -418,7 +463,7 @@ def game_from_json(obj) -> LinearGame:
         raise GameFormatError(f"game document is missing keys {sorted(missing)}")
     group = _group_from_json(obj["group"])
     m_a, m_b = obj["mA"], obj["mB"]
-    if not isinstance(m_a, int) or not isinstance(m_b, int) or m_a < 1 or m_b < 1:
+    if not all(type(m) is int and m >= 1 for m in (m_a, m_b)):
         raise GameFormatError("'mA' and 'mB' must be positive integers")
     q, f = obj["q"], obj["f"]
     if not isinstance(q, list) or len(q) != m_a or any(

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, is_prime
 from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value
-from .games import GameFormatError, GameValidationError, LinearGame, _check_exact_denominator, _parse_weight
+from .games import GameFormatError, GameValidationError, LinearGame, _check_exact_denominator, _is_int, _read_weights
 
 __all__ = [
     "NlcValidationError",
@@ -96,12 +96,16 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     if d**n > MAX_QUESTIONS:
         raise NlcValidationError(f"d^n = {d**n} exceeds the supported cap {MAX_QUESTIONS}")
     size = d ** (n - 1)
-    g = tuple(int(t) for t in g)
+    g = tuple(g)
     if len(g) != size:
         raise NlcValidationError(
             f"g must assign a target dit to each of the {size} prefix strings, "
             f"got {len(g)} entries"
         )
+    bad = next((i for i, t in enumerate(g) if not _is_int(t)), None)
+    if bad is not None:
+        raise NlcValidationError(f"g values must be integers, got g[{bad}] = {g[bad]!r}")
+    g = tuple(map(int, g))
     bad = next((i for i, t in enumerate(g) if not 0 <= t < d), None)
     if bad is not None:
         raise NlcValidationError(f"g values must lie in [0, {d}), got g[{bad}] = {g[bad]}")
@@ -109,42 +113,21 @@ def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
         if p != "uniform":
             raise NlcValidationError(f"unknown distribution keyword {p!r}")
         return NlcSpec(d=d, n=n, g=g, p_num=(1,) * size, p_den=size)
-    nums, dens = _exact_weights(p)
+    try:
+        weights = _read_weights(list(p))
+    except GameValidationError as exc:
+        raise NlcValidationError(f"prefix probabilities must be exact rationals: {exc}") from exc
+    if isinstance(weights, list):
+        inexact = next(w for w in weights if isinstance(w, float))
+        raise NlcValidationError(f"prefix probabilities must be exact rationals, not {inexact!r}")
+    nums, den = weights
     if len(nums) != size:
         raise NlcValidationError(f"p must have {size} entries to match the prefix strings")
-    # With any common denominator D, dividing D and the numerators by their
-    # gcd leaves the least common denominator of the reduced weights.
-    den = lcm(*dens)
-    nums = [a * (den // b) for a, b in zip(nums, dens)]
-    common = gcd(den, *nums)
-    nums, den = tuple(a // common for a in nums), den // common
     if min(nums) < 0:
         raise NlcValidationError("prefix probabilities must be nonnegative")
     if sum(nums) != den:
         raise NlcValidationError(f"prefix distribution sums to {Fraction(sum(nums), den)}, not 1")
     return NlcSpec(d=d, n=n, g=g, p_num=nums, p_den=den)
-
-
-def _exact_weights(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The numerators and nonzero denominators, as ints, of the prefix weights `p`.
-
-    A list of [num, den] pairs of plain ints is split as it is, with no
-    Fraction per entry; any other list is read entry by entry through
-    `_parse_weight`, which names the first bad entry.
-    """
-    p = list(p)
-    if set(map(type, p)) <= {list, tuple} and set(map(len, p)) == {2}:
-        nums, dens = zip(*p)
-        if set(map(type, nums + dens)) == {int} and 0 not in dens:
-            return nums, dens
-    try:
-        probs = [_parse_weight(entry) for entry in p]
-    except GameValidationError as exc:
-        raise NlcValidationError(f"prefix probabilities must be exact rationals: {exc}") from exc
-    inexact = [w for w in probs if not isinstance(w, Fraction)]
-    if inexact:
-        raise NlcValidationError(f"prefix probabilities must be exact rationals, not {inexact[0]!r}")
-    return tuple(w.numerator for w in probs), tuple(w.denominator for w in probs)
 
 
 def _row0(spec: NlcSpec) -> tuple[np.ndarray, np.ndarray, int]:

@@ -5,7 +5,7 @@ from power iteration, classical optima from full double enumeration over
 both players, win probabilities from direct sums over the constraint set,
 the rank-1 test of Phi_1 from exact 2 x 2 minors in integers, the NLC
 building blocks and Fourier vectors entry by entry from `cmath`, and NLC
-prefix weights one `Fraction` per entry.
+prefix weights and game tables one `Fraction` per entry.
 `alice_side_classical_value` walks all of Alice's assignments whichever
 player has fewer questions; `classical_value` must match it strategy for
 strategy.
@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from nlgames.bounds import ClassicalOptimum
+from nlgames.games import GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
 
 
@@ -196,8 +197,9 @@ def correlators_directly(game, box) -> np.ndarray:
 def fraction_prefix_weights(p, size: int) -> tuple[tuple[int, ...], int]:
     """An NLC spec's prefix weights read one `Fraction` per entry: integer
     numerators over the least common denominator, or the NlcValidationError
-    naming the first bad entry, then the first inexact one, the count, a
-    negative weight or the sum, in that order."""
+    naming the first bad entry (a bool or a zero denominator among them), then
+    the first inexact one, the count, a negative weight or the sum, in that
+    order."""
     weights = []
     for entry in p:
         if isinstance(entry, Fraction):
@@ -209,7 +211,8 @@ def fraction_prefix_weights(p, size: int) -> tuple[tuple[int, ...], int]:
         elif (
             isinstance(entry, (tuple, list))
             and len(entry) == 2
-            and all(isinstance(x, (int, np.integer)) for x in entry)
+            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in entry)
+            and entry[1] != 0
         ):
             weights.append(Fraction(int(entry[0]), int(entry[1])))
         else:
@@ -227,3 +230,44 @@ def fraction_prefix_weights(p, size: int) -> tuple[tuple[int, ...], int]:
         raise NlcValidationError(f"prefix distribution sums to {sum(weights)}, not 1")
     den = math.lcm(*(w.denominator for w in weights))
     return tuple(int(w * den) for w in weights), den
+
+
+def _fraction_weight(entry) -> Fraction | float:
+    """One q entry read on its own; a [num, 0] pair fails as its Fraction does."""
+    if isinstance(entry, Fraction):
+        return entry
+    if isinstance(entry, bool):
+        raise GameValidationError(f"invalid probability entry {entry!r}")
+    if isinstance(entry, (int, np.integer)):
+        return Fraction(int(entry))
+    if isinstance(entry, (float, np.floating)):
+        return float(entry)
+    if isinstance(entry, (tuple, list)) and len(entry) == 2:
+        num, den = entry
+        if isinstance(num, (int, np.integer)) and isinstance(den, (int, np.integer)):
+            return Fraction(int(num), int(den))
+    raise GameValidationError(f"invalid probability entry {entry!r}")
+
+
+def fraction_game_tables(group, q, f) -> LinearGame:
+    """A game read from outside tables one entry at a time: a `Fraction` per
+    exact q entry, scaled to the least common denominator one multiply each,
+    and `group.index(group.element(entry))` per f entry."""
+    rows = [list(row) for row in q]
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise GameValidationError("q must be a rectangular, nonempty table")
+    weights = [[_fraction_weight(entry) for entry in row] for row in rows]
+    try:
+        f_idx = np.array(
+            [[group.index(group.element(entry)) for entry in row] for row in f],
+            dtype=np.int64,
+        )
+    except (TypeError, ValueError) as exc:
+        raise GameValidationError(f"invalid winning-function entry: {exc}") from exc
+    if all(isinstance(w, Fraction) and abs(w) <= 1 for row in weights for w in row):
+        den = math.lcm(*(w.denominator for row in weights for w in row))
+        if den <= 10**15:
+            q_num = np.array([[int(w * den) for w in row] for row in weights], dtype=np.int64)
+            return LinearGame(group=group, f_idx=f_idx, q_num=q_num, q_den=den)
+    q_float = np.array([[float(w) for w in row] for row in weights], dtype=np.float64)
+    return LinearGame(group=group, f_idx=f_idx, q=q_float)

@@ -96,6 +96,39 @@ def test_analyze_invalid_distribution_exits_1(tmp_path, capsys):
     assert "sums to" in capsys.readouterr().err
 
 
+GAME_2X2 = {"group": {"factors": [2]}, "mA": 2, "mB": 2, "q": [[[1, 4]] * 2] * 2, "f": [[0, 0], [0, 1]]}
+NLC_2_2 = {"d": 2, "n": 2, "g": [0, 1], "p": "uniform"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, err",
+    [
+        ("analyze", {**GAME_2X2, "q": [[[1, 4], [1, 0]], [[1, 4], [1, 4]]]}, EXIT_FAILURE,
+         "invalid probability entry [1, 0]"),
+        ("nlc", {**NLC_2_2, "p": [[1, 0], [1, 2]]}, EXIT_FAILURE,
+         "prefix probabilities must be exact rationals: invalid probability entry [1, 0]"),
+        ("analyze", {**GAME_2X2, "mA": True, "q": [[[1, 2]] * 2], "f": [[0, 1]]}, EXIT_PARSE,
+         "'mA' and 'mB' must be positive integers"),
+        ("analyze", {**GAME_2X2, "f": [[0, True], [0, 1]]}, EXIT_FAILURE,
+         "invalid winning-function entry: True is not a group element"),
+        ("analyze", {**GAME_2X2, "q": [[[True, 4], [1, 4]], [[1, 4], [1, 4]]]}, EXIT_FAILURE,
+         "invalid probability entry [True, 4]"),
+        ("nlc", {**NLC_2_2, "g": [0.9, 1.5]}, EXIT_FAILURE, "g values must be integers, got g[0] = 0.9"),
+        ("nlc", {**NLC_2_2, "g": [0, True]}, EXIT_FAILURE, "g values must be integers, got g[1] = True"),
+    ],
+    ids=["q-zero-den", "nlc-zero-den", "mA-true", "f-true", "q-true", "g-float", "g-true"],
+)
+def test_bad_numbers_in_files_are_named(tmp_path, capsys, command, doc, code, err):
+    # Each of these was once read: a zero denominator raised a bare
+    # ZeroDivisionError, and a bool or a float was taken as an int.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_analyze_budget_exits_3(tmp_path, capsys):
     doc = {
         "group": {"factors": [3]},

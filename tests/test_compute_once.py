@@ -2,10 +2,12 @@
 bound, and per group and question shape of an `analyze` call (a report, a
 scan block, a selftest corpus), one solved matrix per conjugate pair
 {Phi_x, Phi_-x}, whether solo or in a stack, one subtraction table per game,
-an NLC game only for the brute-force leg and no solve in a check, and
-built-in games from integer arrays with no table parsing."""
+one addition and one negation table per group, an NLC game only for the
+brute-force leg and no solve in a check, built-in games from integer arrays
+with no table parsing, and game files of [num, den] pairs with no Fraction."""
 
 import json
+from fractions import Fraction
 
 from nlgames import bounds, cli, games, nlc, numerics, selftest
 from nlgames.algebra import FiniteAbelianGroup, Group
@@ -91,6 +93,29 @@ def test_analyze_builds_each_games_winning_answers_once(monkeypatch):
     assert len(tables) == len(corpus)
 
 
+def test_analyze_builds_one_addition_and_one_negation_table(monkeypatch):
+    # The winning answers' subtraction table and the classical value's shift
+    # recovery both read the group's tables, which are built once and kept.
+    for game in (random_xor_game(SplitMix64(4), 3, 4), chsh_d(2, 2)):
+        built = {}
+        for name in ("addition_table", "negation_table"):
+            built[name] = tables = []
+            original = getattr(Group, name)
+
+            def recorded(group, original=original, tables=tables):
+                table = original(group)
+                tables.append(table)
+                return table
+
+            monkeypatch.setattr(Group, name, recorded)
+        bounds.analyze([game])
+        for name, tables in built.items():
+            assert len(tables) >= 2, name
+            assert len({id(table) for table in tables}) == 1, name
+            assert not tables[0].flags.writeable
+        monkeypatch.undo()
+
+
 def test_scan_solves_each_phi_once_in_one_stack_per_block(monkeypatch, capsys):
     # 40 games over Z_5 in blocks of 32 and 8: two pairs per game, each
     # block's 64 or 16 matrices of 3 x 3 in one stack, one table per block.
@@ -163,3 +188,22 @@ def test_builtin_games_parse_no_tables(monkeypatch):
         build()
         assert parses == []
         monkeypatch.undo()
+
+
+def test_game_files_of_pairs_build_no_fraction(monkeypatch):
+    # The form game_to_json writes: exact [num, den] pairs and int indices.
+    doc = json.loads(json.dumps(games.game_to_json(random_xor_game(SplitMix64(5), 5, 4))))
+    doc["q"][0][0] = [2, 2 * doc["q"][0][0][1]]  # unreduced
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(2, 4) == Fraction(1, 2) and len(made) == 2  # the hook sees every Fraction
+    made.clear()
+    game = games.game_from_json(doc)
+    assert made == []
+    assert game.q_den == 16 and game.q_num.tolist() == [[1] * 4] * 4

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     correlators_directly,
     direct_win_sum,
     evaluate_box_directly,
+    fraction_game_tables,
     random_box_table,
 )
 
@@ -467,4 +469,113 @@ def test_json_unnormalized_q_is_validation_error():
         "f": [[0, 0], [0, 1]],
     }
     with pytest.raises(GameValidationError, match="sums to"):
+        game_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# Reading outside tables
+# ---------------------------------------------------------------------------
+
+
+def _q_tables(rng, m_a, m_b):
+    """Seeded q tables in every accepted entry form, and bad ones."""
+    size = m_a * m_b
+    weights = [rng.randrange(10) for _ in range(size - 1)] + [rng.randrange(1, 10)]
+    total = sum(weights)
+    scale = rng.randrange(2, 5)
+    big = 2**70  # past int64
+    # Two primes whose product, the common denominator, is past 10**15.
+    p1, p2 = 100000007, 998244353
+    wide = [rng.randrange(1, p1) for _ in range(size - 1)]
+    wide.append(p1 * p2 - sum(wide))
+    lone = rng.randrange(size)
+    yield [[w, total] for w in weights]  # unreduced pairs, as game_to_json writes
+    yield [[Fraction(w, total).numerator, Fraction(w, total).denominator] for w in weights]
+    yield [[w * scale, total * scale] for w in weights]
+    yield [(-w, -total) for w in weights]  # negative denominators, as tuples
+    yield [[np.int64(w), np.int64(total)] for w in weights]
+    yield [Fraction(w, total) for w in weights]
+    yield [int(i == lone) for i in range(size)]  # plain ints
+    yield [w / total for w in weights]
+    yield [np.float64(w / total) for w in weights]
+    yield [[w, total] if i % 2 else w / total for i, w in enumerate(weights)]  # exact and float
+    yield [[w * big, total * big] for w in weights]  # reduces below int64
+    yield [[w, p1 * p2] for w in wide]  # common denominator past 10**15
+    yield [[big, 1]] + [[w, total] for w in weights[1:]]  # |w| > 1 past int64
+    yield [[-big, 1]] + [[w, total] for w in weights[1:]]
+    yield [[total + 1, total], [-1, total]] + [[w, total] for w in weights[2:]]  # |w| > 1
+    yield [[10**400, 1]] + [[w, total] for w in weights[1:]]  # no float holds it
+    yield [[w, total] for w in weights[:-1]] + [[weights[-1] + 1, total]]  # sums above 1
+    yield [[-w, total] for w in weights]  # negative
+    yield [[1, 2, 3]] + [[w, total] for w in weights[1:]]
+    yield [[1.0, 2]] + [[w, total] for w in weights[1:]]
+    yield ["ab"] + [[w, total] for w in weights[1:]]
+    yield [None] + [0.0] * (size - 1)
+
+
+def _f_tables(rng, group, m_a, m_b):
+    """Seeded f tables: indices, coordinates, elements, and bad ones."""
+    n = group.order
+    idx = [[rng.randrange(n) for _ in range(m_b)] for _ in range(m_a)]
+    yield idx
+    yield [[np.int64(i) for i in row] for row in idx]
+    yield [[group.elements[i] for i in row] for row in idx]
+    if isinstance(group, FiniteAbelianGroup):
+        yield [[list(group.elements[i].coords) for i in row] for row in idx]
+    else:
+        yield [[list(group.elements[i].coeffs) for i in row] for row in idx]
+    yield [row[:-1] + [n] for row in idx]  # one past the last index
+    yield [[-1] + row[1:] for row in idx]
+    yield [[2**70] + row[1:] for row in idx]
+    yield idx[:-1] + [idx[-1] + [0]]  # ragged
+    yield [row + [0] for row in idx]  # wrong shape
+    yield [[0.5] + row[1:] for row in idx]
+
+
+def _read(reader, group, q, f):
+    """The arrays a reader builds, or the type and text of what it raised."""
+    try:
+        game = reader(group, q, f)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    q_num = None if game.q_num is None else (game.q_num.dtype, game.q_num.tolist())
+    return q_num, game.q_den, game.q.dtype, game.q.shape, game.q.tobytes(), game.f_idx.dtype, game.f_idx.tolist()
+
+
+def test_tables_read_as_one_fraction_per_entry_would():
+    # Every q table against every f table over cyclic, product and field
+    # groups: the same exact numerators, denominator, float bits and f
+    # indices, or the same exception type and text.
+    rng = random.Random(22)
+    groups = [Z2, Z3, FiniteAbelianGroup([5]), FiniteAbelianGroup([2, 3]), FiniteField(2, 2).additive_group()]
+    outcomes = {"exact": 0, "float": 0, "error": 0}
+    for trial in range(40):
+        group = groups[trial % len(groups)]
+        m_a, m_b = rng.randrange(1, 5), rng.randrange(2, 5)
+        for flat in _q_tables(rng, m_a, m_b):
+            q = [flat[u * m_b : (u + 1) * m_b] for u in range(m_a)]
+            for f in _f_tables(rng, group, m_a, m_b):
+                expected = _read(fraction_game_tables, group, q, f)
+                assert _read(game_from_tables, group, q, f) == expected, (group, q, f)
+                kind = "error" if isinstance(expected[0], type) else "exact" if expected[1] else "float"
+                outcomes[kind] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_zero_denominators_and_booleans_are_bad_entries():
+    # One Fraction per entry raised ZeroDivisionError on [1, 0] and read a
+    # bool in f, or in a pair, as the int it subclasses.
+    q = [[[1, 2], [1, 2]]]
+    with pytest.raises(GameValidationError) as err:
+        game_from_tables(Z2, [[[1, 0], [1, 2]]], [[0, 1]])
+    assert str(err.value) == "invalid probability entry [1, 0]"
+    with pytest.raises(GameValidationError) as err:
+        game_from_tables(Z2, [[[True, 2], [1, 2]]], [[0, 1]])
+    assert str(err.value) == "invalid probability entry [True, 2]"
+    for f in ([[0, True]], [[np.int64(0), True]]):
+        with pytest.raises(GameValidationError) as err:
+            game_from_tables(Z2, q, f)
+        assert str(err.value) == "invalid winning-function entry: True is not a group element"
+    doc = {"group": {"factors": [2]}, "mA": True, "mB": 2, "q": q, "f": [[0, 1]]}
+    with pytest.raises(GameFormatError, match="'mA' and 'mB' must be positive integers"):
         game_from_json(doc)

@@ -89,6 +89,7 @@ def prefix_weight_lists(rng, size):
     yield ["ab"] + [[w, total] for w in weights[1:]]
     yield [{1: 0, 2: 0}] + [[w, total] for w in weights[1:]]
     yield [[1.0, 2]] + [[w, total] for w in weights[1:]]
+    yield [[w, total] for w in weights[:-1]] + [[1, 0]]  # a zero denominator
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2), (5, 3), (2, 9), (3, 10)])
@@ -107,9 +108,10 @@ def test_prefix_weights_match_one_fraction_per_entry(d, n):
         spec = nlc_spec(d, n, g, p)
         assert (spec.p_num, spec.p_den) == expected
         assert spec.p == tuple(Fraction(num, expected[1]) for num in expected[0])
-    # A zero denominator fails as the Fraction would.
-    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+    # A zero denominator is a bad entry, named like any other.
+    with pytest.raises(NlcValidationError) as err:
         nlc_spec(d, n, g, [[1, 0]] * size)
+    assert str(err.value) == "prefix probabilities must be exact rationals: invalid probability entry [1, 0]"
 
 
 def test_weighted_and_uniform_specs_are_equal():
