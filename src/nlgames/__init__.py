@@ -38,7 +38,6 @@ from .games import (
     game_from_tables,
     game_to_json,
     random_xor_game,
-    strategy_box,
     win_prob_from_correlators,
 )
 from .nlc import (

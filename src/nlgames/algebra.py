@@ -49,6 +49,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _int_coordinates(value) -> tuple[int, ...]:
+    """A coordinate sequence as ints; a bool, float or string coordinate is
+    an error, not a number to round."""
+    coords = tuple(value)
+    for c in coords:
+        if not _is_int(c):
+            raise ValueError(f"coordinate {c!r} of {list(coords)!r} is not an integer")
+    return tuple(map(int, coords))
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Element of a product of cyclic groups, as a reduced coordinate tuple.
@@ -73,10 +87,10 @@ class Group:
     - `pairing`, a k x k integer matrix P, and `exponent` N, so that the
       character indexed by a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N).
 
-    Every table and `character` derive from these by array arithmetic.  The
-    subclass keeps the per-element `element`, `add`, `neg` and `describe`.
-    The index of an element in `elements` is its canonical position, used
-    for tables, boxes, and tie-breaking.
+    Every table derives from these by array arithmetic.  The subclass keeps
+    the per-element `element`, `add`, `neg` and `describe`.  The index of an
+    element in `elements` is its canonical position, used for tables, boxes,
+    and tie-breaking.
     """
 
     order: int
@@ -92,10 +106,6 @@ class Group:
         self._pairing = np.array(pairing, dtype=np.int64)
         self._exponent = int(exponent)
         self._addition = self._negation = None
-
-    @property
-    def identity(self):
-        return self.elements[0]
 
     def element(self, value):
         raise NotImplementedError
@@ -116,20 +126,11 @@ class Group:
         arrays = (self._coords, self._moduli, self._place, self._pairing)
         return (*((a.shape, a.tobytes()) for a in arrays), self._exponent)
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def index(self, x) -> int:
         try:
             return self._index[x]
         except KeyError:
             raise ValueError(f"{x!r} is not an element of {self!r}") from None
-
-    def character(self, a, x) -> complex:
-        """chi_a(x) from the exact integer exponent of exp(2*pi*i/N)."""
-        c = self._coords
-        m = int(c[self.index(a)] @ self._pairing @ c[self.index(x)]) % self._exponent
-        return cmath.exp(2j * cmath.pi * m / self._exponent)
 
     def addition_table(self) -> np.ndarray:
         """Index table T[i, j] = index(elements[i] + elements[j]); built on the
@@ -206,7 +207,7 @@ class FiniteAbelianGroup(Group):
                 raise ValueError(f"element index {value} out of range for {self!r}")
             return self.elements[int(value)]
         else:
-            coords = tuple(int(c) for c in value)
+            coords = _int_coordinates(value)
         if len(coords) != len(self.factors):
             raise ValueError(
                 f"coordinate tuple {coords} does not match factor list {self.factors}"
@@ -392,7 +393,7 @@ class FiniteField:
             return value
         if isinstance(value, (int, np.integer)):
             return self.from_int(int(value))
-        coeffs = tuple(int(c) % self.p for c in value)
+        coeffs = tuple(c % self.p for c in _int_coordinates(value))
         if len(coeffs) > self.r:
             raise ValueError(f"coefficient list {coeffs} longer than degree {self.r}")
         coeffs = coeffs + (0,) * (self.r - len(coeffs))
@@ -418,9 +419,6 @@ class FiniteField:
         self._check_member(a)
         coeffs = tuple((-x) % self.p for x in a.coeffs)
         return self.elements[self._encode(coeffs)]
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check_member(a)
@@ -459,11 +457,6 @@ class FiniteField:
             raise ArithmeticError(f"trace of {a!r} landed outside the prime subfield")
         return acc.coeffs[0]
 
-    def additive_character(self, k: FieldElement, a: FieldElement) -> complex:
-        """chi_k(a) = exp(2*pi*i * Tr(k*a) / p); trivial exactly when k = 0."""
-        t = self.trace(self.mul(k, a))
-        return cmath.exp(2j * cmath.pi * t / self.p)
-
     def additive_group(self) -> "FieldAdditiveGroup":
         return FieldAdditiveGroup(self)
 
@@ -472,9 +465,9 @@ class FieldAdditiveGroup(Group):
     """Additive group of GF(p^r) with trace-based characters.
 
     Used as the answer group of field-multiplication games: the character
-    indexed by k is chi_k(x) = exp(2*pi*i * Tr(k*x) / p), the field's
-    `additive_character`, which is what the closed-form norm computations
-    assume.  Coordinates are the little-endian coefficients.
+    indexed by k is chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the
+    closed-form norm computations assume.  Coordinates are the little-endian
+    coefficients.
     """
 
     def __init__(self, field: FiniteField):

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import FiniteField, Group
+from .algebra import FiniteField, Group, _is_int
 from .rng import SplitMix64
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "game_from_tables",
     "chsh_d",
     "chsh_closed_form",
-    "strategy_box",
     "random_xor_game",
     "evaluate_box",
     "correlators_from_box",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
-NO_SIGNALING_TOL = 1e-10
 
 # Largest common denominator of exact input weights.  `LinearGame` rejects a
 # larger one; `game_from_tables` keeps such outside tables as floats.
@@ -133,18 +131,6 @@ class LinearGame:
             winning.setflags(write=False)
             object.__setattr__(self, "_winning", winning)
         return self._winning
-
-    def f_element(self, u: int, v: int):
-        return self.group.elements[self.f_idx[u, v]]
-
-    def q_fraction(self, u: int, v: int) -> Fraction | None:
-        if self.q_num is None:
-            return None
-        return Fraction(int(self.q_num[u, v]), self.q_den)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _parse_weight(entry) -> Fraction | float:
@@ -273,8 +259,7 @@ class Box:
     """Conditional distribution P(a, b | u, v) as an (mA, mB, n, n) array.
 
     Construction validates nonnegativity and per-question normalization.
-    No-signaling is a computable property, not an invariant: boxes that
-    signal are representable and simply report a nonzero defect.
+    No-signaling is not an invariant: boxes that signal are representable.
     """
 
     table: np.ndarray
@@ -309,31 +294,6 @@ class Box:
 
     def bob_marginals(self) -> np.ndarray:
         return self.table.sum(axis=2)
-
-    def signaling_defect(self) -> float:
-        """Largest variation of either marginal across the other party's input."""
-        pa = self.alice_marginals()
-        pb = self.bob_marginals()
-        dev_a = np.max(pa.max(axis=1) - pa.min(axis=1)) if self.mB > 1 else 0.0
-        dev_b = np.max(pb.max(axis=0) - pb.min(axis=0)) if self.mA > 1 else 0.0
-        return float(max(dev_a, dev_b))
-
-    def is_no_signaling(self, tol: float = NO_SIGNALING_TOL) -> bool:
-        return self.signaling_defect() <= tol
-
-
-def strategy_box(game: LinearGame, alice, bob) -> Box:
-    """Deterministic box from assignments a: Q_A -> G and b: Q_B -> G."""
-    a_idx = [game.group.index(game.group.element(x)) for x in alice]
-    b_idx = [game.group.index(game.group.element(x)) for x in bob]
-    if len(a_idx) != game.mA or len(b_idx) != game.mB:
-        raise GameValidationError("strategy length does not match question sets")
-    n = game.order
-    table = np.zeros((game.mA, game.mB, n, n))
-    for u, ia in enumerate(a_idx):
-        for v, ib in enumerate(b_idx):
-            table[u, v, ia, ib] = 1.0
-    return Box(table)
 
 
 def _check_shapes(game: LinearGame, box: Box) -> None:
@@ -433,7 +393,7 @@ def _group_from_json(obj) -> Group:
         raise GameFormatError("'group' must be an object")
     if set(obj) == {"factors"}:
         factors = obj["factors"]
-        if not isinstance(factors, list) or not factors:
+        if not isinstance(factors, list) or not factors or any(type(n) is not int for n in factors):
             raise GameFormatError("'factors' must be a nonempty list of integers")
         try:
             return FiniteAbelianGroup(factors)
@@ -446,6 +406,9 @@ def _group_from_json(obj) -> Group:
         _reject_unknown_keys(field, {"p", "r"}, "'field'")
         if "p" not in field:
             raise GameFormatError("'field' requires key 'p'")
+        for key in field:
+            if type(field[key]) is not int:
+                raise GameFormatError(f"'{key}' in 'field' must be an integer")
         try:
             return FiniteField(field["p"], field.get("r", 1)).additive_group()
         except ValueError as exc:

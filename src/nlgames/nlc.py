@@ -29,9 +29,9 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import FiniteAbelianGroup, is_prime
+from .algebra import FiniteAbelianGroup, _is_int, is_prime
 from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value
-from .games import GameFormatError, GameValidationError, LinearGame, _check_exact_denominator, _is_int, _read_weights
+from .games import GameFormatError, GameValidationError, LinearGame, _check_exact_denominator, _read_weights
 
 __all__ = [
     "NlcValidationError",
@@ -395,7 +395,7 @@ def nlc_spec_from_json(obj) -> NlcSpec:
     missing = _SPEC_KEYS - set(obj)
     if missing:
         raise GameFormatError(f"NLC document is missing keys {sorted(missing)}")
-    if not isinstance(obj["d"], int) or not isinstance(obj["n"], int):
+    if type(obj["d"]) is not int or type(obj["n"]) is not int:
         raise GameFormatError("'d' and 'n' must be integers")
     if not isinstance(obj["g"], list):
         raise GameFormatError("'g' must be a list of target dits")

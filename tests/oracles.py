@@ -9,6 +9,19 @@ prefix weights and game tables one `Fraction` per entry.
 `alice_side_classical_value` walks all of Alice's assignments whichever
 player has fewer questions; `classical_value` must match it strategy for
 strategy.
+
+Reference formulas for the group and box facts tests check:
+- `character(group, a, x)`: over a product of cyclic groups, the product of
+  exp(2*pi*i * a_j * x_j / n_j) over `group.factors` and element coordinates;
+  over a field's additive group, `additive_character`;
+- `additive_character(field, k, a)`: exp(2*pi*i * Tr(k*a) / p) through
+  `FiniteField.mul` and `trace`, never the pairing matrix that
+  `character_table` is built from;
+- `sub(group, x, y)`: `group.add(x, group.neg(y))`;
+- `strategy_box(game, alice, bob)`: the deterministic box with a 1 at
+  (u, v, alice[u], bob[v]), set entry by entry;
+- `signaling_defect(box)`: the largest variation of either party's marginal
+  across the other party's question, from explicit sums over the table.
 """
 
 from __future__ import annotations
@@ -20,9 +33,61 @@ from fractions import Fraction
 
 import numpy as np
 
+from nlgames.algebra import FieldAdditiveGroup
 from nlgames.bounds import ClassicalOptimum
-from nlgames.games import GameValidationError, LinearGame
+from nlgames.games import Box, GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
+
+
+def additive_character(field, k, a) -> complex:
+    """chi_k(a) = exp(2*pi*i * Tr(k*a) / p); trivial exactly when k = 0."""
+    return cmath.exp(2j * cmath.pi * field.trace(field.mul(k, a)) / field.p)
+
+
+def character(group, a, x) -> complex:
+    """chi_a(x): over a product of cyclic groups, the product of the roots
+    exp(2*pi*i * a_j*x_j / n_j), taken as one power of exp(2*pi*i / N) with
+    N = lcm(n_j); over a field's additive group, the trace character."""
+    if isinstance(group, FieldAdditiveGroup):
+        return additive_character(group.field, a, x)
+    big_n = math.lcm(*group.factors)
+    m = sum(a_j * x_j * (big_n // n) for a_j, x_j, n in zip(a.coords, x.coords, group.factors))
+    return cmath.exp(2j * cmath.pi * (m % big_n) / big_n)
+
+
+def sub(group, x, y):
+    """x - y in the group."""
+    return group.add(x, group.neg(y))
+
+
+def strategy_box(game, alice, bob) -> Box:
+    """Deterministic box from assignments a: Q_A -> G and b: Q_B -> G, given
+    as elements or element indices."""
+    group = game.group
+    a_idx = [group.index(group.element(x)) for x in alice]
+    b_idx = [group.index(group.element(x)) for x in bob]
+    assert (len(a_idx), len(b_idx)) == (game.mA, game.mB)
+    table = np.zeros((game.mA, game.mB, game.order, game.order))
+    for u in range(game.mA):
+        for v in range(game.mB):
+            table[u, v, a_idx[u], b_idx[v]] = 1.0
+    return Box(table)
+
+
+def signaling_defect(box) -> float:
+    """Largest change of P(a | u, v) over v, or of P(b | u, v) over u."""
+    t = box.table
+    m_a, m_b, n, _ = t.shape
+    defect = 0.0
+    for u in range(m_a):
+        for a in range(n):
+            alice = [sum(t[u, v, a, b] for b in range(n)) for v in range(m_b)]
+            defect = max(defect, max(alice) - min(alice))
+    for v in range(m_b):
+        for b in range(n):
+            bob = [sum(t[u, v, a, b] for a in range(n)) for u in range(m_a)]
+            defect = max(defect, max(bob) - min(bob))
+    return float(defect)
 
 
 def chsh_phi(d: int, k: int) -> np.ndarray:
@@ -90,7 +155,7 @@ def random_box_table(rng, m_a: int, m_b: int, n: int) -> np.ndarray:
 def direct_win_sum(game, box, u: int, v: int) -> float:
     """P(a + b = f(u,v) | u,v) summed straight off the box table."""
     group = game.group
-    target = game.f_element(u, v)
+    target = group.elements[game.f_idx[u, v]]
     total = 0.0
     for ia, a in enumerate(group.elements):
         for ib, b in enumerate(group.elements):
@@ -186,8 +251,8 @@ def correlators_directly(game, box) -> np.ndarray:
                     for ia, a in enumerate(group.elements):
                         for ib, b in enumerate(group.elements):
                             acc += (
-                                np.conj(group.character(x, a))
-                                * np.conj(group.character(y, b))
+                                np.conj(character(group, x, a))
+                                * np.conj(character(group, y, b))
                                 * box.table[u, v, ia, ib]
                             )
                     out[u, v, ix, iy] = acc

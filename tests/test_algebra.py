@@ -1,5 +1,4 @@
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from nlgames.algebra import (
     GroupElement,
     is_prime,
 )
+from oracles import character, sub
 
 SMALL_GROUPS = [
     (2,),
@@ -41,7 +41,7 @@ def test_is_prime():
 def test_group_order_and_identity():
     g = FiniteAbelianGroup([2, 3, 4])
     assert g.order == 24
-    assert g.identity.coords == (0, 0, 0)
+    assert g.elements[0].coords == (0, 0, 0)
     assert len(g.elements) == 24
     for el in g.elements:
         assert all(0 <= c < n for c, n in zip(el.coords, g.factors))
@@ -54,14 +54,14 @@ def test_add_examples():
     assert z22.add(z22.element((1, 0)), z22.element((1, 1))) == z22.element((0, 1))
     z5 = FiniteAbelianGroup([5])
     for x in z5.elements:
-        assert z5.add(x, z5.identity) == x
+        assert z5.add(x, z5.elements[0]) == x
 
 
 def test_add_is_abelian_group():
     for factors in [(3,), (4,), (2, 2), (2, 3)]:
         g = FiniteAbelianGroup(factors)
         for x in g.elements:
-            assert g.add(x, g.neg(x)) == g.identity
+            assert g.add(x, g.neg(x)) == g.elements[0]
             for y in g.elements:
                 assert g.add(x, y) == g.add(y, x)
                 for z in g.elements:
@@ -79,7 +79,7 @@ def test_dimension_mismatch_rejected():
     g = FiniteAbelianGroup([2, 2])
     stray = GroupElement((1,))
     with pytest.raises(ValueError, match="factor list"):
-        g.add(stray, g.identity)
+        g.add(stray, g.elements[0])
     with pytest.raises(ValueError, match="factor list"):
         g.element((1, 2, 3))
 
@@ -95,18 +95,19 @@ def test_group_construction_rejects_bad_factors():
 
 def test_character_examples():
     z2 = FiniteAbelianGroup([2])
-    assert z2.character(z2.element(1), z2.element(1)) == pytest.approx(-1.0)
+    assert z2.character_table()[1, 1] == pytest.approx(-1.0)
     z3 = FiniteAbelianGroup([3])
     expected = cmath.exp(4j * cmath.pi / 3)
-    assert z3.character(z3.element(1), z3.element(2)) == pytest.approx(expected)
+    assert z3.character_table()[1, 2] == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("factors", SMALL_GROUPS)
 def test_character_sum_vanishes_for_nontrivial(factors):
     g = FiniteAbelianGroup(factors)
-    for a in g.elements:
-        total = sum(g.character(a, x) for x in g.elements)
-        if a == g.identity:
+    chars = g.character_table()
+    for a in range(g.order):
+        total = chars[a].sum()
+        if a == 0:
             assert total == pytest.approx(g.order)
         else:
             assert abs(total) < 1e-10
@@ -123,34 +124,18 @@ def test_character_orthogonality(factors):
 @pytest.mark.parametrize("factors", [(3,), (4,), (2, 2), (2, 3)])
 def test_character_properties(factors):
     g = FiniteAbelianGroup(factors)
-    for a in g.elements:
-        for x in g.elements:
+    chars = g.character_table()
+    add = g.addition_table()
+    neg = g.negation_table()
+    for a in range(g.order):
+        for x in range(g.order):
             # Symmetry of the chosen indexing and conjugation as negation.
-            assert g.character(a, x) == pytest.approx(g.character(x, a))
-            assert np.conj(g.character(a, x)) == pytest.approx(g.character(a, g.neg(x)))
-            for y in g.elements:
-                assert g.character(a, g.add(x, y)) == pytest.approx(
-                    g.character(a, x) * g.character(a, y)
-                )
-    for x in g.elements:
-        assert g.character(g.identity, x) == pytest.approx(1.0)
-
-
-def _table_group_and_characters(kind, args):
-    """A group and its character table written out from the definition."""
-    if kind == "GF":
-        field = FiniteField(*args)
-        group = field.additive_group()
-        chars = [[field.additive_character(a, x) for x in field.elements] for a in field.elements]
-        return group, np.array(chars)
-    group = FiniteAbelianGroup(args)
-    big_n = math.lcm(*args)
-
-    def chi(a, x):
-        m = sum(aj * xj * (big_n // nj) for aj, xj, nj in zip(a.coords, x.coords, args))
-        return cmath.exp(2j * cmath.pi * (m % big_n) / big_n)
-
-    return group, np.array([[chi(a, x) for x in group.elements] for a in group.elements])
+            assert chars[a, x] == pytest.approx(chars[x, a])
+            assert np.conj(chars[a, x]) == pytest.approx(chars[a, neg[x]])
+            for y in range(g.order):
+                assert chars[a, add[x, y]] == pytest.approx(chars[a, x] * chars[a, y])
+    for x in range(g.order):
+        assert chars[0, x] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -168,18 +153,18 @@ def _table_group_and_characters(kind, args):
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_tables_are_consistent(kind, args):
-    g, expected_chars = _table_group_and_characters(kind, args)
+    g = FiniteField(*args).additive_group() if kind == "GF" else FiniteAbelianGroup(args)
     add = g.addition_table()
-    sub = g.subtraction_table()
+    diff = g.subtraction_table()
     neg = g.negation_table()
     chars = g.character_table()
     for i, x in enumerate(g.elements):
         assert g.elements[neg[i]] == g.neg(x)
         for j, y in enumerate(g.elements):
             assert g.elements[add[i, j]] == g.add(x, y)
-            assert g.elements[sub[i, j]] == g.sub(x, y)
-            assert g.character(x, y) == chars[i, j]
-    assert np.array_equal(chars, expected_chars)
+            assert g.elements[diff[i, j]] == sub(g, x, y)
+            # Exact: the table and the definition take the same root of unity.
+            assert chars[i, j] == character(g, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +291,28 @@ def test_zero_has_no_inverse():
 # ---------------------------------------------------------------------------
 
 
+# The field's additive group indexes elements by their integer encoding, so
+# chars[int(k), int(a)] is chi_k(a).
+
+
 def test_additive_character_examples():
     gf4 = FiniteField(2, 2)
+    chars4 = gf4.additive_group().character_table()
     for a in gf4.elements:
-        assert gf4.additive_character(gf4.zero, a) == pytest.approx(1.0)
+        assert chars4[int(gf4.zero), int(a)] == pytest.approx(1.0)
     gf2 = FiniteField(2, 1)
-    assert gf2.additive_character(gf2.one, gf2.one) == pytest.approx(-1.0)
-    total = sum(gf4.additive_character(gf4.one, a) for a in gf4.elements)
+    assert gf2.additive_group().character_table()[int(gf2.one), int(gf2.one)] == pytest.approx(-1.0)
+    total = sum(chars4[int(gf4.one), int(a)] for a in gf4.elements)
     assert abs(total) < 1e-12
 
 
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_additive_character_sum_over_multiples(p, r):
     f = FiniteField(p, r)
+    chars = f.additive_group().character_table()
     for b in f.elements:
         for k in f.elements[1:]:
-            total = sum(f.additive_character(k, f.mul(a, b)) for a in f.elements)
+            total = sum(chars[int(k), int(f.mul(a, b))] for a in f.elements)
             if b == f.zero:
                 assert total == pytest.approx(f.size)
             else:
@@ -331,21 +322,21 @@ def test_additive_character_sum_over_multiples(p, r):
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 1)])
 def test_additive_character_homomorphism(p, r):
     f = FiniteField(p, r)
+    chars = f.additive_group().character_table()
     for k in f.elements:
         for a in f.elements:
             for b in f.elements:
-                assert f.additive_character(k, f.add(a, b)) == pytest.approx(
-                    f.additive_character(k, a) * f.additive_character(k, b)
+                assert chars[int(k), int(f.add(a, b))] == pytest.approx(
+                    chars[int(k), int(a)] * chars[int(k), int(b)]
                 )
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3)])
 def test_additive_character_trivial_only_for_zero(p, r):
     f = FiniteField(p, r)
+    chars = f.additive_group().character_table()
     for k in f.elements[1:]:
-        assert any(
-            abs(f.additive_character(k, a) - 1.0) > 1e-9 for a in f.elements
-        )
+        assert any(abs(chars[int(k), int(a)] - 1.0) > 1e-9 for a in f.elements)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2)])
@@ -353,7 +344,7 @@ def test_field_additive_group_is_valid_group(p, r):
     f = FiniteField(p, r)
     g = f.additive_group()
     assert g.order == f.size
-    assert g.identity == f.zero
+    assert g.elements[0] == f.zero
     assert g.describe() == {"field": {"p": p, "r": r}}
     chars = g.character_table()
     gram = chars @ chars.conj().T / g.order

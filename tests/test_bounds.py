@@ -22,11 +22,16 @@ from nlgames.games import (
     evaluate_box,
     game_from_tables,
     random_xor_game,
-    strategy_box,
 )
 from nlgames.nlc import nlc_game, nlc_spec
 from nlgames.rng import SplitMix64
-from oracles import alice_side_classical_value, double_enumeration_optimum, phi1_rank_at_most_one
+from oracles import (
+    alice_side_classical_value,
+    double_enumeration_optimum,
+    phi1_rank_at_most_one,
+    signaling_defect,
+    strategy_box,
+)
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
@@ -552,7 +557,7 @@ def test_ns_winning_box_scores_one_with_uniform_marginals():
         n = game.order
         assert np.max(np.abs(box.alice_marginals() - 1.0 / n)) < 1e-15
         assert np.max(np.abs(box.bob_marginals() - 1.0 / n)) < 1e-15
-        assert box.is_no_signaling()
+        assert signaling_defect(box) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

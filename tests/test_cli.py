@@ -115,8 +115,25 @@ NLC_2_2 = {"d": 2, "n": 2, "g": [0, 1], "p": "uniform"}
          "invalid probability entry [True, 4]"),
         ("nlc", {**NLC_2_2, "g": [0.9, 1.5]}, EXIT_FAILURE, "g values must be integers, got g[0] = 0.9"),
         ("nlc", {**NLC_2_2, "g": [0, True]}, EXIT_FAILURE, "g values must be integers, got g[1] = True"),
+        ("analyze", {**GAME_2X2, "group": {"factors": [2, 3]}, "f": [[[1.7, True], 0], [0, 1]]}, EXIT_FAILURE,
+         "invalid winning-function entry: coordinate 1.7 of [1.7, True] is not an integer"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"p": 3, "r": 2}}, "f": [[[1.7, True], 0], [0, 1]]},
+         EXIT_FAILURE, "invalid winning-function entry: coordinate 1.7 of [1.7, True] is not an integer"),
+        ("analyze", {**GAME_2X2, "group": {"factors": [2, 3]}, "f": [[["1", 2], 0], [0, 1]]}, EXIT_FAILURE,
+         "invalid winning-function entry: coordinate '1' of ['1', 2] is not an integer"),
+        ("analyze", {**GAME_2X2, "group": {"factors": [2.7]}}, EXIT_PARSE,
+         "'factors' must be a nonempty list of integers"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"p": 3.5, "r": 2}}}, EXIT_PARSE,
+         "'p' in 'field' must be an integer"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"p": 2, "r": True}}}, EXIT_PARSE,
+         "'r' in 'field' must be an integer"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"p": "3"}}}, EXIT_PARSE, "'p' in 'field' must be an integer"),
+        ("nlc", {**NLC_2_2, "n": True}, EXIT_PARSE, "'d' and 'n' must be integers"),
     ],
-    ids=["q-zero-den", "nlc-zero-den", "mA-true", "f-true", "q-true", "g-float", "g-true"],
+    ids=[
+        "q-zero-den", "nlc-zero-den", "mA-true", "f-true", "q-true", "g-float", "g-true",
+        "coord-float", "field-coord-float", "coord-str", "factor-float", "p-float", "r-true", "p-str", "n-true",
+    ],
 )
 def test_bad_numbers_in_files_are_named(tmp_path, capsys, command, doc, code, err):
     # Each of these was once read: a zero denominator raised a bare

@@ -1,7 +1,8 @@
 """Public names: each module's `__all__` names what the module defines, and
 the package re-exports only names in its modules' `__all__`.  A deleted
 function that stays listed breaks only `from ... import *`, which nothing
-else runs."""
+else runs.  Every function, class and method in src/nlgames is named by the
+code there, so nothing in src is kept for tests alone."""
 
 import ast
 import importlib
@@ -31,3 +32,52 @@ def test_package_reexports_are_in_module_all():
         exported = importlib.import_module(f"nlgames.{node.module}").__all__
         stray = [alias.name for alias in node.names if alias.name not in exported]
         assert stray == [], node.module
+
+
+SRC = Path(nlgames.__file__).parent
+
+# Definitions kept although nothing in src/nlgames names them, each with the
+# reason it stays.
+UNREFERENCED_ALLOWED: set[str] = set()
+
+
+def _unreferenced_definitions() -> list[str]:
+    """Module-level functions and classes named nowhere in src/nlgames outside
+    their own definition, and non-dunder methods named by no attribute access
+    there."""
+    functions = []  # (label, name, module, first line, last line)
+    methods = []  # (label, name)
+    names = []  # (name, module, line) of every name read
+    attributes = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                functions.append((f"{module}.{node.name}", node.name, module, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not (item.name[:2] == item.name[-2:] == "__")
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                names.append((node.attr, module, node.lineno))
+                attributes.add(node.attr)
+    unreferenced = [
+        label
+        for label, name, module, first, last in functions
+        if not any(
+            ref == name and not (where == module and first <= line <= last) for ref, where, line in names
+        )
+    ]
+    return unreferenced + [label for label, name in methods if name not in attributes]
+
+
+def test_every_definition_in_src_is_referenced_in_src():
+    # A name only tests call is deleted, or moved to tests/oracles.py when
+    # tests compare library results against it.
+    assert sorted(set(_unreferenced_definitions()) - UNREFERENCED_ALLOWED) == []

@@ -11,7 +11,7 @@ import pytest
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
 from nlgames.bounds import _game_matrix, phi_spectra, quantum_bound
-from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box, strategy_box
+from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box
 from nlgames.nlc import (
     BlockStructureError,
     LambdaProfile,
@@ -25,7 +25,7 @@ from nlgames.nlc import (
     verify_theorem3,
 )
 from nlgames.bounds import ns_winning_box
-from oracles import building_block_matrix, fourier_vector, fraction_prefix_weights
+from oracles import building_block_matrix, fourier_vector, fraction_prefix_weights, strategy_box
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,7 +163,7 @@ def test_single_dit_game_is_building_block(d, t):
     for x in range(d):
         for y in range(d):
             assert game.f_idx[x, y] == (t * (x + y)) % d
-            assert game.q_fraction(x, y) == Fraction(1, d * d)
+            assert Fraction(int(game.q_num[x, y]), game.q_den) == Fraction(1, d * d)
     chars = game.group.character_table()
     for k in range(1, d):
         phi = _game_matrix(game, chars, k)
@@ -185,9 +185,9 @@ def test_weighted_game_q_table():
     spec = nlc_spec(2, 2, [0, 1], [[3, 4], [1, 4]])
     game = nlc_game(spec)
     # Block (x1, y1) carries weight p(x1 xor y1) / d^3 per entry.
-    assert game.q_fraction(0, 0) == Fraction(3, 4) / 8
-    assert game.q_fraction(0, 2) == Fraction(1, 4) / 8
-    assert sum(game.q_fraction(u, v) for u in range(4) for v in range(4)) == 1
+    assert Fraction(int(game.q_num[0, 0]), game.q_den) == Fraction(3, 4) / 8
+    assert Fraction(int(game.q_num[0, 2]), game.q_den) == Fraction(1, 4) / 8
+    assert sum(Fraction(int(num), game.q_den) for num in game.q_num.flat) == 1
 
 
 def test_weighted_game_matches_fraction_entries():
