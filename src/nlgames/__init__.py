@@ -21,7 +21,6 @@ from .bounds import (
     lemma1_bound,
     ns_winning_box,
     phi_norms,
-    quantum_bound,
 )
 from .games import (
     Box,

@@ -55,8 +55,11 @@ def _is_int(x) -> bool:
 
 def _int_coordinates(value) -> tuple[int, ...]:
     """A coordinate sequence as ints; a bool, float or string coordinate is
-    an error, not a number to round."""
-    coords = tuple(value)
+    an error, not a number to round, and so is a value that is no sequence."""
+    try:
+        coords = tuple(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not a group element") from None
     for c in coords:
         if not _is_int(c):
             raise ValueError(f"coordinate {c!r} of {list(coords)!r} is not an integer")
@@ -87,10 +90,11 @@ class Group:
     - `pairing`, a k x k integer matrix P, and `exponent` N, so that the
       character indexed by a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N).
 
-    Every table derives from these by array arithmetic.  The subclass keeps
-    the per-element `element`, `add`, `neg` and `describe`.  The index of an
-    element in `elements` is its canonical position, used for tables, boxes,
-    and tie-breaking.
+    Every table derives from these by array arithmetic, so a group is its
+    integer tables; the subclass adds only the per-element `element`, which
+    parses an element, and `describe`.  The index of an element in
+    `elements` is its canonical position, used for tables, boxes, and
+    tie-breaking.
     """
 
     order: int
@@ -108,12 +112,6 @@ class Group:
         self._addition = self._negation = None
 
     def element(self, value):
-        raise NotImplementedError
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -214,25 +212,8 @@ class FiniteAbelianGroup(Group):
             )
         return GroupElement(tuple(c % n for c, n in zip(coords, self.factors)))
 
-    def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        self._check_dims(x)
-        self._check_dims(y)
-        return GroupElement(
-            tuple((a + b) % n for a, b, n in zip(x.coords, y.coords, self.factors))
-        )
-
-    def neg(self, x: GroupElement) -> GroupElement:
-        self._check_dims(x)
-        return GroupElement(tuple((-a) % n for a, n in zip(x.coords, self.factors)))
-
     def describe(self) -> dict:
         return {"factors": list(self.factors)}
-
-    def _check_dims(self, x: GroupElement) -> None:
-        if len(x.coords) != len(self.factors):
-            raise ValueError(
-                f"element {x.coords} does not match factor list {self.factors}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,10 +348,6 @@ class FiniteField:
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 
     @property
-    def zero(self) -> FieldElement:
-        return self.elements[0]
-
-    @property
     def one(self) -> FieldElement:
         return self.elements[1]
 
@@ -415,11 +392,6 @@ class FiniteField:
         coeffs = tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs))
         return self.elements[self._encode(coeffs)]
 
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check_member(a)
-        coeffs = tuple((-x) % self.p for x in a.coeffs)
-        return self.elements[self._encode(coeffs)]
-
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check_member(a)
         self._check_member(b)
@@ -427,9 +399,10 @@ class FiniteField:
         return self.elements[self._encode(coeffs)]
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
+        """a^e for an integer e >= 0."""
         self._check_member(a)
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            raise ValueError(f"exponent must be nonnegative, got {e}")
         result = self.one
         base = a
         while e:
@@ -438,12 +411,6 @@ class FiniteField:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check_member(a)
-        if a == self.zero:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.size - 2)
 
     def trace(self, a: FieldElement) -> int:
         """Field trace a + a^p + ... + a^(p^(r-1)), mapped to Z_p."""
@@ -489,12 +456,6 @@ class FieldAdditiveGroup(Group):
 
     def element(self, value) -> FieldElement:
         return self.field.element(value)
-
-    def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return self.field.add(x, y)
-
-    def neg(self, x: FieldElement) -> FieldElement:
-        return self.field.neg(x)
 
     def describe(self) -> dict:
         return {"field": {"p": self.field.p, "r": self.field.r}}

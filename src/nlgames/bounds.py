@@ -45,7 +45,6 @@ __all__ = [
     "phi_spectra",
     "phi_norms",
     "bound_from_norms",
-    "quantum_bound",
     "classical_value",
     "lemma1_bound",
     "ns_winning_box",
@@ -125,11 +124,6 @@ def bound_from_norms(order: int, m_a: int, m_b: int, norms) -> float:
     return (1.0 + float(np.sqrt(m_a * m_b)) * sum(norms)) / order
 
 
-def quantum_bound(game: LinearGame) -> float:
-    """Upper bound on the quantum value; may exceed 1 (callers clamp for reports)."""
-    return bound_from_norms(game.order, game.mA, game.mB, phi_norms(game))
-
-
 def lemma1_bound(game: LinearGame) -> float:
     """Shared-randomness lower bound (1/|G|) * (1 + (|G| - 1)/min(mA, mB))."""
     m = min(game.mA, game.mB)
@@ -157,22 +151,6 @@ def _assignment_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
     return (ids[:, None] // powers[None, :]) % n
 
 
-def _response_scores(assign: np.ndarray, weights: np.ndarray, winning: np.ndarray) -> np.ndarray:
-    """Per (row of `assign`, responder's question, answer g), the weight the
-    responder wins by answering g.
-
-    `assign` holds the enumerated player's answer indices, one row per
-    assignment; `weights` and `winning` are indexed by that player's question
-    first, then the responder's.
-    """
-    m_enum, m_resp, n = winning.shape
-    i_ix = np.arange(m_enum)[None, :, None]
-    j_ix = np.arange(m_resp)[None, None, :]
-    diff = winning[i_ix, j_ix, assign[:, :, None]]
-    onehot = (diff[..., None] == np.arange(n)).astype(weights.dtype)
-    return np.einsum("uv,cuvg->cvg", weights, onehot)
-
-
 def _score_table(weights: np.ndarray, winning, n: int) -> np.ndarray:
     """Per (responder's question v, answer g, assignment id), the weight the
     responder wins at v by answering g against that assignment of the questions
@@ -183,8 +161,9 @@ def _score_table(weights: np.ndarray, winning, n: int) -> np.ndarray:
     u is added as one broadcast, id = previous id + (ids so far) * a.
     """
     table = np.zeros((weights.shape[1], n, 1), dtype=weights.dtype)
-    for w, win in zip(weights, winning):
-        wins = (win[:, None] == np.arange(n)[:, None]) * w[:, None, None]
+    answers = np.arange(n)[:, None]
+    for w, win in zip(weights[:, :, None, None], winning):
+        wins = (win[:, None] == answers) * w
         table = (table[:, :, None] + wins[..., None]).reshape(wins.shape[:2] + (-1,))
     return table
 
@@ -303,7 +282,8 @@ def classical_value(
         alice_idx = _smallest(cand)
         best_val = top
 
-    per_question = _response_scores(alice_idx[None, :], weights, winning)[0]
+    # Bob's winnings per question and answer, from the score table of Alice's one assignment.
+    per_question = _score_table(weights, winning[np.arange(game.mA), :, alice_idx, None], n)[..., 0]
     value = per_question.max(axis=1).sum()
     alice = tuple(game.group.elements[i] for i in alice_idx)
     bob = tuple(game.group.elements[i] for i in per_question.argmax(axis=1))

@@ -21,7 +21,6 @@ from .bounds import (
     classical_value,
     ns_winning_box,
     phi_norms,
-    quantum_bound,
 )
 from .games import (
     Box,
@@ -82,7 +81,7 @@ def check_chsh2_concrete_values() -> CheckResult:
     start = time.perf_counter()
     failures = []
     game = chsh_d(2, 1)
-    bound = quantum_bound(game)
+    bound = bound_from_norms(game.order, game.mA, game.mB, phi_norms(game))
     if abs(bound - 0.8535533906) > 1e-9:
         failures.append(f"bound {bound!r}")
     optimum = classical_value(game)

@@ -8,16 +8,25 @@ building blocks and Fourier vectors entry by entry from `cmath`, and NLC
 prefix weights and game tables one `Fraction` per entry.
 `alice_side_classical_value` walks all of Alice's assignments whichever
 player has fewer questions; `classical_value` must match it strategy for
-strategy.
+strategy.  `response_scores` is the one-hot einsum formula for the
+responder's winnings per question and answer, which `classical_value`
+must match bit for bit.
 
-Reference formulas for the group and box facts tests check:
+Reference formulas for the group, field, bound and box facts tests check:
+- `add(group, x, y)` and `neg(group, x)`: over a product of cyclic groups,
+  coordinates added or negated modulo `group.factors`; over a field's
+  additive group, coefficients added or negated mod p;
+- `inv(field, a)`: `field.pow(a, field.size - 2)`, after checking that a is
+  not zero;
+- `quantum_bound(game)`: `bound_from_norms` of the game's `phi_norms`,
+  unclamped;
 - `character(group, a, x)`: over a product of cyclic groups, the product of
   exp(2*pi*i * a_j * x_j / n_j) over `group.factors` and element coordinates;
   over a field's additive group, `additive_character`;
 - `additive_character(field, k, a)`: exp(2*pi*i * Tr(k*a) / p) through
   `FiniteField.mul` and `trace`, never the pairing matrix that
   `character_table` is built from;
-- `sub(group, x, y)`: `group.add(x, group.neg(y))`;
+- `sub(group, x, y)`: `add(group, x, neg(group, y))`;
 - `strategy_box(game, alice, bob)`: the deterministic box with a 1 at
   (u, v, alice[u], bob[v]), set entry by entry;
 - `signaling_defect(box)`: the largest variation of either party's marginal
@@ -34,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from nlgames.algebra import FieldAdditiveGroup
-from nlgames.bounds import ClassicalOptimum
+from nlgames.bounds import ClassicalOptimum, bound_from_norms, phi_norms
 from nlgames.games import Box, GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
 
@@ -55,9 +64,43 @@ def character(group, a, x) -> complex:
     return cmath.exp(2j * cmath.pi * (m % big_n) / big_n)
 
 
+def _coefficients(group, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coordinates of x and the modulus of each: the cyclic factors, or
+    p for every coefficient of a field element."""
+    if isinstance(group, FieldAdditiveGroup):
+        return x.coeffs, (group.field.p,) * group.field.r
+    if len(x.coords) != len(group.factors):
+        raise ValueError(f"element {x.coords} does not match factor list {group.factors}")
+    return x.coords, group.factors
+
+
+def add(group, x, y):
+    """x + y in the group, coordinate by coordinate."""
+    (a, moduli), (b, _) = _coefficients(group, x), _coefficients(group, y)
+    return group.element([(i + j) % n for i, j, n in zip(a, b, moduli)])
+
+
+def neg(group, x):
+    """-x in the group, coordinate by coordinate."""
+    a, moduli = _coefficients(group, x)
+    return group.element([(-i) % n for i, n in zip(a, moduli)])
+
+
 def sub(group, x, y):
     """x - y in the group."""
-    return group.add(x, group.neg(y))
+    return add(group, x, neg(group, y))
+
+
+def inv(field, a):
+    """The multiplicative inverse a^(q - 2) of a nonzero a in GF(q)."""
+    if a == field.elements[0]:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    return field.pow(a, field.size - 2)
+
+
+def quantum_bound(game) -> float:
+    """Upper bound on the quantum value; may exceed 1 (reports clamp it)."""
+    return bound_from_norms(game.order, game.mA, game.mB, phi_norms(game))
 
 
 def strategy_box(game, alice, bob) -> Box:
@@ -159,7 +202,7 @@ def direct_win_sum(game, box, u: int, v: int) -> float:
     total = 0.0
     for ia, a in enumerate(group.elements):
         for ib, b in enumerate(group.elements):
-            if group.add(a, b) == target:
+            if add(group, a, b) == target:
                 total += box.table[u, v, ia, ib]
     return total
 
@@ -191,6 +234,19 @@ def double_enumeration_optimum(game):
             if score > best:
                 best = score
     return best
+
+
+def response_scores(game, alice_idx) -> np.ndarray:
+    """S[v, g] = the weight Bob wins at question v by answering g against
+    Alice's answer indices `alice_idx`, as a one-hot einsum over her
+    questions: exact numerators for exact games, floats otherwise."""
+    weights = game.q_num if game.has_exact_q else game.q
+    assign = np.asarray(alice_idx)[None, :]
+    u_ix = np.arange(game.mA)[None, :, None]
+    v_ix = np.arange(game.mB)[None, None, :]
+    diff = game.winning_answers()[u_ix, v_ix, assign[:, :, None]]
+    onehot = (diff[..., None] == np.arange(game.order)).astype(weights.dtype)
+    return np.einsum("uv,cuvg->cvg", weights, onehot)[0]
 
 
 def alice_side_classical_value(game) -> ClassicalOptimum:

@@ -9,7 +9,7 @@ from nlgames.algebra import (
     GroupElement,
     is_prime,
 )
-from oracles import character, sub
+from oracles import add, character, inv, neg, sub
 
 SMALL_GROUPS = [
     (2,),
@@ -49,23 +49,23 @@ def test_group_order_and_identity():
 
 def test_add_examples():
     z3 = FiniteAbelianGroup([3])
-    assert z3.add(z3.element(1), z3.element(2)) == z3.element(0)
+    assert add(z3, z3.element(1), z3.element(2)) == z3.element(0)
     z22 = FiniteAbelianGroup([2, 2])
-    assert z22.add(z22.element((1, 0)), z22.element((1, 1))) == z22.element((0, 1))
+    assert add(z22, z22.element((1, 0)), z22.element((1, 1))) == z22.element((0, 1))
     z5 = FiniteAbelianGroup([5])
     for x in z5.elements:
-        assert z5.add(x, z5.elements[0]) == x
+        assert add(z5, x, z5.elements[0]) == x
 
 
 def test_add_is_abelian_group():
     for factors in [(3,), (4,), (2, 2), (2, 3)]:
         g = FiniteAbelianGroup(factors)
         for x in g.elements:
-            assert g.add(x, g.neg(x)) == g.elements[0]
+            assert add(g, x, neg(g, x)) == g.elements[0]
             for y in g.elements:
-                assert g.add(x, y) == g.add(y, x)
+                assert add(g, x, y) == add(g, y, x)
                 for z in g.elements:
-                    assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
+                    assert add(g, add(g, x, y), z) == add(g, x, add(g, y, z))
 
 
 def test_element_reduction_idempotent():
@@ -79,7 +79,7 @@ def test_dimension_mismatch_rejected():
     g = FiniteAbelianGroup([2, 2])
     stray = GroupElement((1,))
     with pytest.raises(ValueError, match="factor list"):
-        g.add(stray, g.elements[0])
+        add(g, stray, g.elements[0])
     with pytest.raises(ValueError, match="factor list"):
         g.element((1, 2, 3))
 
@@ -154,14 +154,14 @@ def test_character_properties(factors):
 )
 def test_tables_are_consistent(kind, args):
     g = FiniteField(*args).additive_group() if kind == "GF" else FiniteAbelianGroup(args)
-    add = g.addition_table()
+    plus = g.addition_table()
     diff = g.subtraction_table()
-    neg = g.negation_table()
+    minus = g.negation_table()
     chars = g.character_table()
     for i, x in enumerate(g.elements):
-        assert g.elements[neg[i]] == g.neg(x)
+        assert g.elements[minus[i]] == neg(g, x)
         for j, y in enumerate(g.elements):
-            assert g.elements[add[i, j]] == g.add(x, y)
+            assert g.elements[plus[i, j]] == add(g, x, y)
             assert g.elements[diff[i, j]] == sub(g, x, y)
             # Exact: the table and the definition take the same root of unity.
             assert chars[i, j] == character(g, x, y)
@@ -249,7 +249,7 @@ def test_field_axioms_exhaustive(p, r):
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     for a in f.elements[1:]:
-        assert f.mul(a, f.inv(a)) == f.one
+        assert f.mul(a, inv(f, a)) == f.one
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (2, 4)])
@@ -283,7 +283,7 @@ def test_field_mismatch_rejected():
 def test_zero_has_no_inverse():
     f = FiniteField(3, 1)
     with pytest.raises(ZeroDivisionError):
-        f.inv(f.zero)
+        inv(f, f.elements[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_additive_character_examples():
     gf4 = FiniteField(2, 2)
     chars4 = gf4.additive_group().character_table()
     for a in gf4.elements:
-        assert chars4[int(gf4.zero), int(a)] == pytest.approx(1.0)
+        assert chars4[int(gf4.elements[0]), int(a)] == pytest.approx(1.0)
     gf2 = FiniteField(2, 1)
     assert gf2.additive_group().character_table()[int(gf2.one), int(gf2.one)] == pytest.approx(-1.0)
     total = sum(chars4[int(gf4.one), int(a)] for a in gf4.elements)
@@ -313,7 +313,7 @@ def test_additive_character_sum_over_multiples(p, r):
     for b in f.elements:
         for k in f.elements[1:]:
             total = sum(chars[int(k), int(f.mul(a, b))] for a in f.elements)
-            if b == f.zero:
+            if b == f.elements[0]:
                 assert total == pytest.approx(f.size)
             else:
                 assert abs(total) < 1e-10
@@ -344,7 +344,7 @@ def test_field_additive_group_is_valid_group(p, r):
     f = FiniteField(p, r)
     g = f.additive_group()
     assert g.order == f.size
-    assert g.elements[0] == f.zero
+    assert g.elements[0].coeffs == (0,) * r
     assert g.describe() == {"field": {"p": p, "r": r}}
     chars = g.character_table()
     gram = chars @ chars.conj().T / g.order

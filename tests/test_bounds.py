@@ -14,7 +14,6 @@ from nlgames.bounds import (
     ns_winning_box,
     phi_norms,
     phi_spectra,
-    quantum_bound,
 )
 from nlgames.games import (
     LinearGame,
@@ -26,9 +25,12 @@ from nlgames.games import (
 from nlgames.nlc import nlc_game, nlc_spec
 from nlgames.rng import SplitMix64
 from oracles import (
+    add,
     alice_side_classical_value,
     double_enumeration_optimum,
     phi1_rank_at_most_one,
+    quantum_bound,
+    response_scores,
     signaling_defect,
     strategy_box,
 )
@@ -51,7 +53,7 @@ def uniform_game(group, f):
 
 def rank_one_game(group, s, t):
     """f(u, v) = s(u) + t(v): winnable by playing the summands directly."""
-    f = [[group.add(group.element(su), group.element(tv)) for tv in t] for su in s]
+    f = [[add(group, group.element(su), group.element(tv)) for tv in t] for su in s]
     return uniform_game(group, f)
 
 
@@ -392,6 +394,51 @@ def test_kernel_matches_the_alice_side_reference_on_float_weights(shape):
         ref = alice_side_classical_value(game)
         for chunk_size in kernel_chunk_sizes(game):
             assert classical_value(game, chunk_size=chunk_size) == ref
+
+
+RESPONSE_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 8)] + [
+    FiniteAbelianGroup([2, 3]),
+    FieldAdditiveGroup(FiniteField(2, 2)),
+    FieldAdditiveGroup(FiniteField(3, 2)),
+]
+# Square, wide (mA < mB) and tall (mB < mA).
+RESPONSE_SHAPES = [(1, 1), (3, 3), (2, 7), (7, 2), (3, 10), (10, 3)]
+RESPONSE_KINDS = ("random 1..3", "sparse", "random float", "uniform float")
+
+
+def response_game(rng, group, m_a, m_b, kind):
+    f = rng.integers(0, group.order, (m_a, m_b))
+    if kind == "random float":
+        q = rng.random((m_a, m_b))
+        return LinearGame(group, f, q=q / q.sum())
+    if kind == "uniform float":
+        return LinearGame(group, f, q=np.full((m_a, m_b), 1.0 / (m_a * m_b)))
+    num = rng.integers(0 if kind == "sparse" else 1, 4, (m_a, m_b))
+    num[0, 0] += num.sum() == 0
+    return LinearGame(group, f, q_num=num, q_den=int(num.sum()))
+
+
+@pytest.mark.parametrize("kind", RESPONSE_KINDS)
+def test_best_response_scores_match_the_einsum_formula(kind):
+    # Bob's winnings per question against the returned Alice come from the
+    # score tables; the one-hot einsum gives the same bits, and so the same
+    # value and, ties broken toward the smallest answer, the same Bob.
+    rng = np.random.default_rng(RESPONSE_KINDS.index(kind))
+    for group in RESPONSE_GROUPS:
+        for m_a, m_b in RESPONSE_SHAPES:
+            game = response_game(rng, group, m_a, m_b, kind)
+            opt = classical_value(game)
+            for chunk_size in (1, 7):
+                assert classical_value(game, chunk_size=chunk_size) == opt
+            scores = response_scores(game, [group.index(a) for a in opt.alice])
+            assert opt.bob == tuple(group.elements[i] for i in scores.argmax(axis=1))
+            value = scores.max(axis=1).sum()
+            if game.has_exact_q:
+                assert opt.exact == Fraction(int(value), game.q_den)
+                assert opt.value == float(opt.exact)
+            else:
+                assert opt.exact is None
+                assert opt.value == float(value)
 
 
 @pytest.mark.parametrize("g", [[0] * 8, [1] * 8, [0, 1, 1, 0, 1, 0, 0, 1]])

@@ -129,10 +129,15 @@ NLC_2_2 = {"d": 2, "n": 2, "g": [0, 1], "p": "uniform"}
          "'r' in 'field' must be an integer"),
         ("analyze", {**GAME_2X2, "group": {"field": {"p": "3"}}}, EXIT_PARSE, "'p' in 'field' must be an integer"),
         ("nlc", {**NLC_2_2, "n": True}, EXIT_PARSE, "'d' and 'n' must be integers"),
+        ("analyze", {**GAME_2X2, "group": {"factors": [3]}, "f": [[1.5, 0], [0, 1]]}, EXIT_FAILURE,
+         "invalid winning-function entry: 1.5 is not a group element"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"p": 3, "r": 2}}, "f": [[1.5, 0], [0, 1]]}, EXIT_FAILURE,
+         "invalid winning-function entry: 1.5 is not a group element"),
     ],
     ids=[
         "q-zero-den", "nlc-zero-den", "mA-true", "f-true", "q-true", "g-float", "g-true",
         "coord-float", "field-coord-float", "coord-str", "factor-float", "p-float", "r-true", "p-str", "n-true",
+        "index-float", "field-index-float",
     ],
 )
 def test_bad_numbers_in_files_are_named(tmp_path, capsys, command, doc, code, err):

@@ -14,6 +14,7 @@ from nlgames.algebra import FiniteAbelianGroup, Group
 from nlgames.cli import EXIT_OK, main
 from nlgames.games import chsh_d, game_from_tables, random_xor_game
 from nlgames.rng import SplitMix64
+from oracles import quantum_bound
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -62,7 +63,7 @@ def test_quantum_bound_builds_one_character_table(monkeypatch):
     # Over GF(7) the six characters form three pairs {x, -x}.
     tables = count_calls(monkeypatch, Group, "character_table")
     solves = count_solves(monkeypatch)
-    bounds.quantum_bound(chsh_d(7, 1))
+    quantum_bound(chsh_d(7, 1))
     assert len(tables) == 1
     assert len(solves) == 3
 

@@ -41,40 +41,46 @@ SRC = Path(nlgames.__file__).parent
 UNREFERENCED_ALLOWED: set[str] = set()
 
 
+def _references(node, enclosing=frozenset()):
+    """(name, is attribute) of each name read under `node`, except inside a
+    definition of that same name: a method that delegates to its namesake,
+    or a function that calls itself, does not keep the callee alive."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    if isinstance(node, ast.Name) and node.id not in enclosing:
+        yield node.id, False
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        yield node.attr, True
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, enclosing)
+
+
 def _unreferenced_definitions() -> list[str]:
-    """Module-level functions and classes named nowhere in src/nlgames outside
-    their own definition, and non-dunder methods named by no attribute access
-    there."""
-    functions = []  # (label, name, module, first line, last line)
+    """Module-level functions and classes named nowhere in src/nlgames, and
+    non-dunder methods named by no attribute access there, references inside
+    a definition of the same name not counted."""
+    functions = []  # (label, name)
     methods = []  # (label, name)
-    names = []  # (name, module, line) of every name read
-    attributes = set()
+    names, attributes = set(), set()
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                functions.append((f"{module}.{node.name}", node.name, module, node.lineno, node.end_lineno))
+                functions.append((f"{module}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
                 methods += [
                     (f"{module}.{node.name}.{item.name}", item.name)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not (item.name[:2] == item.name[-2:] == "__")
                 ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.append((node.id, module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                names.append((node.attr, module, node.lineno))
-                attributes.add(node.attr)
-    unreferenced = [
-        label
-        for label, name, module, first, last in functions
-        if not any(
-            ref == name and not (where == module and first <= line <= last) for ref, where, line in names
-        )
+        for name, is_attribute in _references(tree):
+            names.add(name)
+            if is_attribute:
+                attributes.add(name)
+    return [label for label, name in functions if name not in names] + [
+        label for label, name in methods if name not in attributes
     ]
-    return unreferenced + [label for label, name in methods if name not in attributes]
 
 
 def test_every_definition_in_src_is_referenced_in_src():

@@ -10,7 +10,7 @@ import pytest
 
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import _game_matrix, phi_spectra, quantum_bound
+from nlgames.bounds import _game_matrix, phi_spectra
 from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box
 from nlgames.nlc import (
     BlockStructureError,
@@ -25,7 +25,13 @@ from nlgames.nlc import (
     verify_theorem3,
 )
 from nlgames.bounds import ns_winning_box
-from oracles import building_block_matrix, fourier_vector, fraction_prefix_weights, strategy_box
+from oracles import (
+    building_block_matrix,
+    fourier_vector,
+    fraction_prefix_weights,
+    quantum_bound,
+    strategy_box,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
