@@ -347,10 +347,6 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 
-    @property
-    def one(self) -> FieldElement:
-        return self.elements[1]
-
     def _from_int_raw(self, m: int) -> FieldElement:
         coeffs = []
         for _ in range(self.r):
@@ -386,43 +382,31 @@ class FiniteField:
         if not isinstance(a, FieldElement) or a.field.signature != self.signature:
             raise ValueError(f"field mismatch: {a!r} does not belong to {self!r}")
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check_member(a)
-        self._check_member(b)
-        coeffs = tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs))
-        return self.elements[self._encode(coeffs)]
+    def multiplication_table(self) -> np.ndarray:
+        """Index table T[i, j] = index(elements[i] * elements[j]), one
+        polynomial product of coefficient tuples per entry."""
+        coeffs = [el.coeffs for el in self.elements]
+        modulus, p, encode = self.modulus, self.p, self._encode
+        return np.array(
+            [[encode(_poly_mul_mod(a, b, modulus, p)) for b in coeffs] for a in coeffs],
+            dtype=np.int64,
+        )
 
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check_member(a)
-        self._check_member(b)
-        coeffs = _poly_mul_mod(a.coeffs, b.coeffs, self.modulus, self.p)
-        return self.elements[self._encode(coeffs)]
+    def trace_form(self) -> np.ndarray:
+        """Matrix P[i, j] = Tr(x^(i+j)) of the basis 1, x, ..., x^(r-1).
 
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        """a^e for an integer e >= 0."""
-        self._check_member(a)
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def trace(self, a: FieldElement) -> int:
-        """Field trace a + a^p + ... + a^(p^(r-1)), mapped to Z_p."""
-        self._check_member(a)
-        acc = a
-        power = a
-        for _ in range(self.r - 1):
-            power = self.pow(power, self.p)
-            acc = self.add(acc, power)
-        if any(acc.coeffs[1:]):
-            raise ArithmeticError(f"trace of {a!r} landed outside the prime subfield")
-        return acc.coeffs[0]
+        Tr(a) is the trace of multiplication by a, so Tr(x^n) is the trace of
+        C^n mod p for the companion matrix C of the modulus.
+        """
+        p, r = self.p, self.r
+        companion = np.zeros((r, r), dtype=np.int64)
+        companion[1:, :-1] = np.eye(r - 1, dtype=np.int64)
+        companion[:, -1] = [-c % p for c in self.modulus[:-1]]
+        traces, power = [], np.eye(r, dtype=np.int64)
+        for _ in range(2 * r - 1):
+            traces.append(np.trace(power) % p)
+            power = companion @ power % p
+        return np.array(traces, dtype=np.int64)[np.add.outer(np.arange(r), np.arange(r))]
 
     def additive_group(self) -> "FieldAdditiveGroup":
         return FieldAdditiveGroup(self)
@@ -440,14 +424,13 @@ class FieldAdditiveGroup(Group):
     def __init__(self, field: FiniteField):
         self.field = field
         p, r = field.p, field.r
-        basis = [field.elements[p**i] for i in range(r)]
         super().__init__(
             elements=field.elements,
             coords=[el.coeffs for el in field.elements],
             moduli=[p] * r,
             place=[p**i for i in range(r)],
             # Tr is Z_p-linear, so Tr(a*x) = a P x^T with P[i][j] = Tr(x^i * x^j).
-            pairing=[[field.trace(field.mul(bi, bj)) for bj in basis] for bi in basis],
+            pairing=field.trace_form(),
             exponent=p,
         )
 

@@ -19,7 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .algebra import FiniteField
+from .algebra import MAX_ORDER, FiniteField
 from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
 from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
@@ -33,7 +33,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 # Multiply-adds `chsh` may spend on a spectral bound.  The largest field it
-# admits, GF(373), took 2.2 s in process on a 2-vCPU host, one BLAS thread.
+# admits, GF(373), took 2.6-2.9 s in process on a 2-vCPU host, one BLAS thread.
 CHSH_WORK_BUDGET = 10**10
 
 SCAN_BLOCK = 32  # games per block, whose spectra are solved in one stack
@@ -275,6 +275,8 @@ def _check_options(args: argparse.Namespace) -> None:
             value = getattr(args, name)
             if value < least:
                 raise GameFormatError(f"scan --{name} must be at least {least}, got {value}")
+        if args.d > MAX_ORDER:
+            raise GameFormatError(f"scan --d must be at most {MAX_ORDER}, got {args.d}")
 
 
 def main(argv=None) -> int:

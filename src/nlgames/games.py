@@ -231,7 +231,7 @@ def chsh_d(p: int | FiniteField, r: int = 1) -> LinearGame:
     spectral bound are the trace characters.
     """
     field = p if isinstance(p, FiniteField) else FiniteField(p, r)
-    f_idx = np.array([[int(field.mul(x, y)) for y in field.elements] for x in field.elements])
+    f_idx = field.multiplication_table()
     return LinearGame(field.additive_group(), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
 
 

@@ -14,18 +14,25 @@ must match bit for bit.
 
 Reference formulas for the group, field, bound and box facts tests check:
 - `add(group, x, y)` and `neg(group, x)`: over a product of cyclic groups,
-  coordinates added or negated modulo `group.factors`; over a field's
+  coordinates added or negated modulo `group.factors`; over a field or its
   additive group, coefficients added or negated mod p;
-- `inv(field, a)`: `field.pow(a, field.size - 2)`, after checking that a is
-  not zero;
+- `mul(field, a, b)`: the sum of b_j * (a * x^j) over the coefficients of
+  b, each a * x^j one shift of a's coefficient tuple and one subtraction of
+  its top coefficient times the modulus, never the polynomial long division
+  that `FiniteField.multiplication_table` uses;
+- `power(field, a, e)`: a^e by square and multiply through `mul`;
+- `trace(field, a)`: the Frobenius sum a + a^p + ... + a^(p^(r-1)) through
+  `power` and `add`, never the companion matrix of `FiniteField.trace_form`;
+- `inv(field, a)`: `power(field, a, field.size - 2)`, after checking that a
+  is not zero;
 - `quantum_bound(game)`: `bound_from_norms` of the game's `phi_norms`,
   unclamped;
 - `character(group, a, x)`: over a product of cyclic groups, the product of
   exp(2*pi*i * a_j * x_j / n_j) over `group.factors` and element coordinates;
   over a field's additive group, `additive_character`;
 - `additive_character(field, k, a)`: exp(2*pi*i * Tr(k*a) / p) through
-  `FiniteField.mul` and `trace`, never the pairing matrix that
-  `character_table` is built from;
+  `mul` and `trace`, never the pairing matrix that `character_table` is
+  built from;
 - `sub(group, x, y)`: `add(group, x, neg(group, y))`;
 - `strategy_box(game, alice, bob)`: the deterministic box with a 1 at
   (u, v, alice[u], bob[v]), set entry by entry;
@@ -42,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nlgames.algebra import FieldAdditiveGroup
+from nlgames.algebra import FieldAdditiveGroup, FiniteField
 from nlgames.bounds import ClassicalOptimum, bound_from_norms, phi_norms
 from nlgames.games import Box, GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
@@ -50,7 +57,7 @@ from nlgames.nlc import NlcValidationError
 
 def additive_character(field, k, a) -> complex:
     """chi_k(a) = exp(2*pi*i * Tr(k*a) / p); trivial exactly when k = 0."""
-    return cmath.exp(2j * cmath.pi * field.trace(field.mul(k, a)) / field.p)
+    return cmath.exp(2j * cmath.pi * trace(field, mul(field, k, a)) / field.p)
 
 
 def character(group, a, x) -> complex:
@@ -66,9 +73,11 @@ def character(group, a, x) -> complex:
 
 def _coefficients(group, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The coordinates of x and the modulus of each: the cyclic factors, or
-    p for every coefficient of a field element."""
-    if isinstance(group, FieldAdditiveGroup):
-        return x.coeffs, (group.field.p,) * group.field.r
+    p for every coefficient of a field element, which must belong to the
+    field."""
+    field = group.field if isinstance(group, FieldAdditiveGroup) else group
+    if isinstance(field, FiniteField):
+        return field.element(x).coeffs, (field.p,) * field.r
     if len(x.coords) != len(group.factors):
         raise ValueError(f"element {x.coords} does not match factor list {group.factors}")
     return x.coords, group.factors
@@ -91,11 +100,52 @@ def sub(group, x, y):
     return add(group, x, neg(group, y))
 
 
+def _times_x(field, c: tuple[int, ...]) -> tuple[int, ...]:
+    """c * x: the coefficients shifted up one place, with x^r replaced by
+    minus the modulus's lower coefficients."""
+    top, shifted = c[-1], (0, *c[:-1])
+    return tuple((s - top * m) % field.p for s, m in zip(shifted, field.modulus))
+
+
+def mul(field, a, b):
+    """a * b in GF(p^r), as the sum of b_j * (a * x^j)."""
+    a, b = field.element(a).coeffs, field.element(b).coeffs
+    total = (0,) * field.r
+    for b_j in b:
+        total = tuple((s + b_j * t) % field.p for s, t in zip(total, a))
+        a = _times_x(field, a)
+    return field.element(total)
+
+
+def power(field, a, e: int):
+    """a^e for an integer e >= 0, by square and multiply."""
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+    result, base = field.elements[1], field.element(a)
+    while e:
+        if e & 1:
+            result = mul(field, result, base)
+        base = mul(field, base, base)
+        e >>= 1
+    return result
+
+
+def trace(field, a) -> int:
+    """Tr(a) = a + a^p + ... + a^(p^(r-1)), as an integer mod p."""
+    total = term = field.element(a)
+    for _ in range(field.r - 1):
+        term = power(field, term, field.p)
+        total = add(field, total, term)
+    if any(total.coeffs[1:]):
+        raise ArithmeticError(f"trace of {a!r} landed outside the prime subfield")
+    return total.coeffs[0]
+
+
 def inv(field, a):
     """The multiplicative inverse a^(q - 2) of a nonzero a in GF(q)."""
     if a == field.elements[0]:
         raise ZeroDivisionError("zero has no multiplicative inverse")
-    return field.pow(a, field.size - 2)
+    return power(field, a, field.size - 2)
 
 
 def quantum_bound(game) -> float:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nlgames.algebra import (
     GroupElement,
     is_prime,
 )
-from oracles import add, character, inv, neg, sub
+from oracles import add, character, inv, mul, neg, power, sub, trace
 
 SMALL_GROUPS = [
     (2,),
@@ -210,16 +211,16 @@ def test_field_construction_errors():
 def test_gf4_multiplication():
     f = FiniteField(2, 2)
     x = f.element((0, 1))
-    assert f.mul(x, x) == f.element((1, 1))
+    assert mul(f, x, x) == f.element((1, 1))
     for a in f.elements:
-        assert f.mul(a, f.one) == a
+        assert mul(f, a, f.elements[1]) == a
 
 
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_power_d_fixes_every_element(p, r):
     f = FiniteField(p, r)
     for a in f.elements:
-        assert f.pow(a, f.size) == a
+        assert power(f, a, f.size) == a
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (5, 1), (7, 1)])
@@ -227,10 +228,10 @@ def test_nonzero_elements_form_cyclic_group(p, r):
     f = FiniteField(p, r)
     orders = []
     for a in f.elements[1:]:
-        power = a
+        term = a
         order = 1
-        while power != f.one:
-            power = f.mul(power, a)
+        while term != f.elements[1]:
+            term = mul(f, term, a)
             order += 1
         orders.append(order)
         assert (f.size - 1) % order == 0
@@ -244,12 +245,12 @@ def test_field_axioms_exhaustive(p, r):
         pytest.skip("axiom sweep kept to sizes <= 9")
     for a in f.elements:
         for b in f.elements:
-            assert f.mul(a, b) == f.mul(b, a)
+            assert mul(f, a, b) == mul(f, b, a)
             for c in f.elements:
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert mul(f, mul(f, a, b), c) == mul(f, a, mul(f, b, c))
+                assert mul(f, a, add(f, b, c)) == add(f, mul(f, a, b), mul(f, a, c))
     for a in f.elements[1:]:
-        assert f.mul(a, inv(f, a)) == f.one
+        assert mul(f, a, inv(f, a)) == f.elements[1]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (2, 4)])
@@ -257,27 +258,74 @@ def test_frobenius_is_additive(p, r):
     f = FiniteField(p, r)
     for a in f.elements:
         for b in f.elements:
-            assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
+            assert power(f, add(f, a, b), p) == add(f, power(f, a, p), power(f, b, p))
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (2, 4)])
 def test_trace_linear_and_in_prime_field(p, r):
     f = FiniteField(p, r)
     for a in f.elements:
-        ta = f.trace(a)
+        ta = trace(f, a)
         assert 0 <= ta < p
         for b in f.elements:
-            assert f.trace(f.add(a, b)) == (f.trace(a) + f.trace(b)) % p
+            assert trace(f, add(f, a, b)) == (trace(f, a) + trace(f, b)) % p
 
 
 def test_field_mismatch_rejected():
     f1 = FiniteField(2, 2)
     f2 = FiniteField(3, 1)
     with pytest.raises(ValueError, match="field mismatch"):
-        f1.mul(f1.one, f2.one)
+        mul(f1, f1.elements[1], f2.elements[1])
     f3 = FiniteField(3, 2, modulus=(2, 1, 1))
     with pytest.raises(ValueError, match="field mismatch"):
-        FiniteField(3, 2).add(FiniteField(3, 2).one, f3.one)
+        add(FiniteField(3, 2), FiniteField(3, 2).elements[1], f3.elements[1])
+
+
+# The `field` bench workload's 25 fields of order <= 61, then GF(81), GF(343)
+# (GF(256) needs degree 8, over the cap of 4) and every GF(9) modulus.
+MULTIPLICATION_FIELDS = [
+    (p, r, None) for p in range(2, 62) if is_prime(p) for r in range(1, 5) if p**r <= 61
+] + [(3, 4, None), (7, 3, None), (3, 2, (1, 0, 1)), (3, 2, (2, 1, 1)), (3, 2, (2, 2, 1))]
+
+
+@pytest.mark.parametrize("p,r,modulus", MULTIPLICATION_FIELDS)
+def test_multiplication_table_matches_oracle(p, r, modulus):
+    f = FiniteField(p, r, modulus)
+    table = f.multiplication_table()
+    assert table.dtype == np.int64
+    assert table.tolist() == [[int(mul(f, a, b)) for b in f.elements] for a in f.elements]
+
+
+def _oracle_trace_form(f):
+    basis = [f.elements[f.p**i] for i in range(f.r)]
+    return [[trace(f, mul(f, a, b)) for b in basis] for a in basis]
+
+
+@pytest.mark.parametrize(
+    "p,r", [(p, r) for p in range(2, 33) if is_prime(p) for r in range(2, 5) if p**r <= 1024]
+)
+def test_trace_form_matches_oracle(p, r):
+    f = FiniteField(p, r)
+    form = f.trace_form()
+    assert form.dtype == np.int64
+    assert form.tolist() == _oracle_trace_form(f)
+
+
+# Monic irreducibles of degree r over Z_p, by Gauss's formula.
+IRREDUCIBLE_COUNTS = {(2, 3): 2, (3, 2): 3, (2, 4): 3, (5, 2): 10}
+
+
+@pytest.mark.parametrize("p,r", IRREDUCIBLE_COUNTS)
+def test_trace_form_matches_oracle_for_every_modulus(p, r):
+    fields = []
+    for tail in itertools.product(range(p), repeat=r):
+        try:
+            fields.append(FiniteField(p, r, modulus=(*tail, 1)))
+        except ValueError as exc:
+            assert "reducible" in str(exc)
+    assert len(fields) == IRREDUCIBLE_COUNTS[p, r]
+    for f in fields:
+        assert f.trace_form().tolist() == _oracle_trace_form(f)
 
 
 def test_zero_has_no_inverse():
@@ -301,8 +349,9 @@ def test_additive_character_examples():
     for a in gf4.elements:
         assert chars4[int(gf4.elements[0]), int(a)] == pytest.approx(1.0)
     gf2 = FiniteField(2, 1)
-    assert gf2.additive_group().character_table()[int(gf2.one), int(gf2.one)] == pytest.approx(-1.0)
-    total = sum(chars4[int(gf4.one), int(a)] for a in gf4.elements)
+    one = int(gf2.elements[1])
+    assert gf2.additive_group().character_table()[one, one] == pytest.approx(-1.0)
+    total = sum(chars4[int(gf4.elements[1]), int(a)] for a in gf4.elements)
     assert abs(total) < 1e-12
 
 
@@ -312,7 +361,7 @@ def test_additive_character_sum_over_multiples(p, r):
     chars = f.additive_group().character_table()
     for b in f.elements:
         for k in f.elements[1:]:
-            total = sum(chars[int(k), int(f.mul(a, b))] for a in f.elements)
+            total = sum(chars[int(k), int(mul(f, a, b))] for a in f.elements)
             if b == f.elements[0]:
                 assert total == pytest.approx(f.size)
             else:
@@ -326,7 +375,7 @@ def test_additive_character_homomorphism(p, r):
     for k in f.elements:
         for a in f.elements:
             for b in f.elements:
-                assert chars[int(k), int(f.add(a, b))] == pytest.approx(
+                assert chars[int(k), int(add(f, a, b))] == pytest.approx(
                     chars[int(k), int(a)] * chars[int(k), int(b)]
                 )
 

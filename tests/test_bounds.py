@@ -28,6 +28,7 @@ from oracles import (
     add,
     alice_side_classical_value,
     double_enumeration_optimum,
+    mul,
     phi1_rank_at_most_one,
     quantum_bound,
     response_scores,
@@ -164,7 +165,7 @@ def test_bound_independent_of_field_modulus():
         field = FiniteField(3, 2, modulus=modulus)
         group = field.additive_group()
         q = [[Fraction(1, 81)] * 9 for _ in range(9)]
-        f = [[field.mul(x, y) for y in field.elements] for x in field.elements]
+        f = [[mul(field, x, y) for y in field.elements] for x in field.elements]
         bound = quantum_bound(game_from_tables(group, q, f))
         if base is None:
             base = bound

@@ -343,13 +343,15 @@ def test_bad_eq_tolerance_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--count", "-3"], ["--d", "1"], ["--d", "0"], ["--m", "0"], ["--m", "-2"]]
+    "flags",
+    [["--count", "-3"], ["--d", "1"], ["--d", "0"], ["--m", "0"], ["--m", "-2"], ["--d", "5000", "--count", "2"]],
 )
 def test_bad_scan_arguments_exit_2_before_the_header(flags, capsys):
     assert main(["scan", *flags]) == EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"scan {flags[0]} must be at least" in err
+    bound = "at most 4096" if flags[1] == "5000" else "at least"
+    assert f"scan {flags[0]} must be {bound}" in err
 
 
 def test_scan_over_budget_is_not_a_chain_violation(capsys):

@@ -26,6 +26,7 @@ from oracles import (
     direct_win_sum,
     evaluate_box_directly,
     fraction_game_tables,
+    mul,
     random_box_table,
     signaling_defect,
     strategy_box,
@@ -159,7 +160,7 @@ def test_random_xor_game_matches_parsed_tables(d, m_a, m_b):
 def test_chsh_d_matches_parsed_tables(p, r):
     field = FiniteField(p, r)
     game = chsh_d(p, r)
-    f = [[field.mul(x, y) for y in field.elements] for x in field.elements]
+    f = [[mul(field, x, y) for y in field.elements] for x in field.elements]
     parsed = game_from_tables(game.group, [[Fraction(1, field.size**2)] * field.size] * field.size, f)
     assert_same_game(game, parsed)
 
