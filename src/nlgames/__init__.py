@@ -3,11 +3,9 @@ and no-signaling boxes, including distributed-computation games over Z_d."""
 
 from .algebra import (
     FieldAdditiveGroup,
-    FieldElement,
     FiniteAbelianGroup,
     FiniteField,
     Group,
-    GroupElement,
     is_prime,
 )
 from .bounds import (

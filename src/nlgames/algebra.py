@@ -5,23 +5,21 @@ bound on the quantum value needs the group's characters.  Two structures
 cover everything in scope: direct products of cyclic groups, whose
 characters are products of roots of unity, and additive groups of fields
 GF(p^r), whose characters go through the field trace.  Everything here is
-immutable after construction and safe for concurrent use.
+immutable after construction and safe for concurrent use.  An element is
+its canonical index; `element` parses an index or coordinates into one.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
 from math import lcm, prod
 
 import numpy as np
 
 __all__ = [
     "Group",
-    "GroupElement",
     "FiniteAbelianGroup",
-    "FieldElement",
     "FiniteField",
     "FieldAdditiveGroup",
     "is_prime",
@@ -66,52 +64,41 @@ def _int_coordinates(value) -> tuple[int, ...]:
     return tuple(map(int, coords))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of a product of cyclic groups, as a reduced coordinate tuple.
-
-    Construct through :meth:`FiniteAbelianGroup.element`, which reduces each
-    coordinate modulo its cyclic order.
-    """
-
-    coords: tuple[int, ...]
-
-
 class Group:
-    """Finite Abelian group presented through an indexed element list.
+    """Finite Abelian group presented by integer tables; an element is its
+    index, 0..order-1, with the identity at 0.
 
     A subclass states its arithmetic once, as integers, by calling
     `Group.__init__` with:
 
-    - `elements`, the canonical element order, identity first;
-    - `coords`, an order x k integer array of element coordinates;
+    - `coords`, an order x k integer array: row i holds the coordinates of
+      element i, and is kept as the read-only `coords`;
     - `moduli`, the k coordinate moduli (addition is componentwise mod these);
     - `place`, k place values with index == coords @ place;
     - `pairing`, a k x k integer matrix P, and `exponent` N, so that the
       character indexed by a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N).
 
     Every table derives from these by array arithmetic, so a group is its
-    integer tables; the subclass adds only the per-element `element`, which
-    parses an element, and `describe`.  The index of an element in
-    `elements` is its canonical position, used for tables, boxes, and
-    tie-breaking.
+    integer tables; the subclass adds only `element`, which parses an index
+    or coordinates into an index, and `describe`.  The index orders tables,
+    boxes, and tie-breaking.
     """
 
     order: int
-    elements: tuple
+    coords: np.ndarray
 
-    def __init__(self, elements, coords, moduli, place, pairing, exponent: int):
-        self.order = len(elements)
-        self.elements = tuple(elements)
-        self._index = {el: i for i, el in enumerate(self.elements)}
-        self._coords = np.array(coords, dtype=np.int64)
+    def __init__(self, coords, moduli, place, pairing, exponent: int):
+        self.order = len(coords)
+        self.coords = np.array(coords, dtype=np.int64)
+        self.coords.setflags(write=False)
         self._moduli = np.array(moduli, dtype=np.int64)
         self._place = np.array(place, dtype=np.int64)
         self._pairing = np.array(pairing, dtype=np.int64)
         self._exponent = int(exponent)
         self._addition = self._negation = None
 
-    def element(self, value):
+    def element(self, value) -> int:
+        """The index of an element given as an int index or coordinates."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -121,55 +108,50 @@ class Group:
     def presentation(self) -> tuple:
         """The integer arithmetic given to `Group.__init__`, as a hashable
         key: groups with equal keys have equal tables and characters."""
-        arrays = (self._coords, self._moduli, self._place, self._pairing)
+        arrays = (self.coords, self._moduli, self._place, self._pairing)
         return (*((a.shape, a.tobytes()) for a in arrays), self._exponent)
 
-    def index(self, x) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise ValueError(f"{x!r} is not an element of {self!r}") from None
-
     def addition_table(self) -> np.ndarray:
-        """Index table T[i, j] = index(elements[i] + elements[j]); built on the
+        """Index table T[i, j] of element i plus element j; built on the
         first call and kept, read-only."""
         if self._addition is None:
             table = np.zeros((self.order, self.order), dtype=np.int64)
-            for c, modulus, place in zip(self._coords.T, self._moduli, self._place):
+            for c, modulus, place in zip(self.coords.T, self._moduli, self._place):
                 table += (c[:, None] + c[None, :]) % modulus * place
             table.setflags(write=False)
             self._addition = table
         return self._addition
 
     def negation_table(self) -> np.ndarray:
-        """Index table T[i] = index(-elements[i]); built on the first call and
+        """Index table T[i] of minus element i; built on the first call and
         kept, read-only."""
         if self._negation is None:
-            table = (-self._coords) % self._moduli @ self._place
+            table = (-self.coords) % self._moduli @ self._place
             table.setflags(write=False)
             self._negation = table
         return self._negation
 
     def subtraction_table(self) -> np.ndarray:
-        """Index table T[i, j] = index(elements[i] - elements[j])."""
+        """Index table T[i, j] of element i minus element j."""
         return self.addition_table()[:, self.negation_table()]
 
     def character_table(self) -> np.ndarray:
-        """Matrix X[i, j] = character of elements[i] evaluated at elements[j]."""
+        """Matrix X[i, j] = character i evaluated at element j."""
         big_n = self._exponent
         roots = np.array([cmath.exp(2j * cmath.pi * m / big_n) for m in range(big_n)])
-        c = self._coords
+        c = self.coords
         return roots[c @ self._pairing @ c.T % big_n]
 
 
 class FiniteAbelianGroup(Group):
     """Direct product Z_{n_1} x ... x Z_{n_k} with componentwise addition.
 
-    Elements are coordinate tuples in lexicographic order (last coordinate
-    fastest), so the all-zero identity has index 0.  The character indexed
-    by a is chi_a(x) = prod_j exp(2*pi*i * a_j*x_j / n_j); this fixes one
-    isomorphism between the group and its dual.  The spectral bound summed
-    over all nontrivial characters does not depend on that choice.
+    Elements are indexed by their coordinate tuples in lexicographic order
+    (last coordinate fastest), so the all-zero identity has index 0.  The
+    character indexed by a is chi_a(x) = prod_j exp(2*pi*i * a_j*x_j / n_j);
+    this fixes one isomorphism between the group and its dual.  The spectral
+    bound summed over all nontrivial characters does not depend on that
+    choice.
     """
 
     def __init__(self, factors):
@@ -185,7 +167,6 @@ class FiniteAbelianGroup(Group):
         coords = list(itertools.product(*(range(n) for n in factors)))
         big_n = lcm(*factors)
         super().__init__(
-            elements=[GroupElement(c) for c in coords],
             coords=coords,
             moduli=factors,
             place=[prod(factors[j + 1 :]) for j in range(len(factors))],
@@ -196,47 +177,25 @@ class FiniteAbelianGroup(Group):
     def __repr__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
 
-    def element(self, value) -> GroupElement:
-        """Coerce an element, an int index, or a coordinate sequence."""
-        if isinstance(value, GroupElement):
-            coords = value.coords
-        elif isinstance(value, (int, np.integer)):
-            if not 0 <= int(value) < self.order:
+    def element(self, value) -> int:
+        """The index of an element given as an int index or a coordinate
+        sequence, each coordinate reduced mod its factor."""
+        if _is_int(value):
+            if not 0 <= value < self.order:
                 raise ValueError(f"element index {value} out of range for {self!r}")
-            return self.elements[int(value)]
-        else:
-            coords = _int_coordinates(value)
+            return int(value)
+        coords = _int_coordinates(value)
         if len(coords) != len(self.factors):
             raise ValueError(
                 f"coordinate tuple {coords} does not match factor list {self.factors}"
             )
-        return GroupElement(tuple(c % n for c, n in zip(coords, self.factors)))
+        index = 0
+        for c, n in zip(coords, self.factors):
+            index = index * n + c % n
+        return index
 
     def describe(self) -> dict:
         return {"factors": list(self.factors)}
-
-
-@dataclass(frozen=True, eq=False)
-class FieldElement:
-    """Polynomial residue of degree < r over Z_p; construct via the field."""
-
-    field: "FiniteField"
-    coeffs: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field.signature == other.field.signature and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field.signature, self.coeffs))
-
-    def __int__(self) -> int:
-        """Canonical integer encoding sum_i c_i * p^i."""
-        return self.field._encode(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"FieldElement{self.coeffs}"
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -312,8 +271,9 @@ class FiniteField:
 
     The modulus defaults to the lexicographically smallest monic irreducible
     polynomial of degree r over Z_p, so fields are reproducible across runs.
-    Elements are enumerated by their integer encoding sum_i c_i * p^i, with
-    0 first and the multiplicative unit at index 1.
+    An element is its integer encoding sum_i c_i * p^i, with 0 first and the
+    multiplicative unit at 1; row m of the read-only `coeffs` array holds the
+    little-endian coefficients c_i of element m.
     """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
@@ -341,36 +301,11 @@ class FiniteField:
         self.r = r
         self.modulus = modulus
         self.size = p**r
-        self.signature = (p, r, modulus)
-        self.elements = tuple(self._from_int_raw(m) for m in range(self.size))
+        self.coeffs = np.arange(self.size)[:, None] // p ** np.arange(r) % p
+        self.coeffs.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
-
-    def _from_int_raw(self, m: int) -> FieldElement:
-        coeffs = []
-        for _ in range(self.r):
-            coeffs.append(m % self.p)
-            m //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    def from_int(self, m: int) -> FieldElement:
-        if not 0 <= int(m) < self.size:
-            raise ValueError(f"integer encoding {m} out of range for {self!r}")
-        return self.elements[int(m)]
-
-    def element(self, value) -> FieldElement:
-        """Coerce a field element, an integer encoding, or a coefficient list."""
-        if isinstance(value, FieldElement):
-            self._check_member(value)
-            return value
-        if isinstance(value, (int, np.integer)):
-            return self.from_int(int(value))
-        coeffs = tuple(c % self.p for c in _int_coordinates(value))
-        if len(coeffs) > self.r:
-            raise ValueError(f"coefficient list {coeffs} longer than degree {self.r}")
-        coeffs = coeffs + (0,) * (self.r - len(coeffs))
-        return self.elements[self._encode(coeffs)]
 
     def _encode(self, coeffs) -> int:
         value = 0
@@ -378,14 +313,10 @@ class FiniteField:
             value = value * self.p + c
         return value
 
-    def _check_member(self, a: FieldElement) -> None:
-        if not isinstance(a, FieldElement) or a.field.signature != self.signature:
-            raise ValueError(f"field mismatch: {a!r} does not belong to {self!r}")
-
     def multiplication_table(self) -> np.ndarray:
-        """Index table T[i, j] = index(elements[i] * elements[j]), one
+        """Index table T[i, j] of the product of elements i and j, one
         polynomial product of coefficient tuples per entry."""
-        coeffs = [el.coeffs for el in self.elements]
+        coeffs = self.coeffs.tolist()
         modulus, p, encode = self.modulus, self.p, self._encode
         return np.array(
             [[encode(_poly_mul_mod(a, b, modulus, p)) for b in coeffs] for a in coeffs],
@@ -425,8 +356,7 @@ class FieldAdditiveGroup(Group):
         self.field = field
         p, r = field.p, field.r
         super().__init__(
-            elements=field.elements,
-            coords=[el.coeffs for el in field.elements],
+            coords=field.coeffs,
             moduli=[p] * r,
             place=[p**i for i in range(r)],
             # Tr is Z_p-linear, so Tr(a*x) = a P x^T with P[i][j] = Tr(x^i * x^j).
@@ -437,8 +367,19 @@ class FieldAdditiveGroup(Group):
     def __repr__(self) -> str:
         return f"{self.field!r}+"
 
-    def element(self, value) -> FieldElement:
-        return self.field.element(value)
+    def element(self, value) -> int:
+        """The index of an element given as an integer encoding or a
+        coefficient list, each coefficient reduced mod p; a list shorter than
+        the degree is padded with zeros."""
+        field = self.field
+        if _is_int(value):
+            if not 0 <= value < self.order:
+                raise ValueError(f"integer encoding {value} out of range for {field!r}")
+            return int(value)
+        coeffs = tuple(c % field.p for c in _int_coordinates(value))
+        if len(coeffs) > field.r:
+            raise ValueError(f"coefficient list {coeffs} longer than degree {field.r}")
+        return field._encode(coeffs)
 
     def describe(self) -> dict:
         return {"field": {"p": self.field.p, "r": self.field.r}}

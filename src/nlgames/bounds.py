@@ -136,13 +136,13 @@ class ClassicalOptimum:
     """Optimal deterministic strategy pair and its value.
 
     `exact` is present whenever the game carries exact input weights.
-    `alice`/`bob` map question index to answer element.
+    `alice`/`bob` hold the answer index per question.
     """
 
     value: float
     exact: Fraction | None
-    alice: tuple
-    bob: tuple
+    alice: tuple[int, ...]
+    bob: tuple[int, ...]
 
 
 def _assignment_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -285,8 +285,8 @@ def classical_value(
     # Bob's winnings per question and answer, from the score table of Alice's one assignment.
     per_question = _score_table(weights, winning[np.arange(game.mA), :, alice_idx, None], n)[..., 0]
     value = per_question.max(axis=1).sum()
-    alice = tuple(game.group.elements[i] for i in alice_idx)
-    bob = tuple(game.group.elements[i] for i in per_question.argmax(axis=1))
+    alice = tuple(alice_idx.tolist())
+    bob = tuple(per_question.argmax(axis=1).tolist())
     if game.has_exact_q:
         exact_value = Fraction(int(value), game.q_den)
         return ClassicalOptimum(float(exact_value), exact_value, alice, bob)
@@ -310,7 +310,15 @@ def ns_winning_box(game: LinearGame) -> Box:
 
 @dataclass(frozen=True)
 class GameReport:
-    """All computed values for one game; serializes to a versioned JSON schema."""
+    """All computed values for one game; serializes to a versioned JSON schema.
+
+    `alice_strategy` and `bob_strategy` hold the coordinate tuple of the
+    answer per question.  `rank_phi1` is the numerical rank of Phi_1 alone.
+    Over a group whose character 1 is faithful, Z_d or GF(p), rank 1 means a
+    perfect classical strategy (Lemma 2); over any other it does not: the
+    uniform 2 x 2 game over Z_2 x Z_2 with f = [[0, 0], [0, 2]] has rank 1
+    and classical value 3/4.
+    """
 
     group: dict
     mA: int
@@ -331,12 +339,6 @@ class GameReport:
     SCHEMA = "nlgames/game-report/v1"
 
     def to_json_dict(self) -> dict:
-        def element_json(el):
-            coords = getattr(el, "coords", None)
-            if coords is None:
-                coords = el.coeffs
-            return list(coords)
-
         exact = self.classical_value_exact
         return {
             "schema": self.SCHEMA,
@@ -350,8 +352,8 @@ class GameReport:
             if exact is None
             else f"{exact.numerator}/{exact.denominator}",
             "classical_strategy": {
-                "alice": [element_json(el) for el in self.alice_strategy],
-                "bob": [element_json(el) for el in self.bob_strategy],
+                "alice": [list(el) for el in self.alice_strategy],
+                "bob": [list(el) for el in self.bob_strategy],
             },
             "quantum_bound_raw": self.quantum_bound_raw,
             "quantum_bound": self.quantum_bound,
@@ -407,6 +409,7 @@ def _report(game: LinearGame, optimum: ClassicalOptimum, spectra, rank_tol: floa
     if abs(ns_value - 1.0) > 1e-12:
         raise ChainViolationError(f"no-signaling winning box scored {ns_value}, not 1", game)
 
+    coords = game.group.coords
     return GameReport(
         group=game.group.describe(),
         mA=game.mA,
@@ -415,8 +418,8 @@ def _report(game: LinearGame, optimum: ClassicalOptimum, spectra, rank_tol: floa
         lemma1_bound=lemma1,
         classical_value=optimum.value,
         classical_value_exact=optimum.exact,
-        alice_strategy=optimum.alice,
-        bob_strategy=optimum.bob,
+        alice_strategy=tuple(map(tuple, coords[list(optimum.alice)].tolist())),
+        bob_strategy=tuple(map(tuple, coords[list(optimum.bob)].tolist())),
         quantum_bound_raw=raw,
         quantum_bound=clamped,
         norms=tuple(norms),

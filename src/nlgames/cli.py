@@ -223,7 +223,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    results = run_all(sys.stdout)
+    results = run_all(sys.stdout, sys.stderr)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 

@@ -6,9 +6,9 @@ evaluated on boxes, conditional distributions P(a, b | u, v).  Correlators
 are the Fourier transform of a box over the answer group; they diagonalize
 the win probability and feed the spectral bound.
 
-Conventions: questions are indexed 0..mA-1 and 0..mB-1; answers are indexed
-by their canonical position in the group's element list.  Boxes are numpy
-arrays of shape (mA, mB, |G|, |G|) with axes (u, v, a, b).
+Conventions: questions are indexed 0..mA-1 and 0..mB-1; an answer is its
+group element's index.  Boxes are numpy arrays of shape (mA, mB, |G|, |G|)
+with axes (u, v, a, b).
 """
 
 from __future__ import annotations
@@ -172,22 +172,15 @@ def _read_weights(entries: list) -> tuple[tuple[int, ...], int] | list[Fraction 
     return tuple(a // common for a in nums), den // common
 
 
-def _f_index(group: Group, entry) -> int:
-    """One win-table entry's element index; a bool is not an element."""
-    if isinstance(entry, bool):
-        raise ValueError(f"{entry!r} is not a group element")
-    return group.index(group.element(entry))
-
-
 def game_from_tables(group: Group, q, f) -> LinearGame:
     """Build and validate a linear game from an input distribution and win table.
 
     `q` is an mA x mB table whose entries may be floats, ints, Fractions, or
     (num, den) pairs; the exact rational form is kept when every entry is
     exact and their common denominator is at most 10**15.  `f` is an mA x mB
-    table of group elements (element objects, int indices, or coordinate
-    sequences).  A table of [num, den] int pairs and one of int indices are
-    each read as one integer array.
+    table of group elements, each an int index or a coordinate sequence that
+    `Group.element` reads; a bool is neither.  A table of [num, den] int pairs
+    and one of int indices are each read as one integer array.
     """
     rows = [list(row) for row in q]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
@@ -206,7 +199,7 @@ def game_from_tables(group: Group, q, f) -> LinearGame:
         ):
             f_idx = np.array(flat, dtype=np.int64).reshape(shape)
         else:
-            f_idx = np.array([[_f_index(group, entry) for entry in row] for row in f_rows], dtype=np.int64)
+            f_idx = np.array([[group.element(entry) for entry in row] for row in f_rows], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise GameValidationError(f"invalid winning-function entry: {exc}") from exc
 

@@ -12,10 +12,19 @@ strategy.  `response_scores` is the one-hot einsum formula for the
 responder's winnings per question and answer, which `classical_value`
 must match bit for bit.
 
-Reference formulas for the group, field, bound and box facts tests check:
+Element objects, which the library does not have (an element there is its
+index): `GroupElement`, the coordinate tuple of an element of a product of
+cyclic groups, and `FieldElement`, the coefficient tuple of an element of
+GF(p^r) tagged with its field's (p, r, modulus), whose `int()` is the
+encoding sum_i c_i * p^i; `elements(group)` lists them in canonical index
+order, from `itertools.product`, never from the group's coordinate array.
+
+Reference formulas for the group, field, bound and box facts tests check,
+on element objects:
 - `add(group, x, y)` and `neg(group, x)`: over a product of cyclic groups,
   coordinates added or negated modulo `group.factors`; over a field or its
-  additive group, coefficients added or negated mod p;
+  additive group, coefficients added or negated mod p, after checking that
+  x and y belong to that field;
 - `mul(field, a, b)`: the sum of b_j * (a * x^j) over the coefficients of
   b, each a * x^j one shift of a's coefficient tuple and one subtraction of
   its top coefficient times the modulus, never the polynomial long division
@@ -29,13 +38,13 @@ Reference formulas for the group, field, bound and box facts tests check:
   unclamped;
 - `character(group, a, x)`: over a product of cyclic groups, the product of
   exp(2*pi*i * a_j * x_j / n_j) over `group.factors` and element coordinates;
-  over a field's additive group, `additive_character`;
-- `additive_character(field, k, a)`: exp(2*pi*i * Tr(k*a) / p) through
-  `mul` and `trace`, never the pairing matrix that `character_table` is
-  built from;
+  over a field's additive group, exp(2*pi*i * Tr(a*x) / p) through `mul`
+  and `trace`, never the pairing matrix that `character_table` is built
+  from;
 - `sub(group, x, y)`: `add(group, x, neg(group, y))`;
 - `strategy_box(game, alice, bob)`: the deterministic box with a 1 at
-  (u, v, alice[u], bob[v]), set entry by entry;
+  (u, v, alice[u], bob[v]), set entry by entry, from answer indices or
+  coordinate lists;
 - `signaling_defect(box)`: the largest variation of either party's marginal
   across the other party's question, from explicit sums over the table.
 """
@@ -45,6 +54,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,17 +65,54 @@ from nlgames.games import Box, GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
 
 
-def additive_character(field, k, a) -> complex:
-    """chi_k(a) = exp(2*pi*i * Tr(k*a) / p); trivial exactly when k = 0."""
-    return cmath.exp(2j * cmath.pi * trace(field, mul(field, k, a)) / field.p)
+@dataclass(frozen=True)
+class GroupElement:
+    """Element of a product of cyclic groups, as its coordinate tuple."""
+
+    coords: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """Element of GF(p^r): little-endian coefficients, tagged with the
+    field's (p, r, modulus), so elements of different fields differ."""
+
+    field: tuple
+    coeffs: tuple[int, ...]
+
+    def __int__(self) -> int:
+        """The integer encoding sum_i c_i * p^i, the element's index."""
+        return sum(c * self.field[0] ** i for i, c in enumerate(self.coeffs))
+
+
+def _field(group):
+    """The field of a field or of its additive group; None for other groups."""
+    field = group.field if isinstance(group, FieldAdditiveGroup) else group
+    return field if isinstance(field, FiniteField) else None
+
+
+def _key(field) -> tuple:
+    return field.p, field.r, field.modulus
+
+
+def elements(group) -> tuple:
+    """Element objects in canonical index order: coordinate tuples with the
+    last coordinate fastest, or coefficient tuples with the first fastest."""
+    field = _field(group)
+    if field is None:
+        return tuple(map(GroupElement, itertools.product(*(range(n) for n in group.factors))))
+    digits = itertools.product(range(field.p), repeat=field.r)
+    return tuple(FieldElement(_key(field), c[::-1]) for c in digits)
 
 
 def character(group, a, x) -> complex:
     """chi_a(x): over a product of cyclic groups, the product of the roots
     exp(2*pi*i * a_j*x_j / n_j), taken as one power of exp(2*pi*i / N) with
-    N = lcm(n_j); over a field's additive group, the trace character."""
+    N = lcm(n_j); over a field's additive group, the trace character
+    exp(2*pi*i * Tr(a*x) / p)."""
     if isinstance(group, FieldAdditiveGroup):
-        return additive_character(group.field, a, x)
+        field = group.field
+        return cmath.exp(2j * cmath.pi * trace(field, mul(field, a, x)) / field.p)
     big_n = math.lcm(*group.factors)
     m = sum(a_j * x_j * (big_n // n) for a_j, x_j, n in zip(a.coords, x.coords, group.factors))
     return cmath.exp(2j * cmath.pi * (m % big_n) / big_n)
@@ -75,24 +122,32 @@ def _coefficients(group, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The coordinates of x and the modulus of each: the cyclic factors, or
     p for every coefficient of a field element, which must belong to the
     field."""
-    field = group.field if isinstance(group, FieldAdditiveGroup) else group
-    if isinstance(field, FiniteField):
-        return field.element(x).coeffs, (field.p,) * field.r
+    field = _field(group)
+    if field is not None:
+        if not isinstance(x, FieldElement) or x.field != _key(field):
+            raise ValueError(f"field mismatch: {x!r} does not belong to {field!r}")
+        return x.coeffs, (field.p,) * field.r
     if len(x.coords) != len(group.factors):
         raise ValueError(f"element {x.coords} does not match factor list {group.factors}")
     return x.coords, group.factors
 
 
+def _element(group, coords):
+    """The element object with these reduced coordinates."""
+    field = _field(group)
+    return GroupElement(coords) if field is None else FieldElement(_key(field), coords)
+
+
 def add(group, x, y):
     """x + y in the group, coordinate by coordinate."""
     (a, moduli), (b, _) = _coefficients(group, x), _coefficients(group, y)
-    return group.element([(i + j) % n for i, j, n in zip(a, b, moduli)])
+    return _element(group, tuple((i + j) % n for i, j, n in zip(a, b, moduli)))
 
 
 def neg(group, x):
     """-x in the group, coordinate by coordinate."""
     a, moduli = _coefficients(group, x)
-    return group.element([(-i) % n for i, n in zip(a, moduli)])
+    return _element(group, tuple((-i) % n for i, n in zip(a, moduli)))
 
 
 def sub(group, x, y):
@@ -109,19 +164,19 @@ def _times_x(field, c: tuple[int, ...]) -> tuple[int, ...]:
 
 def mul(field, a, b):
     """a * b in GF(p^r), as the sum of b_j * (a * x^j)."""
-    a, b = field.element(a).coeffs, field.element(b).coeffs
+    (a, _), (b, _) = _coefficients(field, a), _coefficients(field, b)
     total = (0,) * field.r
     for b_j in b:
         total = tuple((s + b_j * t) % field.p for s, t in zip(total, a))
         a = _times_x(field, a)
-    return field.element(total)
+    return _element(field, total)
 
 
 def power(field, a, e: int):
     """a^e for an integer e >= 0, by square and multiply."""
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
-    result, base = field.elements[1], field.element(a)
+    result, base = elements(field)[1], a
     while e:
         if e & 1:
             result = mul(field, result, base)
@@ -132,7 +187,7 @@ def power(field, a, e: int):
 
 def trace(field, a) -> int:
     """Tr(a) = a + a^p + ... + a^(p^(r-1)), as an integer mod p."""
-    total = term = field.element(a)
+    total = term = a
     for _ in range(field.r - 1):
         term = power(field, term, field.p)
         total = add(field, total, term)
@@ -143,7 +198,7 @@ def trace(field, a) -> int:
 
 def inv(field, a):
     """The multiplicative inverse a^(q - 2) of a nonzero a in GF(q)."""
-    if a == field.elements[0]:
+    if a == elements(field)[0]:
         raise ZeroDivisionError("zero has no multiplicative inverse")
     return power(field, a, field.size - 2)
 
@@ -155,10 +210,10 @@ def quantum_bound(game) -> float:
 
 def strategy_box(game, alice, bob) -> Box:
     """Deterministic box from assignments a: Q_A -> G and b: Q_B -> G, given
-    as elements or element indices."""
+    as answer indices or coordinate lists."""
     group = game.group
-    a_idx = [group.index(group.element(x)) for x in alice]
-    b_idx = [group.index(group.element(x)) for x in bob]
+    a_idx = [group.element(x) for x in alice]
+    b_idx = [group.element(x) for x in bob]
     assert (len(a_idx), len(b_idx)) == (game.mA, game.mB)
     table = np.zeros((game.mA, game.mB, game.order, game.order))
     for u in range(game.mA):
@@ -248,10 +303,11 @@ def random_box_table(rng, m_a: int, m_b: int, n: int) -> np.ndarray:
 def direct_win_sum(game, box, u: int, v: int) -> float:
     """P(a + b = f(u,v) | u,v) summed straight off the box table."""
     group = game.group
-    target = group.elements[game.f_idx[u, v]]
+    els = elements(group)
+    target = els[game.f_idx[u, v]]
     total = 0.0
-    for ia, a in enumerate(group.elements):
-        for ib, b in enumerate(group.elements):
+    for ia, a in enumerate(els):
+        for ib, b in enumerate(els):
             if add(group, a, b) == target:
                 total += box.table[u, v, ia, ib]
     return total
@@ -336,8 +392,8 @@ def alice_side_classical_value(game) -> ClassicalOptimum:
 
     assign, per_question = bob_scores(np.array([best_id], dtype=np.int64))
     bob_idx = per_question[0].argmax(axis=1)
-    alice = tuple(game.group.elements[i] for i in assign[0])
-    bob = tuple(game.group.elements[i] for i in bob_idx)
+    alice = tuple(assign[0].tolist())
+    bob = tuple(bob_idx.tolist())
     if exact:
         exact_value = Fraction(int(best_val), game.q_den)
         return ClassicalOptimum(float(exact_value), exact_value, alice, bob)
@@ -349,13 +405,14 @@ def correlators_directly(game, box) -> np.ndarray:
     group = game.group
     n = group.order
     out = np.zeros((game.mA, game.mB, n, n), dtype=np.complex128)
+    els = elements(group)
     for u in range(game.mA):
         for v in range(game.mB):
-            for ix, x in enumerate(group.elements):
-                for iy, y in enumerate(group.elements):
+            for ix, x in enumerate(els):
+                for iy, y in enumerate(els):
                     acc = 0.0 + 0.0j
-                    for ia, a in enumerate(group.elements):
-                        for ib, b in enumerate(group.elements):
+                    for ia, a in enumerate(els):
+                        for ib, b in enumerate(els):
                             acc += (
                                 np.conj(character(group, x, a))
                                 * np.conj(character(group, y, b))
@@ -420,19 +477,22 @@ def _fraction_weight(entry) -> Fraction | float:
     raise GameValidationError(f"invalid probability entry {entry!r}")
 
 
+def _f_entry(group, entry) -> int:
+    if isinstance(entry, bool):
+        raise ValueError(f"{entry!r} is not a group element")
+    return group.element(entry)
+
+
 def fraction_game_tables(group, q, f) -> LinearGame:
     """A game read from outside tables one entry at a time: a `Fraction` per
     exact q entry, scaled to the least common denominator one multiply each,
-    and `group.index(group.element(entry))` per f entry."""
+    and `group.element(entry)` per f entry, a bool rejected first."""
     rows = [list(row) for row in q]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise GameValidationError("q must be a rectangular, nonempty table")
     weights = [[_fraction_weight(entry) for entry in row] for row in rows]
     try:
-        f_idx = np.array(
-            [[group.index(group.element(entry)) for entry in row] for row in f],
-            dtype=np.int64,
-        )
+        f_idx = np.array([[_f_entry(group, entry) for entry in row] for row in f], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise GameValidationError(f"invalid winning-function entry: {exc}") from exc
     if all(isinstance(w, Fraction) and abs(w) <= 1 for row in weights for w in row):

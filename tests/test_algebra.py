@@ -7,10 +7,21 @@ import pytest
 from nlgames.algebra import (
     FiniteAbelianGroup,
     FiniteField,
-    GroupElement,
     is_prime,
 )
-from oracles import add, character, inv, mul, neg, power, sub, trace
+from oracles import (
+    FieldElement,
+    GroupElement,
+    add,
+    character,
+    elements,
+    inv,
+    mul,
+    neg,
+    power,
+    sub,
+    trace,
+)
 
 SMALL_GROUPS = [
     (2,),
@@ -42,45 +53,46 @@ def test_is_prime():
 def test_group_order_and_identity():
     g = FiniteAbelianGroup([2, 3, 4])
     assert g.order == 24
-    assert g.elements[0].coords == (0, 0, 0)
-    assert len(g.elements) == 24
-    for el in g.elements:
+    assert g.coords[0].tolist() == [0, 0, 0]
+    assert g.coords.shape == (24, 3)
+    assert g.coords.tolist() == [list(el.coords) for el in elements(g)]
+    for el in elements(g):
         assert all(0 <= c < n for c, n in zip(el.coords, g.factors))
 
 
 def test_add_examples():
     z3 = FiniteAbelianGroup([3])
-    assert add(z3, z3.element(1), z3.element(2)) == z3.element(0)
+    assert add(z3, elements(z3)[1], elements(z3)[2]) == elements(z3)[0]
     z22 = FiniteAbelianGroup([2, 2])
-    assert add(z22, z22.element((1, 0)), z22.element((1, 1))) == z22.element((0, 1))
+    assert add(z22, GroupElement((1, 0)), GroupElement((1, 1))) == GroupElement((0, 1))
     z5 = FiniteAbelianGroup([5])
-    for x in z5.elements:
-        assert add(z5, x, z5.elements[0]) == x
+    for x in elements(z5):
+        assert add(z5, x, elements(z5)[0]) == x
 
 
 def test_add_is_abelian_group():
     for factors in [(3,), (4,), (2, 2), (2, 3)]:
         g = FiniteAbelianGroup(factors)
-        for x in g.elements:
-            assert add(g, x, neg(g, x)) == g.elements[0]
-            for y in g.elements:
+        for x in elements(g):
+            assert add(g, x, neg(g, x)) == elements(g)[0]
+            for y in elements(g):
                 assert add(g, x, y) == add(g, y, x)
-                for z in g.elements:
+                for z in elements(g):
                     assert add(g, add(g, x, y), z) == add(g, x, add(g, y, z))
 
 
 def test_element_reduction_idempotent():
     g = FiniteAbelianGroup([3, 4])
-    el = g.element((5, 7))
-    assert el.coords == (2, 3)
-    assert g.element(el) == el
+    index = g.element((5, 7))
+    assert elements(g)[index].coords == (2, 3)
+    assert g.element(index) == g.element((2, 3)) == index
 
 
 def test_dimension_mismatch_rejected():
     g = FiniteAbelianGroup([2, 2])
     stray = GroupElement((1,))
     with pytest.raises(ValueError, match="factor list"):
-        add(g, stray, g.elements[0])
+        add(g, stray, elements(g)[0])
     with pytest.raises(ValueError, match="factor list"):
         g.element((1, 2, 3))
 
@@ -159,11 +171,12 @@ def test_tables_are_consistent(kind, args):
     diff = g.subtraction_table()
     minus = g.negation_table()
     chars = g.character_table()
-    for i, x in enumerate(g.elements):
-        assert g.elements[minus[i]] == neg(g, x)
-        for j, y in enumerate(g.elements):
-            assert g.elements[plus[i, j]] == add(g, x, y)
-            assert g.elements[diff[i, j]] == sub(g, x, y)
+    els = elements(g)
+    for i, x in enumerate(els):
+        assert els[minus[i]] == neg(g, x)
+        for j, y in enumerate(els):
+            assert els[plus[i, j]] == add(g, x, y)
+            assert els[diff[i, j]] == sub(g, x, y)
             # Exact: the table and the definition take the same root of unity.
             assert chars[i, j] == character(g, x, y)
 
@@ -210,16 +223,17 @@ def test_field_construction_errors():
 
 def test_gf4_multiplication():
     f = FiniteField(2, 2)
-    x = f.element((0, 1))
-    assert mul(f, x, x) == f.element((1, 1))
-    for a in f.elements:
-        assert mul(f, a, f.elements[1]) == a
+    x = elements(f)[2]
+    assert x.coeffs == (0, 1)
+    assert mul(f, x, x) == elements(f)[3]
+    for a in elements(f):
+        assert mul(f, a, elements(f)[1]) == a
 
 
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_power_d_fixes_every_element(p, r):
     f = FiniteField(p, r)
-    for a in f.elements:
+    for a in elements(f):
         assert power(f, a, f.size) == a
 
 
@@ -227,10 +241,10 @@ def test_power_d_fixes_every_element(p, r):
 def test_nonzero_elements_form_cyclic_group(p, r):
     f = FiniteField(p, r)
     orders = []
-    for a in f.elements[1:]:
+    for a in elements(f)[1:]:
         term = a
         order = 1
-        while term != f.elements[1]:
+        while term != elements(f)[1]:
             term = mul(f, term, a)
             order += 1
         orders.append(order)
@@ -243,31 +257,31 @@ def test_field_axioms_exhaustive(p, r):
     f = FiniteField(p, r)
     if f.size > 9:
         pytest.skip("axiom sweep kept to sizes <= 9")
-    for a in f.elements:
-        for b in f.elements:
+    for a in elements(f):
+        for b in elements(f):
             assert mul(f, a, b) == mul(f, b, a)
-            for c in f.elements:
+            for c in elements(f):
                 assert mul(f, mul(f, a, b), c) == mul(f, a, mul(f, b, c))
                 assert mul(f, a, add(f, b, c)) == add(f, mul(f, a, b), mul(f, a, c))
-    for a in f.elements[1:]:
-        assert mul(f, a, inv(f, a)) == f.elements[1]
+    for a in elements(f)[1:]:
+        assert mul(f, a, inv(f, a)) == elements(f)[1]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (2, 4)])
 def test_frobenius_is_additive(p, r):
     f = FiniteField(p, r)
-    for a in f.elements:
-        for b in f.elements:
+    for a in elements(f):
+        for b in elements(f):
             assert power(f, add(f, a, b), p) == add(f, power(f, a, p), power(f, b, p))
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (2, 4)])
 def test_trace_linear_and_in_prime_field(p, r):
     f = FiniteField(p, r)
-    for a in f.elements:
+    for a in elements(f):
         ta = trace(f, a)
         assert 0 <= ta < p
-        for b in f.elements:
+        for b in elements(f):
             assert trace(f, add(f, a, b)) == (trace(f, a) + trace(f, b)) % p
 
 
@@ -275,10 +289,10 @@ def test_field_mismatch_rejected():
     f1 = FiniteField(2, 2)
     f2 = FiniteField(3, 1)
     with pytest.raises(ValueError, match="field mismatch"):
-        mul(f1, f1.elements[1], f2.elements[1])
+        mul(f1, elements(f1)[1], elements(f2)[1])
     f3 = FiniteField(3, 2, modulus=(2, 1, 1))
     with pytest.raises(ValueError, match="field mismatch"):
-        add(FiniteField(3, 2), FiniteField(3, 2).elements[1], f3.elements[1])
+        add(FiniteField(3, 2), elements(FiniteField(3, 2))[1], elements(f3)[1])
 
 
 # The `field` bench workload's 25 fields of order <= 61, then GF(81), GF(343)
@@ -293,11 +307,11 @@ def test_multiplication_table_matches_oracle(p, r, modulus):
     f = FiniteField(p, r, modulus)
     table = f.multiplication_table()
     assert table.dtype == np.int64
-    assert table.tolist() == [[int(mul(f, a, b)) for b in f.elements] for a in f.elements]
+    assert table.tolist() == [[int(mul(f, a, b)) for b in elements(f)] for a in elements(f)]
 
 
 def _oracle_trace_form(f):
-    basis = [f.elements[f.p**i] for i in range(f.r)]
+    basis = [elements(f)[f.p**i] for i in range(f.r)]
     return [[trace(f, mul(f, a, b)) for b in basis] for a in basis]
 
 
@@ -331,7 +345,7 @@ def test_trace_form_matches_oracle_for_every_modulus(p, r):
 def test_zero_has_no_inverse():
     f = FiniteField(3, 1)
     with pytest.raises(ZeroDivisionError):
-        inv(f, f.elements[0])
+        inv(f, elements(f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +360,12 @@ def test_zero_has_no_inverse():
 def test_additive_character_examples():
     gf4 = FiniteField(2, 2)
     chars4 = gf4.additive_group().character_table()
-    for a in gf4.elements:
-        assert chars4[int(gf4.elements[0]), int(a)] == pytest.approx(1.0)
+    for a in elements(gf4):
+        assert chars4[int(elements(gf4)[0]), int(a)] == pytest.approx(1.0)
     gf2 = FiniteField(2, 1)
-    one = int(gf2.elements[1])
+    one = int(elements(gf2)[1])
     assert gf2.additive_group().character_table()[one, one] == pytest.approx(-1.0)
-    total = sum(chars4[int(gf4.elements[1]), int(a)] for a in gf4.elements)
+    total = sum(chars4[int(elements(gf4)[1]), int(a)] for a in elements(gf4))
     assert abs(total) < 1e-12
 
 
@@ -359,10 +373,10 @@ def test_additive_character_examples():
 def test_additive_character_sum_over_multiples(p, r):
     f = FiniteField(p, r)
     chars = f.additive_group().character_table()
-    for b in f.elements:
-        for k in f.elements[1:]:
-            total = sum(chars[int(k), int(mul(f, a, b))] for a in f.elements)
-            if b == f.elements[0]:
+    for b in elements(f):
+        for k in elements(f)[1:]:
+            total = sum(chars[int(k), int(mul(f, a, b))] for a in elements(f))
+            if b == elements(f)[0]:
                 assert total == pytest.approx(f.size)
             else:
                 assert abs(total) < 1e-10
@@ -372,9 +386,9 @@ def test_additive_character_sum_over_multiples(p, r):
 def test_additive_character_homomorphism(p, r):
     f = FiniteField(p, r)
     chars = f.additive_group().character_table()
-    for k in f.elements:
-        for a in f.elements:
-            for b in f.elements:
+    for k in elements(f):
+        for a in elements(f):
+            for b in elements(f):
                 assert chars[int(k), int(add(f, a, b))] == pytest.approx(
                     chars[int(k), int(a)] * chars[int(k), int(b)]
                 )
@@ -384,8 +398,8 @@ def test_additive_character_homomorphism(p, r):
 def test_additive_character_trivial_only_for_zero(p, r):
     f = FiniteField(p, r)
     chars = f.additive_group().character_table()
-    for k in f.elements[1:]:
-        assert any(abs(chars[int(k), int(a)] - 1.0) > 1e-9 for a in f.elements)
+    for k in elements(f)[1:]:
+        assert any(abs(chars[int(k), int(a)] - 1.0) > 1e-9 for a in elements(f))
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2)])
@@ -393,7 +407,7 @@ def test_field_additive_group_is_valid_group(p, r):
     f = FiniteField(p, r)
     g = f.additive_group()
     assert g.order == f.size
-    assert g.elements[0].coeffs == (0,) * r
+    assert g.coords[0].tolist() == [0] * r
     assert g.describe() == {"field": {"p": p, "r": r}}
     chars = g.character_table()
     gram = chars @ chars.conj().T / g.order
@@ -404,9 +418,29 @@ def test_field_additive_group_is_valid_group(p, r):
 
 def test_field_element_int_encoding():
     f = FiniteField(3, 2)
-    for m, el in enumerate(f.elements):
+    g = f.additive_group()
+    for m, el in enumerate(elements(f)):
         assert int(el) == m
-        assert f.from_int(m) == el
-    assert f.element([2, 1]) == f.from_int(5)
-    with pytest.raises(ValueError):
-        f.from_int(9)
+        assert f.coeffs[m].tolist() == list(el.coeffs) == g.coords[m].tolist()
+        assert g.element(m) == g.element(list(el.coeffs)) == m
+    assert g.element([2, 1]) == 5
+    assert elements(f)[5] == FieldElement((3, 2, f.modulus), (2, 1))
+    assert g.element([2]) == 2
+    with pytest.raises(ValueError, match="out of range for GF"):
+        g.element(9)
+    with pytest.raises(ValueError, match="longer than degree"):
+        g.element([1, 0, 1])
+
+
+def test_element_index_range_and_bad_values():
+    g = FiniteAbelianGroup([2, 3])
+    assert g.element(np.int64(5)) == 5
+    with pytest.raises(ValueError, match="element index 6 out of range for Z2xZ3"):
+        g.element(6)
+    with pytest.raises(ValueError, match="element index -1 out of range"):
+        g.element(-1)
+    for bad in (True, 0.5, "ab"):
+        with pytest.raises(ValueError, match="is not a group element|is not an integer"):
+            g.element(bad)
+    with pytest.raises(ValueError, match="coordinate 1.0 of"):
+        g.element([1.0, 0])

@@ -28,6 +28,7 @@ from oracles import (
     add,
     alice_side_classical_value,
     double_enumeration_optimum,
+    elements,
     mul,
     phi1_rank_at_most_one,
     quantum_bound,
@@ -54,7 +55,8 @@ def uniform_game(group, f):
 
 def rank_one_game(group, s, t):
     """f(u, v) = s(u) + t(v): winnable by playing the summands directly."""
-    f = [[add(group, group.element(su), group.element(tv)) for tv in t] for su in s]
+    els = elements(group)
+    f = [[list(add(group, els[su], els[tv]).coords) for tv in t] for su in s]
     return uniform_game(group, f)
 
 
@@ -165,7 +167,7 @@ def test_bound_independent_of_field_modulus():
         field = FiniteField(3, 2, modulus=modulus)
         group = field.additive_group()
         q = [[Fraction(1, 81)] * 9 for _ in range(9)]
-        f = [[mul(field, x, y) for y in field.elements] for x in field.elements]
+        f = [[int(mul(field, x, y)) for y in elements(field)] for x in elements(field)]
         bound = quantum_bound(game_from_tables(group, q, f))
         if base is None:
             base = bound
@@ -431,8 +433,8 @@ def test_best_response_scores_match_the_einsum_formula(kind):
             opt = classical_value(game)
             for chunk_size in (1, 7):
                 assert classical_value(game, chunk_size=chunk_size) == opt
-            scores = response_scores(game, [group.index(a) for a in opt.alice])
-            assert opt.bob == tuple(group.elements[i] for i in scores.argmax(axis=1))
+            scores = response_scores(game, list(opt.alice))
+            assert opt.bob == tuple(scores.argmax(axis=1).tolist())
             value = scores.max(axis=1).sum()
             if game.has_exact_q:
                 assert opt.exact == Fraction(int(value), game.q_den)
@@ -701,6 +703,31 @@ def test_exhaustive_two_question_binary_games():
         f = [[(code >> (2 * u + v)) & 1 for v in range(2)] for u in range(2)]
         report = analyze([uniform_game(Z2, f)])[0]
         assert (report.rank_phi1 == 1) == (report.classical_value_exact == 1)
+
+
+def test_rank_phi1_one_implies_a_perfect_strategy_only_over_z_d():
+    # Character 1 of Z_2 x Z_2 sees only the first coordinate, so Phi_1 has
+    # rank 1 although no strategy wins every round.  Over GF(4) the same
+    # table has rank 2.
+    f = [[0, 0], [0, 2]]
+    groups = (FiniteAbelianGroup([2, 2]), FiniteField(2, 2).additive_group())
+    product, field = analyze([uniform_game(group, f) for group in groups])
+    assert (product.rank_phi1, product.classical_value_exact) == (1, Fraction(3, 4))
+    assert f"{product.quantum_bound:.12g}" == "0.853553390593"
+    assert not product.pseudo_telepathy_possible
+    assert (field.rank_phi1, field.classical_value_exact) == (2, Fraction(3, 4))
+
+
+def test_report_strategies_are_the_coordinates_of_the_optimum():
+    gf9 = FiniteField(3, 2).additive_group()
+    z2xz3 = FiniteAbelianGroup([2, 3])
+    games = [uniform_game(gf9, [[1, 5, 8], [4, 0, 3]]), uniform_game(z2xz3, [[1, 5, 2], [4, 0, 3]])]
+    for game, report in zip(games, analyze(games)):
+        opt = classical_value(game)
+        field = isinstance(game.group, FieldAdditiveGroup)
+        coords = [el.coeffs if field else el.coords for el in elements(game.group)]
+        assert report.alice_strategy == tuple(coords[i] for i in opt.alice)
+        assert report.bob_strategy == tuple(coords[i] for i in opt.bob)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -319,7 +320,21 @@ def test_selftest_chain_violation_is_a_fail_line(monkeypatch, capsys):
     assert main(["selftest"]) == EXIT_FAILURE
     out, err = capsys.readouterr()
     assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 6 + ["FAIL"] * 2
-    assert err == ""
+    # stderr holds one timing line per check and nothing else.
+    assert [re.fullmatch(r"(.+): \d+\.\ds", line)[1] for line in err.splitlines()] == [
+        r.name for r in results
+    ]
+
+
+def test_selftest_stdout_is_the_same_on_every_run(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["selftest"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == len(err.splitlines()) == 8
+        assert not re.search(r"\d+\.\ds\b", out)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 NOT_FINITE_AND_POSITIVE = ["0", "-1", "nan", "inf", "-inf"]

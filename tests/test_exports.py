@@ -2,7 +2,8 @@
 the package re-exports only names in its modules' `__all__`.  A deleted
 function that stays listed breaks only `from ... import *`, which nothing
 else runs.  Every function, class and method in src/nlgames is named by the
-code there, so nothing in src is kept for tests alone."""
+code there, so nothing in src is kept for tests alone, and every oracle in
+tests/oracles.py is named by a test, so no oracle outlives what it checks."""
 
 import ast
 import importlib
@@ -35,9 +36,10 @@ def test_package_reexports_are_in_module_all():
 
 
 SRC = Path(nlgames.__file__).parent
+TESTS = Path(__file__).parent
 
-# Definitions kept although nothing in src/nlgames names them, each with the
-# reason it stays.
+# Definitions kept although nothing names them (in src/nlgames, or in a test
+# for an oracle), each with the reason it stays.
 UNREFERENCED_ALLOWED: set[str] = set()
 
 
@@ -87,3 +89,20 @@ def test_every_definition_in_src_is_referenced_in_src():
     # A name only tests call is deleted, or moved to tests/oracles.py when
     # tests compare library results against it.
     assert sorted(set(_unreferenced_definitions()) - UNREFERENCED_ALLOWED) == []
+
+
+def test_every_oracle_is_named_by_a_test():
+    # A public oracle must be named in some tests/test_*.py; a private helper
+    # may instead be named by another oracle.
+    oracles = ast.parse((TESTS / "oracles.py").read_text())
+    tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("test_*.py"))]
+    in_tests = {name for tree in tests for name, _ in _references(tree)}
+    in_oracles = {name for name, _ in _references(oracles)}
+    unnamed = [
+        f"oracles.{node.name}"
+        for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in in_tests
+        and not (node.name.startswith("_") and node.name in in_oracles)
+    ]
+    assert sorted(set(unnamed) - UNREFERENCED_ALLOWED) == []

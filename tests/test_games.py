@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlgames.algebra import FiniteAbelianGroup, FiniteField
+from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.games import (
     Box,
     GameFormatError,
@@ -24,6 +24,7 @@ from nlgames.rng import SplitMix64
 from oracles import (
     correlators_directly,
     direct_win_sum,
+    elements,
     evaluate_box_directly,
     fraction_game_tables,
     mul,
@@ -160,7 +161,7 @@ def test_random_xor_game_matches_parsed_tables(d, m_a, m_b):
 def test_chsh_d_matches_parsed_tables(p, r):
     field = FiniteField(p, r)
     game = chsh_d(p, r)
-    f = [[mul(field, x, y) for y in field.elements] for x in field.elements]
+    f = [[int(mul(field, x, y)) for y in elements(field)] for x in elements(field)]
     parsed = game_from_tables(game.group, [[Fraction(1, field.size**2)] * field.size] * field.size, f)
     assert_same_game(game, parsed)
 
@@ -516,16 +517,15 @@ def _q_tables(rng, m_a, m_b):
 
 
 def _f_tables(rng, group, m_a, m_b):
-    """Seeded f tables: indices, coordinates, elements, and bad ones."""
+    """Seeded f tables: indices, coordinate lists and tuples, and bad ones."""
     n = group.order
     idx = [[rng.randrange(n) for _ in range(m_b)] for _ in range(m_a)]
+    field = isinstance(group, FieldAdditiveGroup)
+    coords = [el.coeffs if field else el.coords for el in elements(group)]
     yield idx
     yield [[np.int64(i) for i in row] for row in idx]
-    yield [[group.elements[i] for i in row] for row in idx]
-    if isinstance(group, FiniteAbelianGroup):
-        yield [[list(group.elements[i].coords) for i in row] for row in idx]
-    else:
-        yield [[list(group.elements[i].coeffs) for i in row] for row in idx]
+    yield [[coords[i] for i in row] for row in idx]
+    yield [[list(coords[i]) for i in row] for row in idx]
     yield [row[:-1] + [n] for row in idx]  # one past the last index
     yield [[-1] + row[1:] for row in idx]
     yield [[2**70] + row[1:] for row in idx]

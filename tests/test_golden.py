@@ -45,6 +45,9 @@ COMMANDS = {
     "analyze_z3_int32_tall_json": ["analyze", "z3_int32_tall.json", "--format", "json"],
     "analyze_z5_int64_json": ["analyze", "z5_int64.json", "--format", "json"],
     "analyze_z3_text": ["analyze", "z3.json"],
+    # Strategy lines print coefficient lists (GF(9)) and coordinate lists.
+    "analyze_gf9_text": ["analyze", "gf9.json"],
+    "analyze_z2xz3_text": ["analyze", "z2xz3.json"],
     # Transposes of z3.json (exact) and a 5 x 2 float game: Bob is enumerated.
     "analyze_z3_tall_text": ["analyze", "z3_tall.json"],
     "analyze_z2xz3_tall_json": ["analyze", "z2xz3_tall.json", "--format", "json"],
