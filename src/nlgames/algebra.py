@@ -95,7 +95,7 @@ class Group:
         self._place = np.array(place, dtype=np.int64)
         self._pairing = np.array(pairing, dtype=np.int64)
         self._exponent = int(exponent)
-        self._addition = self._negation = None
+        self._addition = self._negation = self._exponents = None
 
     def element(self, value) -> int:
         """The index of an element given as an int index or coordinates."""
@@ -135,12 +135,22 @@ class Group:
         """Index table T[i, j] of element i minus element j."""
         return self.addition_table()[:, self.negation_table()]
 
+    def character_exponents(self) -> np.ndarray:
+        """Integer table E[i, j] = a_i P a_j^T mod N, so that character i at
+        element j is exp(2*pi*i * E[i, j] / N), in the narrowest unsigned
+        type that holds N - 1; built on the first call and kept, read-only."""
+        if self._exponents is None:
+            c, big_n = self.coords, self._exponent
+            table = (c @ self._pairing @ c.T % big_n).astype(np.min_scalar_type(big_n - 1))
+            table.setflags(write=False)
+            self._exponents = table
+        return self._exponents
+
     def character_table(self) -> np.ndarray:
         """Matrix X[i, j] = character i evaluated at element j."""
         big_n = self._exponent
         roots = np.array([cmath.exp(2j * cmath.pi * m / big_n) for m in range(big_n)])
-        c = self.coords
-        return roots[c @ self._pairing @ c.T % big_n]
+        return roots[self.character_exponents()]
 
 
 class FiniteAbelianGroup(Group):

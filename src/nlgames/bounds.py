@@ -78,6 +78,48 @@ def _game_matrix(game: LinearGame, chars: np.ndarray, x: int, out=None) -> np.nd
     return np.multiply(game.q, chars[x][game.f_idx], out=out)
 
 
+def _representatives(game: LinearGame, exponents: np.ndarray, xs) -> list[int]:
+    """For each x of `xs`, the first x of `xs` whose Phi_x has the same
+    multiset of rows, and so the same singular values.
+
+    A row of Phi_x is keyed by the float bits of its q row followed by its
+    character exponents exponents[x, f(u, v)] (`Group.character_exponents`),
+    and Phi_x by its sorted row keys, so two matrices with equal keys are
+    equal up to the order of their rows.  When every q row has the same
+    bits, they tell no two rows apart and are left out.  Keys are built one
+    x at a time in one buffer and looked up by hash; a hash match is
+    confirmed on the full bytes, and only the last class's key is held, so
+    the extra memory is that of two keys.
+    """
+    if len(xs) == 1:
+        return list(xs)
+    q = np.ascontiguousarray(game.q).view(np.uint8).reshape(game.mA, -1)
+    if np.all(q == q[0]):
+        q = q[:, :0]
+    rows = np.empty((game.mA, q.shape[1] + game.mB * exponents.itemsize), dtype=np.uint8)
+    rows[:, : q.shape[1]] = q
+    keyed = rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+
+    def row_multiset(x) -> bytes:
+        rows[:, q.shape[1] :] = exponents[x][game.f_idx].view(np.uint8).reshape(game.mA, -1)
+        return np.sort(keyed).tobytes()
+
+    reps, seen, held = [], {}, (None, b"")
+    for x in xs:
+        key = row_multiset(x)
+        for rep in seen.get(hash(key), ()):
+            if held[0] != rep:
+                held = (rep, row_multiset(rep))
+            if held[1] == key:
+                reps.append(rep)
+                break
+        else:
+            seen.setdefault(hash(key), []).append(x)
+            reps.append(x)
+            held = (x, key)
+    return reps
+
+
 def phi_spectra(games) -> list[list[np.ndarray]]:
     """Singular values of Phi_x for x = 1..|G|-1 in canonical order, one list
     per game of `games`, in input order.
@@ -87,10 +129,18 @@ def phi_spectra(games) -> list[list[np.ndarray]]:
     moduli describe themselves alike), and each group of games is solved
     from one character table.  q is real, so Phi_{-x} = conj(Phi_x), and the
     solver gives the same bits on a conjugated matrix: each pair {x, -x} is
-    solved once, at its first member.  The first members of all games of a
-    group are solved in stacks of at most STACK_ENTRIES matrix entries, or
-    of one larger matrix, and each Phi_x is built only when its stack is.  A
-    stacked solve gives every matrix the bits of its solo solve.
+    taken at its first member.  Within one game the first members fall into
+    classes of matrices with the same multiset of rows, a row being its q
+    row's float bits and its integer character exponents, compared exactly;
+    matrices equal up to row order have equal singular values, so only the
+    first member of each class is solved and the others take its values
+    (over GF(q) every Phi_x is a row permutation of Phi_1, so one solve
+    serves them all).  No class spans two games, so a game's values never
+    depend on the other games of the call; a game with one first member
+    forms no keys.  The solved matrices of all games of a group go in
+    stacks of at most STACK_ENTRIES matrix entries, or of one larger
+    matrix, and each Phi_x is built only when its stack is.  A stacked
+    solve gives every matrix the bits of its solo solve.
     """
     classes: dict = {}
     for i, game in enumerate(games):
@@ -99,8 +149,14 @@ def phi_spectra(games) -> list[list[np.ndarray]]:
     for (shape, _), members in classes.items():
         group = games[members[0]].group
         chars, negation = group.character_table(), group.negation_table()
+        exponents = group.character_exponents()
         first = [min(x, int(negation[x])) for x in range(1, group.order)]
-        jobs = [(i, x) for i in members for x in sorted(set(first))]
+        xs = sorted(set(first))
+        solved_as = {}
+        for i in members:
+            reps = _representatives(games[i], exponents, xs)
+            solved_as.update(((i, x), (i, rep)) for x, rep in zip(xs, reps))
+        jobs = [job for job, rep in solved_as.items() if job == rep]
         per_stack = max(1, STACK_ENTRIES // (shape[0] * shape[1]))
         values = {}
         for start in range(0, len(jobs), per_stack):
@@ -110,7 +166,7 @@ def phi_spectra(games) -> list[list[np.ndarray]]:
                 _game_matrix(games[i], chars, x, out=phi)
             values.update(zip(batch, stacked_singular_values(stack)))
         for i in members:
-            spectra[i] = [values[i, x] for x in first]
+            spectra[i] = [values[solved_as[i, x]] for x in first]
     return spectra
 
 
@@ -151,20 +207,23 @@ def _assignment_digits(ids: np.ndarray, n: int, m: int) -> np.ndarray:
     return (ids[:, None] // powers[None, :]) % n
 
 
-def _score_table(weights: np.ndarray, winning, n: int) -> np.ndarray:
+def _score_table(weights: np.ndarray, winning: np.ndarray, n: int, table=None) -> np.ndarray:
     """Per (responder's question v, answer g, assignment id), the weight the
     responder wins at v by answering g against that assignment of the questions
     in `weights`; question 0 varies fastest in the id.
 
-    `winning[u][v, a]` is the winning answer to the a-th answer enumerated at
-    question u, so a question may enumerate fewer than its n answers.  Question
-    u is added as one broadcast, id = previous id + (ids so far) * a.
+    `winning[u, v, a]` is the winning answer to the a-th answer enumerated at
+    question u, so a question may enumerate fewer than its n answers, but
+    every question of one call the same number.  The questions extend
+    `table`, by default the zero table of no questions.  All their masks are
+    built in one broadcast, then question u is added as one broadcast, id =
+    previous id + (ids so far) * a.
     """
-    table = np.zeros((weights.shape[1], n, 1), dtype=weights.dtype)
-    answers = np.arange(n)[:, None]
-    for w, win in zip(weights[:, :, None, None], winning):
-        wins = (win[:, None] == answers) * w
-        table = (table[:, :, None] + wins[..., None]).reshape(wins.shape[:2] + (-1,))
+    masks = (winning[:, :, None, :] == np.arange(n)[:, None]) * weights[:, :, None, None]
+    if table is None:
+        table = np.zeros((weights.shape[1], n, 1), dtype=weights.dtype)
+    for mask in masks:
+        table = (table[:, :, None] + mask[..., None]).reshape(mask.shape[:2] + (-1,))
     return table
 
 
@@ -245,7 +304,8 @@ def classical_value(
     # Question 0 is answered by the identity, index 0, so the scored id
     # low + block * high is the assignment id divided by n.
     lo = max(1, m_enum // 2)
-    low = _score_table(enum_weights[:lo], [enum_winning[0, :, :1], *enum_winning[1:lo]], n)
+    first = _score_table(enum_weights[:1], enum_winning[:1, :, :1], n)
+    low = _score_table(enum_weights[1:lo], enum_winning[1:lo], n, first)
     high = _score_table(enum_weights[lo:], enum_winning[lo:], n)
     m_resp, block, n_high = low.shape[0], low.shape[2], high.shape[2]
     step = max(1, chunk_size // block)
@@ -293,6 +353,22 @@ def classical_value(
     return ClassicalOptimum(float(value), None, alice, bob)
 
 
+def _uniform_rank_one(game: LinearGame) -> bool:
+    """Whether f(u, v) - f(u, 0) - f(0, v) + f(0, 0) = 0 in G for all u, v,
+    decided in integers from the game's winning answers W[u, v, a] =
+    f(u, v) - a, which are its subtraction table read at f.
+
+    This holds exactly when a perfect classical strategy exists over a q
+    with full support (a(u) = f(u, 0) - f(0, 0), b(v) = f(0, v)), and, since
+    the characters separate points, exactly when every Phi_x has rank one.
+    For uniform q, ||Phi_x|| <= ||Phi_x||_F = 1/sqrt(mA * mB) with equality
+    iff Phi_x has rank one, so it holds exactly when the bound equals 1.
+    """
+    rows = np.arange(game.mA)[:, None]
+    diff = game.winning_answers()[rows, np.arange(game.mB), game.f_idx[:, :1]]
+    return bool(np.all(diff == diff[0]))
+
+
 def ns_winning_box(game: LinearGame) -> Box:
     """No-signaling box that wins the game with certainty.
 
@@ -317,7 +393,12 @@ class GameReport:
     Over a group whose character 1 is faithful, Z_d or GF(p), rank 1 means a
     perfect classical strategy (Lemma 2); over any other it does not: the
     uniform 2 x 2 game over Z_2 x Z_2 with f = [[0, 0], [0, 2]] has rank 1
-    and classical value 3/4.
+    and classical value 3/4.  `pseudo_telepathy_possible` is true when the
+    bound does not rule out winning with certainty: for uniform q it is
+    decided exactly, over every group, by the integer test
+    f(u, v) - f(u, 0) - f(0, v) + f(0, 0) = 0, which holds exactly when the
+    bound equals 1 and a perfect classical strategy exists; for any other q
+    it reads the float bound as at least 1 - 1e-9.
     """
 
     group: dict
@@ -394,6 +475,10 @@ def _report(game: LinearGame, optimum: ClassicalOptimum, spectra, rank_tol: floa
     clamped = min(1.0, raw)
     lemma1 = lemma1_bound(game)
     ns_value = evaluate_box(game, ns_winning_box(game))
+    if np.all(game.q == game.q.flat[0]):
+        perfect = _uniform_rank_one(game)
+    else:
+        perfect = raw >= 1.0 - 1e-9
 
     if optimum.value < lemma1 - 1e-12:
         raise ChainViolationError(
@@ -425,5 +510,5 @@ def _report(game: LinearGame, optimum: ClassicalOptimum, spectra, rank_tol: floa
         norms=tuple(norms),
         ns_value=ns_value,
         rank_phi1=rank1,
-        pseudo_telepathy_possible=raw >= 1.0 - 1e-9,
+        pseudo_telepathy_possible=perfect,
     )

@@ -33,7 +33,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 # Multiply-adds `chsh` may spend on a spectral bound.  The largest field it
-# admits, GF(373), took 2.6-2.9 s in process on a 2-vCPU host, one BLAS thread.
+# admits, GF(373), took 0.23-0.24 s in process on a 2-vCPU host, one BLAS thread.
 CHSH_WORK_BUDGET = 10**10
 
 SCAN_BLOCK = 32  # games per block, whose spectra are solved in one stack
@@ -140,7 +140,9 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     q = field.size
     # The q x q multiplication and character tables, then one q^3 gate
     # product per conjugate pair {x, -x} of nonzero characters; over
-    # characteristic 2 every x is its own negative.
+    # characteristic 2 every x is its own negative.  This is an upper bound:
+    # pairs whose Phi_x are equal up to row order share one solve, and over
+    # a field all of them do.
     work = 2 * q**2 + (q - 1 if args.p == 2 else (q - 1) // 2) * q**3
     if work > CHSH_WORK_BUDGET:
         raise WorkBudgetError(

@@ -15,9 +15,10 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import FiniteAbelianGroup
+from .algebra import FiniteAbelianGroup, FiniteField
 from .bounds import (
     ChainViolationError,
+    _uniform_rank_one,
     analyze,
     bound_from_norms,
     classical_value,
@@ -257,21 +258,12 @@ def check_ordering_chain() -> CheckResult:
     return _result("ordering-chain", start, failures, detail)
 
 
-def _uniform_rank_one(f: np.ndarray, d: int) -> bool:
-    """Exact rank(Phi_1) <= 1 for a uniform game over Z_d with table f.
-
-    Every weight product is equal, so the 2 x 2 minor on rows u, u' and
-    columns v, v' vanishes exactly when f(u,v) + f(u',v') = f(u,v') + f(u',v)
-    mod d, since w = exp(2 pi i/d) is a primitive d-th root of unity.
-    """
-    main = f[:, None, :, None] + f[None, :, None, :]
-    anti = f[:, None, None, :] + f[None, :, :, None]
-    return bool(np.all((main - anti) % d == 0))
-
-
 def check_lemma2_equivalence() -> CheckResult:
-    """rank(Phi_1) = 1 iff the exact classical value is 1 iff every 2 x 2
-    minor of Phi_1 vanishes, over Z_2..Z_6 with up to 5 questions a side."""
+    """The exact classical value is 1 iff f(u, v) - f(u, 0) - f(0, v) +
+    f(0, 0) = 0 everywhere iff the float bound reads 1, on uniform games over
+    Z_2..Z_6 with up to 5 questions a side and over Z_2 x Z_2, Z_2 x Z_3,
+    GF(4) and GF(9) with up to 3; over Z_d, whose character 1 is faithful,
+    also iff rank(Phi_1) = 1."""
     start = time.perf_counter()
     failures = []
     z2 = FiniteAbelianGroup([2])
@@ -290,18 +282,36 @@ def check_lemma2_equivalence() -> CheckResult:
         else:
             game = random_xor_game(rng, d, m)
         games.append((f"game {i}", game))
+    groups = [
+        FiniteAbelianGroup([2, 2]),
+        FiniteAbelianGroup([2, 3]),
+        FiniteField(2, 2).additive_group(),
+        FiniteField(3, 2).additive_group(),
+    ]
+    for i in range(120):
+        group, m = groups[i % 4], 2 + (i // 4) % 2
+        n = group.order
+        if i % 3 == 0:
+            alpha = [rng.randbelow(n) for _ in range(m)]
+            beta = [rng.randbelow(n) for _ in range(m)]
+            f = group.addition_table()[np.ix_(alpha, beta)]
+        else:
+            f = np.array([[rng.randbelow(n) for _ in range(m)] for _ in range(m)])
+        games.append((f"game {300 + i}", LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)))
     detail = f"{len(games)} games"
     try:
         reports = analyze([game for _, game in games])
     except ChainViolationError as exc:
         return _result("lemma2-equivalence", start, [str(exc)], detail)
     for (name, game), report in zip(games, reports):
-        rank1 = report.rank_phi1 == 1
         win = report.classical_value_exact == 1
-        minors = _uniform_rank_one(game.f_idx, game.order)
-        if not rank1 == win == minors:
+        minors = _uniform_rank_one(game)
+        bound = report.quantum_bound_raw >= 1.0 - 1e-9
+        cyclic = getattr(game.group, "factors", ()) == (game.order,)
+        rank1 = report.rank_phi1 == 1 if cyclic else win
+        if not rank1 == win == minors == bound:
             failures.append(
-                f"{name} over Z_{game.order}: rank1={rank1}, win={win}, minors={minors}"
+                f"{name} over {game.group!r}: rank1={rank1}, win={win}, minors={minors}, bound={bound}"
             )
     return _result("lemma2-equivalence", start, failures, detail)
 

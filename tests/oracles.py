@@ -10,7 +10,8 @@ prefix weights and game tables one `Fraction` per entry.
 player has fewer questions; `classical_value` must match it strategy for
 strategy.  `response_scores` is the one-hot einsum formula for the
 responder's winnings per question and answer, which `classical_value`
-must match bit for bit.
+must match bit for bit, and `score_table_by_question` is the per-question
+loop that `bounds._score_table` replaced with one broadcast of all masks.
 
 Element objects, which the library does not have (an element there is its
 index): `GroupElement`, the coordinate tuple of an element of a product of
@@ -353,6 +354,18 @@ def response_scores(game, alice_idx) -> np.ndarray:
     diff = game.winning_answers()[u_ix, v_ix, assign[:, :, None]]
     onehot = (diff[..., None] == np.arange(game.order)).astype(weights.dtype)
     return np.einsum("uv,cuvg->cvg", weights, onehot)[0]
+
+
+def score_table_by_question(weights, winning, n: int, table=None) -> np.ndarray:
+    """`bounds._score_table` with each question's mask built on its own, in
+    the question loop: the same adds in the same order."""
+    if table is None:
+        table = np.zeros((weights.shape[1], n, 1), dtype=weights.dtype)
+    answers = np.arange(n)[:, None]
+    for w, win in zip(weights[:, :, None, None], winning):
+        wins = (win[:, None] == answers) * w
+        table = (table[:, :, None] + wins[..., None]).reshape(wins.shape[:2] + (-1,))
+    return table
 
 
 def alice_side_classical_value(game) -> ClassicalOptimum:

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nlgames import bounds
 from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
     EnumerationBudgetError,
@@ -33,6 +35,7 @@ from oracles import (
     phi1_rank_at_most_one,
     quantum_bound,
     response_scores,
+    score_table_by_question,
     signaling_defect,
     strategy_box,
 )
@@ -571,6 +574,28 @@ def test_scoring_one_assignment_per_shift_orbit_matches_the_reference(kind):
                 assert classical_value(game, chunk_size=chunk_size) == ref, (group, m_a, m_b, chunk_size)
 
 
+@pytest.mark.parametrize("kind", SHIFT_KINDS)
+def test_score_table_masks_in_one_broadcast_match_the_question_loop(monkeypatch, kind):
+    rng = np.random.default_rng(100 + SHIFT_KINDS.index(kind))
+    corpus = [
+        shift_game(rng, group, m_a, m_b, kind)
+        for group in SHIFT_GROUPS
+        for m_a, m_b in shift_shapes(group.order)
+    ]
+    for chunk_size in (1, 7, None):
+        optima = [classical_value(game, chunk_size=chunk_size) for game in corpus]
+        monkeypatch.setattr(bounds, "_score_table", score_table_by_question)
+        for game, opt in zip(corpus, optima):
+            ref = classical_value(game, chunk_size=chunk_size)
+            assert (opt.value.hex(), opt.exact, opt.alice, opt.bob) == (
+                ref.value.hex(),
+                ref.exact,
+                ref.alice,
+                ref.bob,
+            )
+        monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # Shared-randomness lower bound
 # ---------------------------------------------------------------------------
@@ -716,6 +741,29 @@ def test_rank_phi1_one_implies_a_perfect_strategy_only_over_z_d():
     assert f"{product.quantum_bound:.12g}" == "0.853553390593"
     assert not product.pseudo_telepathy_possible
     assert (field.rank_phi1, field.classical_value_exact) == (2, Fraction(3, 4))
+
+
+def test_perfect_play_on_uniform_games_is_decided_in_integers():
+    # f(u, v) - f(u, 0) - f(0, v) + f(0, 0) = 0 decides a perfect classical
+    # strategy and a bound of 1 on every group, where rank(Phi_1) = 1 does
+    # so only on Z_d; uniform float weights are decided the same way.
+    rng = np.random.default_rng(9)
+    seen = set()
+    for group in SHIFT_GROUPS + [FiniteAbelianGroup([2, 2])]:
+        n = group.order
+        for (m_a, m_b), additive in itertools.product(((1, 3), (2, 2), (3, 2), (2, 3)), (False, True)):
+            if additive:
+                f = group.addition_table()[rng.integers(0, n, m_a)[:, None], rng.integers(0, n, m_b)]
+            else:
+                f = rng.integers(0, n, (m_a, m_b))
+            exact = LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
+            as_float = LinearGame(group, f, q=np.full(f.shape, 1.0 / f.size))
+            perfect = alice_side_classical_value(exact).exact == 1
+            for report in analyze([exact, as_float]):
+                assert report.pseudo_telepathy_possible == perfect
+                assert (report.quantum_bound_raw >= 1.0 - 1e-9) == perfect
+            seen.add(perfect)
+    assert seen == {True, False}
 
 
 def test_report_strategies_are_the_coordinates_of_the_optimum():
