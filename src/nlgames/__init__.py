@@ -2,7 +2,6 @@
 and no-signaling boxes, including distributed-computation games over Z_d."""
 
 from .algebra import (
-    FieldAdditiveGroup,
     FiniteAbelianGroup,
     FiniteField,
     Group,

@@ -3,10 +3,11 @@
 Answers in a linear game live in a finite Abelian group, and the spectral
 bound on the quantum value needs the group's characters.  Two structures
 cover everything in scope: direct products of cyclic groups, whose
-characters are products of roots of unity, and additive groups of fields
-GF(p^r), whose characters go through the field trace.  Everything here is
-immutable after construction and safe for concurrent use.  An element is
-its canonical index; `element` parses an index or coordinates into one.
+characters are products of roots of unity, and fields GF(p^r), each the
+group of its addition, whose characters go through the field trace.
+Everything here is immutable after construction and safe for concurrent
+use.  An element is its canonical index; `element` parses an index or
+coordinates into one.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ __all__ = [
     "Group",
     "FiniteAbelianGroup",
     "FiniteField",
-    "FieldAdditiveGroup",
     "is_prime",
+    "power_above",
 ]
 
 # Desk-scale caps: keep exhaustive irreducibility searches and full element
@@ -45,6 +46,20 @@ def is_prime(n: int) -> bool:
             return False
         k += 2
     return True
+
+
+def power_above(base: int, exponent: int, cap: int) -> str | None:
+    """None when base**exponent is at most `cap` or base < 2, else the power
+    as text: its digits when it fits 64 bits, else "base^exponent".  Past
+    exponent cap.bit_length() the power is over the cap and never built."""
+    if base < 2:
+        return None
+    if exponent > cap.bit_length():
+        return f"{base}^{exponent}"
+    power = base**exponent
+    if power <= cap:
+        return None
+    return str(power) if power.bit_length() <= 64 else f"{base}^{exponent}"
 
 
 def _is_int(x) -> bool:
@@ -79,9 +94,9 @@ class Group:
       character indexed by a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N).
 
     Every table derives from these by array arithmetic, so a group is its
-    integer tables; the subclass adds only `element`, which parses an index
-    or coordinates into an index, and `describe`.  The index orders tables,
-    boxes, and tie-breaking.
+    integer tables; the subclass adds `element`, which parses an index or
+    coordinates into an index, and `describe`, and a field its product and
+    trace form.  The index orders tables, boxes, and tie-breaking.
     """
 
     order: int
@@ -276,43 +291,48 @@ def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no irreducible polynomial of degree {r} over Z_{p}")
 
 
-class FiniteField:
-    """GF(p^r) as polynomial residues modulo a fixed irreducible polynomial.
+class FiniteField(Group):
+    """GF(p^r) as polynomial residues modulo a fixed irreducible polynomial,
+    and as a `Group`, its additive group: the answer group of field games.
 
     The modulus defaults to the lexicographically smallest monic irreducible
     polynomial of degree r over Z_p, so fields are reproducible across runs.
     An element is its integer encoding sum_i c_i * p^i, with 0 first and the
-    multiplicative unit at 1; row m of the read-only `coeffs` array holds the
-    little-endian coefficients c_i of element m.
+    multiplicative unit at 1; row m of `coords` holds the little-endian
+    coefficients c_i of element m.  The character indexed by k is the trace
+    character chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the
+    closed-form norm computations assume.  The size cap is checked before
+    primality, whose trial division takes about a minute for a p near 10^18.
     """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
-        p = int(p)
-        r = int(r)
+        p, r = int(p), int(r)
+        if not 1 <= r <= MAX_EXTENSION_DEGREE:
+            raise ValueError(f"extension degree must be in [1, {MAX_EXTENSION_DEGREE}], got {r}")
+        size = power_above(p, r, MAX_ORDER)
+        if size is not None:
+            raise ValueError(f"field size {size} exceeds the supported cap {MAX_ORDER}")
         if not is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p}")
-        if not 1 <= r <= MAX_EXTENSION_DEGREE:
-            raise ValueError(
-                f"extension degree must be in [1, {MAX_EXTENSION_DEGREE}], got {r}"
-            )
-        if p**r > MAX_ORDER:
-            raise ValueError(f"field size {p**r} exceeds the supported cap {MAX_ORDER}")
         if modulus is None:
             modulus = _smallest_irreducible(p, r)
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != r + 1 or modulus[-1] != 1:
-                raise ValueError(
-                    f"modulus must be monic of degree {r}, got coefficients {modulus}"
-                )
+                raise ValueError(f"modulus must be monic of degree {r}, got coefficients {modulus}")
             if not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
         self.p = p
         self.r = r
         self.modulus = modulus
-        self.size = p**r
-        self.coeffs = np.arange(self.size)[:, None] // p ** np.arange(r) % p
-        self.coeffs.setflags(write=False)
+        super().__init__(
+            coords=np.arange(p**r)[:, None] // p ** np.arange(r) % p,
+            moduli=[p] * r,
+            place=[p**i for i in range(r)],
+            # Tr is Z_p-linear, so Tr(a*x) = a P x^T with P[i][j] = Tr(x^i * x^j).
+            pairing=self.trace_form(),
+            exponent=p,
+        )
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
@@ -323,10 +343,26 @@ class FiniteField:
             value = value * self.p + c
         return value
 
+    def element(self, value) -> int:
+        """The index of an element given as an integer encoding or a
+        coefficient list, each coefficient reduced mod p; a list shorter than
+        the degree is padded with zeros."""
+        if _is_int(value):
+            if not 0 <= value < self.order:
+                raise ValueError(f"integer encoding {value} out of range for {self!r}")
+            return int(value)
+        coeffs = tuple(c % self.p for c in _int_coordinates(value))
+        if len(coeffs) > self.r:
+            raise ValueError(f"coefficient list {coeffs} longer than degree {self.r}")
+        return self._encode(coeffs)
+
+    def describe(self) -> dict:
+        return {"field": {"p": self.p, "r": self.r}}
+
     def multiplication_table(self) -> np.ndarray:
         """Index table T[i, j] of the product of elements i and j, one
         polynomial product of coefficient tuples per entry."""
-        coeffs = self.coeffs.tolist()
+        coeffs = self.coords.tolist()
         modulus, p, encode = self.modulus, self.p, self._encode
         return np.array(
             [[encode(_poly_mul_mod(a, b, modulus, p)) for b in coeffs] for a in coeffs],
@@ -348,48 +384,3 @@ class FiniteField:
             traces.append(np.trace(power) % p)
             power = companion @ power % p
         return np.array(traces, dtype=np.int64)[np.add.outer(np.arange(r), np.arange(r))]
-
-    def additive_group(self) -> "FieldAdditiveGroup":
-        return FieldAdditiveGroup(self)
-
-
-class FieldAdditiveGroup(Group):
-    """Additive group of GF(p^r) with trace-based characters.
-
-    Used as the answer group of field-multiplication games: the character
-    indexed by k is chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the
-    closed-form norm computations assume.  Coordinates are the little-endian
-    coefficients.
-    """
-
-    def __init__(self, field: FiniteField):
-        self.field = field
-        p, r = field.p, field.r
-        super().__init__(
-            coords=field.coeffs,
-            moduli=[p] * r,
-            place=[p**i for i in range(r)],
-            # Tr is Z_p-linear, so Tr(a*x) = a P x^T with P[i][j] = Tr(x^i * x^j).
-            pairing=field.trace_form(),
-            exponent=p,
-        )
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}+"
-
-    def element(self, value) -> int:
-        """The index of an element given as an integer encoding or a
-        coefficient list, each coefficient reduced mod p; a list shorter than
-        the degree is padded with zeros."""
-        field = self.field
-        if _is_int(value):
-            if not 0 <= value < self.order:
-                raise ValueError(f"integer encoding {value} out of range for {field!r}")
-            return int(value)
-        coeffs = tuple(c % field.p for c in _int_coordinates(value))
-        if len(coeffs) > field.r:
-            raise ValueError(f"coefficient list {coeffs} longer than degree {field.r}")
-        return field._encode(coeffs)
-
-    def describe(self) -> dict:
-        return {"field": {"p": self.field.p, "r": self.field.r}}

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import power_above
 from .games import Box, LinearGame, evaluate_box
 from .numerics import DEFAULT_RANK_TOL, singular_value_rank, stacked_singular_values
 
@@ -45,6 +46,7 @@ __all__ = [
     "phi_spectra",
     "phi_norms",
     "bound_from_norms",
+    "over_budget",
     "classical_value",
     "lemma1_bound",
     "ns_winning_box",
@@ -233,6 +235,17 @@ def _smallest(cand: np.ndarray) -> np.ndarray:
     return cand[np.lexsort(cand.T)[0]]
 
 
+def over_budget(order: int, m_a: int, m_b: int, budget: int) -> str | None:
+    """Why an exact classical value over `order` answers and m_a x m_b
+    questions is over `budget`, or None when its order^min(m_a, m_b)
+    assignments fit; a count far above the budget is never built."""
+    total = power_above(order, min(m_a, m_b), budget)
+    if total is None:
+        return None
+    player = "Bob" if m_b < m_a else "Alice"
+    return f"classical enumeration needs {total} assignments for {player}, the player with fewer questions, over the budget of {budget}"
+
+
 def classical_value(
     game: LinearGame,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
@@ -280,16 +293,12 @@ def classical_value(
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    reason = over_budget(game.order, game.mA, game.mB, budget)
+    if reason is not None:
+        raise EnumerationBudgetError(reason)
     n = game.order
     by_bob = game.mB < game.mA
     m_enum = min(game.mA, game.mB)
-    total = n**m_enum
-    if total > budget:
-        player = "Bob" if by_bob else "Alice"
-        raise EnumerationBudgetError(
-            f"classical enumeration needs {total} assignments for {player}, the "
-            f"player with fewer questions, over the budget of {budget}"
-        )
     weights = game.q_num if game.has_exact_q else game.q
     score_type = weights.dtype
     if game.has_exact_q:  # every score is at most q_den

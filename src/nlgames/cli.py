@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import MAX_ORDER, FiniteField
-from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, phi_norms
+from .bounds import DEFAULT_ENUMERATION_BUDGET, ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, over_budget, phi_norms
 from .games import GameFormatError, GameValidationError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
 from .numerics import DEFAULT_RANK_TOL
@@ -70,24 +70,13 @@ def _load_json(path: str):
 
 
 def _report_scalars(report: GameReport, index: int | None = None) -> dict:
-    exact = report.classical_value_exact
-    row = {
-        "order": report.order,
-        "mA": report.mA,
-        "mB": report.mB,
-        "lemma1_bound": fmt_float(report.lemma1_bound),
-        "classical_value": fmt_float(report.classical_value),
-        "classical_value_exact": "-"
-        if exact is None
-        else f"{exact.numerator}/{exact.denominator}",
-        "quantum_bound_raw": fmt_float(report.quantum_bound_raw),
-        "quantum_bound": fmt_float(report.quantum_bound),
-        "ns_value": fmt_float(report.ns_value),
-        "rank_phi1": report.rank_phi1,
-        "pseudo_telepathy_possible": report.pseudo_telepathy_possible,
-    }
-    if index is not None:
-        row = {"index": index, **row}
+    """The CSV row of a report, read off its JSON document: floats through
+    `fmt_float`, a missing exact value as "-"."""
+    doc = report.to_json_dict()
+    row = {} if index is None else {"index": index}
+    for column in SCAN_COLUMNS[1:]:
+        value = doc[column]
+        row[column] = fmt_float(value) if isinstance(value, float) else "-" if value is None else value
     return row
 
 
@@ -106,14 +95,8 @@ def _print_report(report: GameReport, fmt: str) -> None:
     print(f"group: {json.dumps(doc['group'])}")
     print(f"questions: {report.mA} x {report.mB}, answers: {report.order}")
     print(f"lemma1_bound: {fmt_float(report.lemma1_bound)}")
-    print(
-        "classical_value: "
-        + (
-            fmt_fraction(report.classical_value_exact)
-            if report.classical_value_exact is not None
-            else fmt_float(report.classical_value)
-        )
-    )
+    exact = report.classical_value_exact
+    print("classical_value: " + (fmt_float(report.classical_value) if exact is None else fmt_fraction(exact)))
     print(f"alice_strategy: {doc['classical_strategy']['alice']}")
     print(f"bob_strategy: {doc['classical_strategy']['bob']}")
     print(f"quantum_bound_raw: {fmt_float(report.quantum_bound_raw)}")
@@ -137,7 +120,7 @@ class WorkBudgetError(RuntimeError):
 
 def cmd_chsh(args: argparse.Namespace) -> int:
     field = FiniteField(args.p, args.r)  # a bad p or r fails before the budget
-    q = field.size
+    q = field.order
     # The q x q multiplication and character tables, then one q^3 gate
     # product per conjugate pair {x, -x} of nonzero characters; over
     # characteristic 2 every x is its own negative.  This is an upper bound:
@@ -187,11 +170,8 @@ def cmd_nlc(args: argparse.Namespace) -> int:
     print(f"strategy_value: {fmt_fraction(strategy_value)}")
     print(f"quantum_bound: {fmt_fraction(profile.bound)}")
     if report is not None:
-        brute = (
-            "skipped (over budget)"
-            if report.brute_force_value is None
-            else fmt_fraction(report.brute_force_value)
-        )
+        brute = report.brute_force_value
+        brute = "skipped (over budget)" if brute is None else fmt_fraction(brute)
         print(
             f"verify theorem: ok (strategy {fmt_fraction(report.strategy_value)}, "
             f"brute force {brute}, spectral {fmt_float(report.spectral_bound)})"
@@ -204,7 +184,11 @@ def cmd_nlc(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     """Analyze the games in blocks of SCAN_BLOCK, one `analyze` call each, so
     a block's spectra are solved in one stack; a chain violation prints the
-    offending game and none of its block's rows."""
+    offending game and none of its block's rows.  The enumeration budget is
+    checked before the header, and before any game is drawn."""
+    reason = over_budget(args.d, args.m, args.m, DEFAULT_ENUMERATION_BUDGET) if args.count else None
+    if reason is not None:
+        raise EnumerationBudgetError(reason)
     rng = SplitMix64(args.seed)
     writer = csv.DictWriter(sys.stdout, fieldnames=SCAN_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import FiniteField, Group, _is_int
+from .algebra import FiniteAbelianGroup, FiniteField, Group, _is_int
 from .rng import SplitMix64
 
 __all__ = [
@@ -219,13 +219,13 @@ def game_from_tables(group: Group, q, f) -> LinearGame:
 def chsh_d(p: int | FiniteField, r: int = 1) -> LinearGame:
     """CHSH game over GF(p^r): f(u, v) = u*v in the field, uniform questions.
 
-    `p` may be a built `FiniteField`, which is then used as it is.  Answers
-    live in the additive group of the field, so the characters used by the
-    spectral bound are the trace characters.
+    `p` may be a built `FiniteField`, which is then used as it is.  The
+    field is also the answer group, so the characters used by the spectral
+    bound are the trace characters.
     """
     field = p if isinstance(p, FiniteField) else FiniteField(p, r)
     f_idx = field.multiplication_table()
-    return LinearGame(field.additive_group(), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
+    return LinearGame(field, f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
 
 
 def chsh_closed_form(d: int) -> float:
@@ -239,8 +239,6 @@ def random_xor_game(rng: SplitMix64, d: int, m_a: int, m_b: int | None = None) -
     Entries are drawn row-major (u outer, v inner), one `randbelow(d)` call
     each, so a given seed always produces the same game.
     """
-    from .algebra import FiniteAbelianGroup
-
     if m_b is None:
         m_b = m_a
     f_idx = np.array([[rng.randbelow(d) for _ in range(m_b)] for _ in range(m_a)])
@@ -379,9 +377,18 @@ def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise GameFormatError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _group_from_json(obj) -> Group:
-    from .algebra import FiniteAbelianGroup
+def _check_document(obj, keys: set[str], name: str) -> None:
+    """Require `obj`, the JSON document called `name`, to be an object with
+    exactly the keys `keys`: none unknown, none missing."""
+    if not isinstance(obj, dict):
+        raise GameFormatError(f"{name} must be a JSON object")
+    _reject_unknown_keys(obj, keys, name)
+    missing = keys - set(obj)
+    if missing:
+        raise GameFormatError(f"{name} is missing keys {sorted(missing)}")
 
+
+def _group_from_json(obj) -> Group:
     if not isinstance(obj, dict):
         raise GameFormatError("'group' must be an object")
     if set(obj) == {"factors"}:
@@ -403,7 +410,7 @@ def _group_from_json(obj) -> Group:
             if type(field[key]) is not int:
                 raise GameFormatError(f"'{key}' in 'field' must be an integer")
         try:
-            return FiniteField(field["p"], field.get("r", 1)).additive_group()
+            return FiniteField(field["p"], field.get("r", 1))
         except ValueError as exc:
             raise GameFormatError(str(exc)) from exc
     raise GameFormatError("'group' must contain exactly one of 'factors' or 'field'")
@@ -411,12 +418,7 @@ def _group_from_json(obj) -> Group:
 
 def game_from_json(obj) -> LinearGame:
     """Parse the documented JSON game format; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise GameFormatError("game document must be a JSON object")
-    _reject_unknown_keys(obj, _GAME_KEYS, "game document")
-    missing = _GAME_KEYS - set(obj)
-    if missing:
-        raise GameFormatError(f"game document is missing keys {sorted(missing)}")
+    _check_document(obj, _GAME_KEYS, "game document")
     group = _group_from_json(obj["group"])
     m_a, m_b = obj["mA"], obj["mB"]
     if not all(type(m) is int and m >= 1 for m in (m_a, m_b)):

@@ -29,9 +29,9 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import FiniteAbelianGroup, _is_int, is_prime
-from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value
-from .games import GameFormatError, GameValidationError, LinearGame, _check_exact_denominator, _read_weights
+from .algebra import FiniteAbelianGroup, _is_int, is_prime, power_above
+from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value, over_budget
+from .games import GameFormatError, GameValidationError, LinearGame, _check_document, _check_exact_denominator, _read_weights
 
 __all__ = [
     "NlcValidationError",
@@ -86,15 +86,16 @@ class NlcSpec:
 
 
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
-    """Validate and build an NLC specification."""
-    d = int(d)
-    n = int(n)
-    if not is_prime(d):
-        raise NlcValidationError(f"d must be prime, got {d}")
+    """Validate and build an NLC specification; the d^n cap comes before
+    d's primality, whose trial division takes about a minute for a d near 10^18."""
+    d, n = int(d), int(n)
     if n < 1:
         raise NlcValidationError(f"n must be at least 1, got {n}")
-    if d**n > MAX_QUESTIONS:
-        raise NlcValidationError(f"d^n = {d**n} exceeds the supported cap {MAX_QUESTIONS}")
+    questions = power_above(d, n, MAX_QUESTIONS)
+    if questions is not None:
+        raise NlcValidationError(f"d^n = {questions} exceeds the supported cap {MAX_QUESTIONS}")
+    if not is_prime(d):
+        raise NlcValidationError(f"d must be prime, got {d}")
     size = d ** (n - 1)
     g = tuple(g)
     if len(g) != size:
@@ -281,7 +282,7 @@ def verify_theorem3(
         )
     size = spec.d**spec.n
     brute = None
-    if spec.d**size <= budget:
+    if over_budget(spec.d, size, size, budget) is None:
         game = nlc_game(spec)
         inputs = FiniteAbelianGroup([spec.d] * spec.n).addition_table()
         for name, row in (("f_idx", row0[0]), ("q_num", row0[1])):
@@ -387,14 +388,7 @@ _SPEC_KEYS = {"d", "n", "g", "p"}
 
 def nlc_spec_from_json(obj) -> NlcSpec:
     """Parse {"d": .., "n": .., "g": [..], "p": [[num, den], ..] | "uniform"}."""
-    if not isinstance(obj, dict):
-        raise GameFormatError("NLC document must be a JSON object")
-    unknown = set(obj) - _SPEC_KEYS
-    if unknown:
-        raise GameFormatError(f"unknown keys {sorted(unknown)} in NLC document")
-    missing = _SPEC_KEYS - set(obj)
-    if missing:
-        raise GameFormatError(f"NLC document is missing keys {sorted(missing)}")
+    _check_document(obj, _SPEC_KEYS, "NLC document")
     if type(obj["d"]) is not int or type(obj["n"]) is not int:
         raise GameFormatError("'d' and 'n' must be integers")
     if not isinstance(obj["g"], list):

@@ -285,8 +285,8 @@ def check_lemma2_equivalence() -> CheckResult:
     groups = [
         FiniteAbelianGroup([2, 2]),
         FiniteAbelianGroup([2, 3]),
-        FiniteField(2, 2).additive_group(),
-        FiniteField(3, 2).additive_group(),
+        FiniteField(2, 2),
+        FiniteField(3, 2),
     ]
     for i in range(120):
         group, m = groups[i % 4], 2 + (i // 4) % 2

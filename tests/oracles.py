@@ -23,9 +23,9 @@ order, from `itertools.product`, never from the group's coordinate array.
 Reference formulas for the group, field, bound and box facts tests check,
 on element objects:
 - `add(group, x, y)` and `neg(group, x)`: over a product of cyclic groups,
-  coordinates added or negated modulo `group.factors`; over a field or its
-  additive group, coefficients added or negated mod p, after checking that
-  x and y belong to that field;
+  coordinates added or negated modulo `group.factors`; over a field,
+  coefficients added or negated mod p, after checking that x and y belong
+  to that field;
 - `mul(field, a, b)`: the sum of b_j * (a * x^j) over the coefficients of
   b, each a * x^j one shift of a's coefficient tuple and one subtraction of
   its top coefficient times the modulus, never the polynomial long division
@@ -33,13 +33,13 @@ on element objects:
 - `power(field, a, e)`: a^e by square and multiply through `mul`;
 - `trace(field, a)`: the Frobenius sum a + a^p + ... + a^(p^(r-1)) through
   `power` and `add`, never the companion matrix of `FiniteField.trace_form`;
-- `inv(field, a)`: `power(field, a, field.size - 2)`, after checking that a
+- `inv(field, a)`: `power(field, a, field.order - 2)`, after checking that a
   is not zero;
 - `quantum_bound(game)`: `bound_from_norms` of the game's `phi_norms`,
   unclamped;
 - `character(group, a, x)`: over a product of cyclic groups, the product of
   exp(2*pi*i * a_j * x_j / n_j) over `group.factors` and element coordinates;
-  over a field's additive group, exp(2*pi*i * Tr(a*x) / p) through `mul`
+  over a field, exp(2*pi*i * Tr(a*x) / p) through `mul`
   and `trace`, never the pairing matrix that `character_table` is built
   from;
 - `sub(group, x, y)`: `add(group, x, neg(group, y))`;
@@ -60,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nlgames.algebra import FieldAdditiveGroup, FiniteField
+from nlgames.algebra import FiniteField
 from nlgames.bounds import ClassicalOptimum, bound_from_norms, phi_norms
 from nlgames.games import Box, GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
@@ -86,12 +86,6 @@ class FieldElement:
         return sum(c * self.field[0] ** i for i, c in enumerate(self.coeffs))
 
 
-def _field(group):
-    """The field of a field or of its additive group; None for other groups."""
-    field = group.field if isinstance(group, FieldAdditiveGroup) else group
-    return field if isinstance(field, FiniteField) else None
-
-
 def _key(field) -> tuple:
     return field.p, field.r, field.modulus
 
@@ -99,21 +93,18 @@ def _key(field) -> tuple:
 def elements(group) -> tuple:
     """Element objects in canonical index order: coordinate tuples with the
     last coordinate fastest, or coefficient tuples with the first fastest."""
-    field = _field(group)
-    if field is None:
+    if not isinstance(group, FiniteField):
         return tuple(map(GroupElement, itertools.product(*(range(n) for n in group.factors))))
-    digits = itertools.product(range(field.p), repeat=field.r)
-    return tuple(FieldElement(_key(field), c[::-1]) for c in digits)
+    digits = itertools.product(range(group.p), repeat=group.r)
+    return tuple(FieldElement(_key(group), c[::-1]) for c in digits)
 
 
 def character(group, a, x) -> complex:
     """chi_a(x): over a product of cyclic groups, the product of the roots
     exp(2*pi*i * a_j*x_j / n_j), taken as one power of exp(2*pi*i / N) with
-    N = lcm(n_j); over a field's additive group, the trace character
-    exp(2*pi*i * Tr(a*x) / p)."""
-    if isinstance(group, FieldAdditiveGroup):
-        field = group.field
-        return cmath.exp(2j * cmath.pi * trace(field, mul(field, a, x)) / field.p)
+    N = lcm(n_j); over a field, the trace character exp(2*pi*i * Tr(a*x) / p)."""
+    if isinstance(group, FiniteField):
+        return cmath.exp(2j * cmath.pi * trace(group, mul(group, a, x)) / group.p)
     big_n = math.lcm(*group.factors)
     m = sum(a_j * x_j * (big_n // n) for a_j, x_j, n in zip(a.coords, x.coords, group.factors))
     return cmath.exp(2j * cmath.pi * (m % big_n) / big_n)
@@ -123,11 +114,10 @@ def _coefficients(group, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The coordinates of x and the modulus of each: the cyclic factors, or
     p for every coefficient of a field element, which must belong to the
     field."""
-    field = _field(group)
-    if field is not None:
-        if not isinstance(x, FieldElement) or x.field != _key(field):
-            raise ValueError(f"field mismatch: {x!r} does not belong to {field!r}")
-        return x.coeffs, (field.p,) * field.r
+    if isinstance(group, FiniteField):
+        if not isinstance(x, FieldElement) or x.field != _key(group):
+            raise ValueError(f"field mismatch: {x!r} does not belong to {group!r}")
+        return x.coeffs, (group.p,) * group.r
     if len(x.coords) != len(group.factors):
         raise ValueError(f"element {x.coords} does not match factor list {group.factors}")
     return x.coords, group.factors
@@ -135,8 +125,7 @@ def _coefficients(group, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _element(group, coords):
     """The element object with these reduced coordinates."""
-    field = _field(group)
-    return GroupElement(coords) if field is None else FieldElement(_key(field), coords)
+    return FieldElement(_key(group), coords) if isinstance(group, FiniteField) else GroupElement(coords)
 
 
 def add(group, x, y):
@@ -201,7 +190,7 @@ def inv(field, a):
     """The multiplicative inverse a^(q - 2) of a nonzero a in GF(q)."""
     if a == elements(field)[0]:
         raise ZeroDivisionError("zero has no multiplicative inverse")
-    return power(field, a, field.size - 2)
+    return power(field, a, field.order - 2)
 
 
 def quantum_bound(game) -> float:

@@ -8,6 +8,7 @@ from nlgames.algebra import (
     FiniteAbelianGroup,
     FiniteField,
     is_prime,
+    power_above,
 )
 from oracles import (
     FieldElement,
@@ -166,7 +167,7 @@ def test_character_properties(factors):
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_tables_are_consistent(kind, args):
-    g = FiniteField(*args).additive_group() if kind == "GF" else FiniteAbelianGroup(args)
+    g = FiniteField(*args) if kind == "GF" else FiniteAbelianGroup(args)
     plus = g.addition_table()
     diff = g.subtraction_table()
     minus = g.negation_table()
@@ -221,6 +222,33 @@ def test_field_construction_errors():
         FiniteField(3, 2, modulus=(1, 0, 2))
 
 
+def test_field_checks_its_size_cap_before_primality():
+    # Trial division of a prime p near 10^18 would take about a minute.
+    with pytest.raises(ValueError, match="^field size 1000000000000000003 exceeds the supported cap 4096$"):
+        FiniteField(1000000000000000003)
+    with pytest.raises(ValueError, match="^field size 5000 exceeds the supported cap 4096$"):
+        FiniteField(5000)
+    with pytest.raises(ValueError, match="degree"):
+        FiniteField(5000, 5)
+    with pytest.raises(ValueError, match="prime, got -70"):
+        FiniteField(-70, 2)
+    # p^2 has 8,001 digits, above what Python converts to a string.
+    with pytest.raises(ValueError, match=r"^field size 10+1\^2 exceeds the supported cap 4096$"):
+        FiniteField(10**4000 + 1, 2)
+
+
+def test_power_above_builds_no_power_far_over_its_cap():
+    assert power_above(3, 12, 10**6) is None
+    assert power_above(3, 13, 10**6) == "1594323"
+    assert power_above(2, 20, 10**6) == "1048576"
+    assert power_above(2, 21, 10**6) == "2^21"
+    assert power_above(2**32 - 1, 2, 10**6) == str((2**32 - 1) ** 2)
+    assert power_above(2**32, 2, 10**6) == f"{2**32}^2"
+    assert power_above(4096, 10**12, 10**6) == "4096^1000000000000"
+    assert power_above(1, 10**12, 10**6) is None
+    assert power_above(-7, 3, 10) is None
+
+
 def test_gf4_multiplication():
     f = FiniteField(2, 2)
     x = elements(f)[2]
@@ -234,7 +262,7 @@ def test_gf4_multiplication():
 def test_power_d_fixes_every_element(p, r):
     f = FiniteField(p, r)
     for a in elements(f):
-        assert power(f, a, f.size) == a
+        assert power(f, a, f.order) == a
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (5, 1), (7, 1)])
@@ -248,14 +276,14 @@ def test_nonzero_elements_form_cyclic_group(p, r):
             term = mul(f, term, a)
             order += 1
         orders.append(order)
-        assert (f.size - 1) % order == 0
-    assert max(orders) == f.size - 1
+        assert (f.order - 1) % order == 0
+    assert max(orders) == f.order - 1
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)])
 def test_field_axioms_exhaustive(p, r):
     f = FiniteField(p, r)
-    if f.size > 9:
+    if f.order > 9:
         pytest.skip("axiom sweep kept to sizes <= 9")
     for a in elements(f):
         for b in elements(f):
@@ -359,12 +387,12 @@ def test_zero_has_no_inverse():
 
 def test_additive_character_examples():
     gf4 = FiniteField(2, 2)
-    chars4 = gf4.additive_group().character_table()
+    chars4 = gf4.character_table()
     for a in elements(gf4):
         assert chars4[int(elements(gf4)[0]), int(a)] == pytest.approx(1.0)
     gf2 = FiniteField(2, 1)
     one = int(elements(gf2)[1])
-    assert gf2.additive_group().character_table()[one, one] == pytest.approx(-1.0)
+    assert gf2.character_table()[one, one] == pytest.approx(-1.0)
     total = sum(chars4[int(elements(gf4)[1]), int(a)] for a in elements(gf4))
     assert abs(total) < 1e-12
 
@@ -372,12 +400,12 @@ def test_additive_character_examples():
 @pytest.mark.parametrize("p,r", SMALL_FIELDS)
 def test_additive_character_sum_over_multiples(p, r):
     f = FiniteField(p, r)
-    chars = f.additive_group().character_table()
+    chars = f.character_table()
     for b in elements(f):
         for k in elements(f)[1:]:
             total = sum(chars[int(k), int(mul(f, a, b))] for a in elements(f))
             if b == elements(f)[0]:
-                assert total == pytest.approx(f.size)
+                assert total == pytest.approx(f.order)
             else:
                 assert abs(total) < 1e-10
 
@@ -385,7 +413,7 @@ def test_additive_character_sum_over_multiples(p, r):
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 1)])
 def test_additive_character_homomorphism(p, r):
     f = FiniteField(p, r)
-    chars = f.additive_group().character_table()
+    chars = f.character_table()
     for k in elements(f):
         for a in elements(f):
             for b in elements(f):
@@ -397,7 +425,7 @@ def test_additive_character_homomorphism(p, r):
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3)])
 def test_additive_character_trivial_only_for_zero(p, r):
     f = FiniteField(p, r)
-    chars = f.additive_group().character_table()
+    chars = f.character_table()
     for k in elements(f)[1:]:
         assert any(abs(chars[int(k), int(a)] - 1.0) > 1e-9 for a in elements(f))
 
@@ -405,8 +433,8 @@ def test_additive_character_trivial_only_for_zero(p, r):
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2)])
 def test_field_additive_group_is_valid_group(p, r):
     f = FiniteField(p, r)
-    g = f.additive_group()
-    assert g.order == f.size
+    g = f
+    assert g.order == f.order
     assert g.coords[0].tolist() == [0] * r
     assert g.describe() == {"field": {"p": p, "r": r}}
     chars = g.character_table()
@@ -418,10 +446,10 @@ def test_field_additive_group_is_valid_group(p, r):
 
 def test_field_element_int_encoding():
     f = FiniteField(3, 2)
-    g = f.additive_group()
+    g = f
     for m, el in enumerate(elements(f)):
         assert int(el) == m
-        assert f.coeffs[m].tolist() == list(el.coeffs) == g.coords[m].tolist()
+        assert f.coords[m].tolist() == list(el.coeffs) == g.coords[m].tolist()
         assert g.element(m) == g.element(list(el.coeffs)) == m
     assert g.element([2, 1]) == 5
     assert elements(f)[5] == FieldElement((3, 2, f.modulus), (2, 1))

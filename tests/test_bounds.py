@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlgames import bounds
-from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
+from nlgames.algebra import FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
     EnumerationBudgetError,
     _game_matrix,
@@ -168,7 +168,7 @@ def test_bound_independent_of_field_modulus():
     base = None
     for modulus in [(1, 0, 1), (2, 1, 1), (2, 2, 1)]:
         field = FiniteField(3, 2, modulus=modulus)
-        group = field.additive_group()
+        group = field
         q = [[Fraction(1, 81)] * 9 for _ in range(9)]
         f = [[int(mul(field, x, y)) for y in elements(field)] for x in elements(field)]
         bound = quantum_bound(game_from_tables(group, q, f))
@@ -247,7 +247,7 @@ SPLIT_GROUPS = [
     Z3,
     FiniteAbelianGroup([5]),
     FiniteAbelianGroup([2, 3]),
-    FieldAdditiveGroup(FiniteField(2, 2)),
+    FiniteField(2, 2),
 ]
 # Square, wide (mA < mB) and tall (mB < mA); m_enum = min(mA, mB) runs 1..5.
 SPLIT_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 2)]
@@ -299,7 +299,7 @@ def test_budget_error_is_informative():
 TALL_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 7)] + [
     FiniteAbelianGroup([2, 3]),
     FiniteAbelianGroup([3, 3]),
-    FieldAdditiveGroup(FiniteField(2, 2)),
+    FiniteField(2, 2),
 ]
 WEIGHT_KINDS = ("uniform", "random 1..3", "sparse", "random float", "uniform float")
 
@@ -404,8 +404,8 @@ def test_kernel_matches_the_alice_side_reference_on_float_weights(shape):
 
 RESPONSE_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 8)] + [
     FiniteAbelianGroup([2, 3]),
-    FieldAdditiveGroup(FiniteField(2, 2)),
-    FieldAdditiveGroup(FiniteField(3, 2)),
+    FiniteField(2, 2),
+    FiniteField(3, 2),
 ]
 # Square, wide (mA < mB) and tall (mB < mA).
 RESPONSE_SHAPES = [(1, 1), (3, 3), (2, 7), (7, 2), (3, 10), (10, 3)]
@@ -520,8 +520,8 @@ def test_scores_at_the_edge_of_each_integer_type(q_den):
 
 SHIFT_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 8)] + [
     FiniteAbelianGroup([2, 3]),
-    FieldAdditiveGroup(FiniteField(2, 2)),
-    FieldAdditiveGroup(FiniteField(3, 2)),
+    FiniteField(2, 2),
+    FiniteField(3, 2),
 ]
 SHIFT_KINDS = (
     "random 1..3",
@@ -735,7 +735,7 @@ def test_rank_phi1_one_implies_a_perfect_strategy_only_over_z_d():
     # rank 1 although no strategy wins every round.  Over GF(4) the same
     # table has rank 2.
     f = [[0, 0], [0, 2]]
-    groups = (FiniteAbelianGroup([2, 2]), FiniteField(2, 2).additive_group())
+    groups = (FiniteAbelianGroup([2, 2]), FiniteField(2, 2))
     product, field = analyze([uniform_game(group, f) for group in groups])
     assert (product.rank_phi1, product.classical_value_exact) == (1, Fraction(3, 4))
     assert f"{product.quantum_bound:.12g}" == "0.853553390593"
@@ -767,12 +767,12 @@ def test_perfect_play_on_uniform_games_is_decided_in_integers():
 
 
 def test_report_strategies_are_the_coordinates_of_the_optimum():
-    gf9 = FiniteField(3, 2).additive_group()
+    gf9 = FiniteField(3, 2)
     z2xz3 = FiniteAbelianGroup([2, 3])
     games = [uniform_game(gf9, [[1, 5, 8], [4, 0, 3]]), uniform_game(z2xz3, [[1, 5, 2], [4, 0, 3]])]
     for game, report in zip(games, analyze(games)):
         opt = classical_value(game)
-        field = isinstance(game.group, FieldAdditiveGroup)
+        field = isinstance(game.group, FiniteField)
         coords = [el.coeffs if field else el.coords for el in elements(game.group)]
         assert report.alice_strategy == tuple(coords[i] for i in opt.alice)
         assert report.bob_strategy == tuple(coords[i] for i in opt.bob)
@@ -853,7 +853,7 @@ def test_analyze_mixed_list_equals_solo_reports():
     # itself alike, but its character tables differ: grouping by `describe`
     # would solve the second game with the first one's characters.
     rng = SplitMix64(12)
-    gf9 = [FieldAdditiveGroup(FiniteField(3, 2, modulus=m)) for m in (None, (2, 2, 1))]
+    gf9 = [FiniteField(3, 2, modulus=m) for m in (None, (2, 2, 1))]
     assert gf9[0].describe() == gf9[1].describe()
     f9 = np.array([[rng.randbelow(9) for _ in range(3)] for _ in range(3)])
     gf9_games = [LinearGame(g, f9, q_num=np.ones_like(f9), q_den=9) for g in gf9]

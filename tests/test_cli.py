@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,55 @@ def test_chsh_over_its_work_budget_exits_3_before_building_the_game(monkeypatch,
     assert "over the budget of 1e+10" in captured.err
     assert main(["chsh", "1024"]) == EXIT_FAILURE
     assert "prime" in capsys.readouterr().err
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, err",
+    [
+        (["chsh", str(HUGE_PRIME)], None, EXIT_FAILURE, f"field size {HUGE_PRIME} exceeds the supported cap 4096"),
+        (
+            ["analyze"],
+            {"group": {"field": {"p": HUGE_PRIME}}, "mA": 1, "mB": 1, "q": [[1]], "f": [[0]]},
+            EXIT_PARSE,
+            f"field size {HUGE_PRIME} exceeds the supported cap 4096",
+        ),
+        (
+            ["nlc"],
+            {"d": HUGE_PRIME, "n": 1, "g": [0], "p": "uniform"},
+            EXIT_FAILURE,
+            f"d^n = {HUGE_PRIME} exceeds the supported cap 59049",
+        ),
+        (
+            ["nlc"],
+            {"d": 3, "n": 100000000, "g": [0], "p": "uniform"},
+            EXIT_FAILURE,
+            "d^n = 3^100000000 exceeds the supported cap 59049",
+        ),
+        (
+            ["scan", "--d", "2", "--m", "2000", "--count", "1"],
+            None,
+            EXIT_BUDGET,
+            "classical enumeration needs 2^2000 assignments for Alice, the player with "
+            "fewer questions, over the budget of 1000000",
+        ),
+    ],
+    ids=["chsh", "game-file", "nlc-d", "nlc-n", "scan"],
+)
+def test_caps_and_budgets_are_checked_before_any_work(tmp_path, capsys, command, doc, code, err):
+    # A prime p or d near 10^18 costs a minute of trial division, d^n at
+    # n = 10^8 a huge power, and a 2000 x 2000 scan game seconds to draw,
+    # were the cap or budget checked after them.
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        command = [*command, str(path)]
+    start = time.perf_counter()
+    assert main(command) == code
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_chsh_admits_every_field_up_to_order_81(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlgames.algebra import FieldAdditiveGroup, FiniteAbelianGroup, FiniteField
+from nlgames.algebra import FiniteAbelianGroup, FiniteField
 from nlgames.games import (
     Box,
     GameFormatError,
@@ -20,6 +20,7 @@ from nlgames.games import (
     random_xor_game,
     win_prob_from_correlators,
 )
+from nlgames.nlc import nlc_spec_from_json
 from nlgames.rng import SplitMix64
 from oracles import (
     correlators_directly,
@@ -162,7 +163,7 @@ def test_chsh_d_matches_parsed_tables(p, r):
     field = FiniteField(p, r)
     game = chsh_d(p, r)
     f = [[int(mul(field, x, y)) for y in elements(field)] for x in elements(field)]
-    parsed = game_from_tables(game.group, [[Fraction(1, field.size**2)] * field.size] * field.size, f)
+    parsed = game_from_tables(game.group, [[Fraction(1, field.order**2)] * field.order] * field.order, f)
     assert_same_game(game, parsed)
 
 
@@ -194,6 +195,18 @@ def test_chsh_d_gf4_multiplication_table():
     )
     assert np.array_equal(g.f_idx, expected)
     assert g.f_idx[2, 2] == 3  # x * x = x + 1
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (7, 1), (3, 2)])
+def test_a_field_is_its_own_answer_group(p, r):
+    field = FiniteField(p, r)
+    assert chsh_d(field).group is field
+    doc = {"group": {"field": {"p": p, "r": r}}, "mA": 1, "mB": 1, "q": [[1]], "f": [[0]]}
+    parsed = game_from_json(doc).group
+    assert isinstance(parsed, FiniteField)
+    assert parsed.presentation() == field.presentation()
+    assert np.array_equal(parsed.character_table(), field.character_table())
+    assert parsed.describe() == field.describe() == {"field": {"p": p, "r": r}}
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +463,26 @@ def test_json_rejects_unknown_keys():
         game_from_json(bad_field)
 
 
+@pytest.mark.parametrize(
+    "parse, name, doc",
+    [
+        (game_from_json, "game document", game_to_json(CHSH2)),
+        (nlc_spec_from_json, "NLC document", {"d": 2, "n": 1, "g": [0], "p": "uniform"}),
+    ],
+)
+def test_game_files_and_nlc_specs_share_one_document_check(parse, name, doc):
+    cases = [
+        ([doc], f"{name} must be a JSON object"),
+        ({**doc, "zz": 1, "extra": 2}, f"unknown keys ['extra', 'zz'] in {name}"),
+        ({key: doc[key] for key in sorted(doc)[1:]}, f"{name} is missing keys {sorted(doc)[:1]}"),
+        ({}, f"{name} is missing keys {sorted(doc)}"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(GameFormatError) as err:
+            parse(bad)
+        assert str(err.value) == message
+
+
 def test_json_rejects_missing_and_misshapen():
     with pytest.raises(GameFormatError, match="missing"):
         game_from_json({"group": {"factors": [2]}, "mA": 2, "mB": 2, "q": [[1.0]]})
@@ -520,7 +553,7 @@ def _f_tables(rng, group, m_a, m_b):
     """Seeded f tables: indices, coordinate lists and tuples, and bad ones."""
     n = group.order
     idx = [[rng.randrange(n) for _ in range(m_b)] for _ in range(m_a)]
-    field = isinstance(group, FieldAdditiveGroup)
+    field = isinstance(group, FiniteField)
     coords = [el.coeffs if field else el.coords for el in elements(group)]
     yield idx
     yield [[np.int64(i) for i in row] for row in idx]
@@ -549,7 +582,7 @@ def test_tables_read_as_one_fraction_per_entry_would():
     # groups: the same exact numerators, denominator, float bits and f
     # indices, or the same exception type and text.
     rng = random.Random(22)
-    groups = [Z2, Z3, FiniteAbelianGroup([5]), FiniteAbelianGroup([2, 3]), FiniteField(2, 2).additive_group()]
+    groups = [Z2, Z3, FiniteAbelianGroup([5]), FiniteAbelianGroup([2, 3]), FiniteField(2, 2)]
     outcomes = {"exact": 0, "float": 0, "error": 0}
     for trial in range(40):
         group = groups[trial % len(groups)]

@@ -64,6 +64,19 @@ def test_spec_validation_errors():
         nlc_game(nlc_spec(3, 7, [0] * 3**6))
 
 
+def test_spec_checks_n_and_its_cap_before_the_primality_of_d():
+    with pytest.raises(NlcValidationError, match="n must be at least 1, got 0"):
+        nlc_spec(4, 0, [])
+    with pytest.raises(NlcValidationError, match="d\\^n = 1048576 exceeds the supported cap"):
+        nlc_spec(4, 10, [])
+    with pytest.raises(NlcValidationError, match="d\\^n = 2\\^17 exceeds the supported cap"):
+        nlc_spec(2, 17, [])
+    with pytest.raises(NlcValidationError, match="d must be prime, got 4"):
+        nlc_spec(4, 2, [0] * 4)
+    with pytest.raises(NlcValidationError, match="d must be prime, got -1000"):
+        nlc_spec(-1000, 2, [])
+
+
 def test_out_of_range_target_names_one_entry():
     # At the spec cap the whole table would print as ~59,000 characters.
     with pytest.raises(NlcValidationError) as err:
