@@ -86,30 +86,33 @@ class Group:
     A subclass states its arithmetic once, as integers, by calling
     `Group.__init__` with:
 
-    - `coords`, an order x k integer array: row i holds the coordinates of
-      element i, and is kept as the read-only `coords`;
     - `moduli`, the k coordinate moduli (addition is componentwise mod these);
-    - `place`, k place values with index == coords @ place;
-    - `pairing`, a k x k integer matrix P, and `exponent` N, so that the
-      character indexed by a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N).
+    - `place`, k place values that are the mixed radix of `moduli`: taken in
+      increasing order, the first is 1 and each next one is the previous
+      times its modulus, so that index == coords @ place;
+    - `pairing`, a k x k integer matrix P, so that the character indexed by
+      a is chi_a(x) = exp(2*pi*i * (a P x^T mod N) / N) for the exponent N.
 
-    Every table derives from these by array arithmetic, so a group is its
-    integer tables; the subclass adds `element`, which parses an index or
-    coordinates into an index, and `describe`, and a field its product and
-    trace form.  The index orders tables, boxes, and tie-breaking.
+    The rest derives from these: `order` is the product of the moduli, row i
+    of the read-only `coords` holds the coordinates of element i, the
+    exponent N is the lcm of the moduli, and every table is array arithmetic
+    on them, so a group is its integer tables; the subclass adds `element`,
+    which parses an index or coordinates into an index, and `describe`, and
+    a field its product and trace form.  The index orders tables, boxes, and
+    tie-breaking.
     """
 
     order: int
     coords: np.ndarray
 
-    def __init__(self, coords, moduli, place, pairing, exponent: int):
-        self.order = len(coords)
-        self.coords = np.array(coords, dtype=np.int64)
-        self.coords.setflags(write=False)
+    def __init__(self, moduli, place, pairing):
         self._moduli = np.array(moduli, dtype=np.int64)
         self._place = np.array(place, dtype=np.int64)
         self._pairing = np.array(pairing, dtype=np.int64)
-        self._exponent = int(exponent)
+        self.order = prod(moduli)
+        self.coords = np.arange(self.order)[:, None] // self._place % self._moduli
+        self.coords.setflags(write=False)
+        self._exponent = lcm(*moduli)
         self._addition = self._negation = self._exponents = None
 
     def element(self, value) -> int:
@@ -123,8 +126,7 @@ class Group:
     def presentation(self) -> tuple:
         """The integer arithmetic given to `Group.__init__`, as a hashable
         key: groups with equal keys have equal tables and characters."""
-        arrays = (self.coords, self._moduli, self._place, self._pairing)
-        return (*((a.shape, a.tobytes()) for a in arrays), self._exponent)
+        return tuple((a.shape, a.tobytes()) for a in (self._moduli, self._place, self._pairing))
 
     def addition_table(self) -> np.ndarray:
         """Index table T[i, j] of element i plus element j; built on the
@@ -185,18 +187,17 @@ class FiniteAbelianGroup(Group):
             raise ValueError("a finite Abelian group needs at least one cyclic factor")
         if any(n < 2 for n in factors):
             raise ValueError(f"cyclic factors must all be >= 2, got {factors}")
-        order = prod(factors)
+        # Every factor is >= 2, so past 64 factors the order is 2^64 or more.
+        order = prod(factors) if len(factors) <= 64 else 1 << 64
         if order > MAX_ORDER:
-            raise ValueError(f"group order {order} exceeds the supported cap {MAX_ORDER}")
+            size = order if order < 1 << 64 else f"2^64 or more, of {len(factors)} factors,"
+            raise ValueError(f"group order {size} exceeds the supported cap {MAX_ORDER}")
         self.factors = factors
-        coords = list(itertools.product(*(range(n) for n in factors)))
         big_n = lcm(*factors)
         super().__init__(
-            coords=coords,
             moduli=factors,
             place=[prod(factors[j + 1 :]) for j in range(len(factors))],
             pairing=np.diag([big_n // n for n in factors]),
-            exponent=big_n,
         )
 
     def __repr__(self) -> str:
@@ -248,47 +249,27 @@ def _poly_rem(a, b, p):
 
 
 def _is_irreducible(poly, p) -> bool:
-    """Irreducibility over Z_p by root checking plus trial division.
-
-    Valid for degrees up to 5: a reducible polynomial of degree <= 5 with no
-    roots must have a monic quadratic factor.
-    """
+    """Whether monic `poly` of degree r >= 1 over Z_p is irreducible: no monic
+    polynomial of degree 1..r//2 divides it, as a reducible one has a monic
+    factor of degree at most r/2."""
     r = len(poly) - 1
-    if r < 1 or poly[-1] != 1:
-        return False
-    if r == 1:
-        return True
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if r >= 4:
-        for tail in itertools.product(range(p), repeat=2):
-            quad = tail + (1,)
-            if not any(_poly_rem(poly, quad, p)):
-                return False
-    return True
+    return all(
+        any(_poly_rem(poly, (*tail, 1), p))
+        for k in range(1, r // 2 + 1)
+        for tail in itertools.product(range(p), repeat=k)
+    )
 
 
 def _smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over Z_p.
 
-    Candidates are ordered by the base-p integer encoding of their non-leading
-    coefficients, most significant digit first, so the result is the same on
-    every platform.
+    Candidates are ordered by their non-leading coefficients read from x^(r-1)
+    down to x^0, that is by the base-p integer they encode with the x^(r-1)
+    coefficient as the most significant digit, so the result is the same on
+    every platform.  One exists for every r >= 1.
     """
-    for m in range(p**r):
-        tail = []
-        value = m
-        for _ in range(r):
-            tail.append(value % p)
-            value //= p
-        poly = tuple(tail) + (1,)
-        if _is_irreducible(poly, p):
-            return poly
-    raise ArithmeticError(f"no irreducible polynomial of degree {r} over Z_{p}")
+    candidates = ((*reversed(tail), 1) for tail in itertools.product(range(p), repeat=r))
+    return next(poly for poly in candidates if _is_irreducible(poly, p))
 
 
 class FiniteField(Group):
@@ -296,11 +277,13 @@ class FiniteField(Group):
     and as a `Group`, its additive group: the answer group of field games.
 
     The modulus defaults to the lexicographically smallest monic irreducible
-    polynomial of degree r over Z_p, so fields are reproducible across runs.
-    An element is its integer encoding sum_i c_i * p^i, with 0 first and the
-    multiplicative unit at 1; row m of `coords` holds the little-endian
-    coefficients c_i of element m.  The character indexed by k is the trace
-    character chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the
+    polynomial of degree r over Z_p, so fields are reproducible across runs;
+    a given modulus must be monic of degree r with no monic factor of degree
+    at most r/2.  An element is its integer encoding sum_i c_i * p^i, with 0
+    first and the multiplicative unit at 1: the group has moduli p and place
+    values p^i, so row m of `coords` holds the little-endian coefficients c_i
+    of element m, and its exponent is p.  The character indexed by k is the
+    trace character chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the
     closed-form norm computations assume.  The size cap is checked before
     primality, whose trial division takes about a minute for a p near 10^18.
     """
@@ -326,12 +309,10 @@ class FiniteField(Group):
         self.r = r
         self.modulus = modulus
         super().__init__(
-            coords=np.arange(p**r)[:, None] // p ** np.arange(r) % p,
             moduli=[p] * r,
             place=[p**i for i in range(r)],
             # Tr is Z_p-linear, so Tr(a*x) = a P x^T with P[i][j] = Tr(x^i * x^j).
             pairing=self.trace_form(),
-            exponent=p,
         )
 
     def __repr__(self) -> str:

@@ -267,18 +267,6 @@ class Box:
         object.__setattr__(self, "table", t)
         t.setflags(write=False)
 
-    @property
-    def mA(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def mB(self) -> int:
-        return self.table.shape[1]
-
-    @property
-    def order(self) -> int:
-        return self.table.shape[2]
-
     def alice_marginals(self) -> np.ndarray:
         """P(a | u, v) = sum_b P(a, b | u, v), shape (mA, mB, n)."""
         return self.table.sum(axis=3)

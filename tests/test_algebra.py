@@ -7,6 +7,7 @@ import pytest
 from nlgames.algebra import (
     FiniteAbelianGroup,
     FiniteField,
+    _is_irreducible,
     is_prime,
     power_above,
 )
@@ -355,6 +356,37 @@ def test_trace_form_matches_oracle(p, r):
 
 # Monic irreducibles of degree r over Z_p, by Gauss's formula.
 IRREDUCIBLE_COUNTS = {(2, 3): 2, (3, 2): 3, (2, 4): 3, (5, 2): 10}
+
+
+def _monics(p, r):
+    return [(*tail, 1) for tail in itertools.product(range(p), repeat=r)]
+
+
+def _reducible_monics(p, r):
+    """Every product of two monics of degrees k and r - k, 1 <= k < r."""
+    products = set()
+    for k in range(1, r):
+        for a in _monics(p, k):
+            for b in _monics(p, r - k):
+                out = [0] * (r + 1)
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        out[i + j] = (out[i + j] + ai * bj) % p
+                products.add(tuple(out))
+    return products
+
+
+# Gauss's formula (1/r) sum_{e | r} mu(e) p^(r/e), degrees 1, 2, ...
+GAUSS_COUNTS = {2: [2, 1, 2, 3, 6, 9], 3: [3, 3, 8, 18], 5: [5, 10, 40]}
+
+
+@pytest.mark.parametrize("p", GAUSS_COUNTS)
+def test_irreducible_exactly_when_no_product_of_lower_degree_monics(p):
+    for r, count in enumerate(GAUSS_COUNTS[p], start=1):
+        reducible = _reducible_monics(p, r)
+        verdicts = {poly: _is_irreducible(poly, p) for poly in _monics(p, r)}
+        assert verdicts == {poly: poly not in reducible for poly in verdicts}, (p, r)
+        assert sum(verdicts.values()) == count, (p, r)
 
 
 @pytest.mark.parametrize("p,r", IRREDUCIBLE_COUNTS)

@@ -228,13 +228,26 @@ HUGE_PRIME = 1000000000000000003
             "classical enumeration needs 2^2000 assignments for Alice, the player with "
             "fewer questions, over the budget of 1000000",
         ),
+        (
+            ["analyze"],
+            {"group": {"factors": [2] * 200000}, "mA": 1, "mB": 1, "q": [[1]], "f": [[0]]},
+            EXIT_PARSE,
+            "group order 2^64 or more, of 200000 factors, exceeds the supported cap 4096",
+        ),
+        (
+            ["analyze"],
+            {"group": {"factors": [2] * 13}, "mA": 1, "mB": 1, "q": [[1]], "f": [[0]]},
+            EXIT_PARSE,
+            "group order 8192 exceeds the supported cap 4096",
+        ),
     ],
-    ids=["chsh", "game-file", "nlc-d", "nlc-n", "scan"],
+    ids=["chsh", "game-file", "nlc-d", "nlc-n", "scan", "factors-200000", "factors-13"],
 )
 def test_caps_and_budgets_are_checked_before_any_work(tmp_path, capsys, command, doc, code, err):
     # A prime p or d near 10^18 costs a minute of trial division, d^n at
     # n = 10^8 a huge power, and a 2000 x 2000 scan game seconds to draw,
-    # were the cap or budget checked after them.
+    # were the cap or budget checked after them; the product of 200,000
+    # factors of 2 has more digits than Python converts to a string.
     if doc is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
