@@ -182,11 +182,13 @@ class FiniteAbelianGroup(Group):
     """
 
     def __init__(self, factors):
-        factors = tuple(int(n) for n in factors)
+        factors = tuple(factors)
         if not factors:
             raise ValueError("a finite Abelian group needs at least one cyclic factor")
-        if any(n < 2 for n in factors):
-            raise ValueError(f"cyclic factors must all be >= 2, got {factors}")
+        for i, n in enumerate(factors):
+            if not (_is_int(n) and n >= 2):
+                raise ValueError(f"cyclic factors must all be integers >= 2, got factors[{i}] = {n!r}")
+        factors = tuple(map(int, factors))
         # Every factor is >= 2, so past 64 factors the order is 2^64 or more.
         order = prod(factors) if len(factors) <= 64 else 1 << 64
         if order > MAX_ORDER:
@@ -289,6 +291,9 @@ class FiniteField(Group):
     """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
+        for name, value in (("p", p), ("r", r)):
+            if not _is_int(value):
+                raise ValueError(f"field parameter {name} must be an integer, got {value!r}")
         p, r = int(p), int(r)
         if not 1 <= r <= MAX_EXTENSION_DEGREE:
             raise ValueError(f"extension degree must be in [1, {MAX_EXTENSION_DEGREE}], got {r}")
@@ -300,7 +305,7 @@ class FiniteField(Group):
         if modulus is None:
             modulus = _smallest_irreducible(p, r)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(c % p for c in _int_coordinates(modulus))
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {r}, got coefficients {modulus}")
             if not _is_irreducible(modulus, p):

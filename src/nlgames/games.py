@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 
 import numpy as np
 
@@ -205,10 +205,13 @@ def game_from_tables(group: Group, q, f) -> LinearGame:
 
     if isinstance(weights, tuple):
         nums, den = weights
-        # An entry outside [-1, 1] cannot be valid and its numerator may
-        # overflow int64, so such a table takes the float path, which names
-        # the fault.
-        if den <= _MAX_EXACT_DENOMINATOR and max(map(abs, nums)) <= den:
+        # An entry outside [-1, 1] cannot be valid, and its numerator may
+        # overflow int64 and its quotient a float, so the fault is named here.
+        if max(map(abs, nums)) > den:
+            if min(nums) < 0:
+                raise GameValidationError("input probabilities must be nonnegative")
+            raise GameValidationError(f"input distribution sums to {Fraction(sum(nums), den)}, not 1")
+        if den <= _MAX_EXACT_DENOMINATOR:
             q_num = np.array(nums, dtype=np.int64).reshape(shape)
             return LinearGame(group=group, f_idx=f_idx, q_num=q_num, q_den=den)
         weights = [num / den for num in nums]  # correctly rounded, as float(Fraction) is
@@ -230,7 +233,7 @@ def chsh_d(p: int | FiniteField, r: int = 1) -> LinearGame:
 
 def chsh_closed_form(d: int) -> float:
     """Quantum bound 1/d + (d-1)/(d*sqrt(d)) of the CHSH game over a field of order d."""
-    return 1.0 / d + (d - 1) / (d * np.sqrt(d))
+    return 1.0 / d + (d - 1) / (d * sqrt(d))
 
 
 def random_xor_game(rng: SplitMix64, d: int, m_a: int, m_b: int | None = None) -> LinearGame:
@@ -359,18 +362,15 @@ def win_prob_from_correlators(game: LinearGame, table: CorrelatorTable, u: int, 
 _GAME_KEYS = {"group", "mA", "mB", "q", "f"}
 
 
-def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise GameFormatError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _check_document(obj, keys: set[str], name: str) -> None:
+def _check_document(obj, keys: set[str], name: str, optional: frozenset[str] = frozenset()) -> None:
     """Require `obj`, the JSON document called `name`, to be an object with
-    exactly the keys `keys`: none unknown, none missing."""
+    the keys `keys` and at most the keys `optional` besides: none unknown,
+    none missing."""
     if not isinstance(obj, dict):
         raise GameFormatError(f"{name} must be a JSON object")
-    _reject_unknown_keys(obj, keys, name)
+    unknown = set(obj) - keys - optional
+    if unknown:
+        raise GameFormatError(f"unknown keys {sorted(unknown)} in {name}")
     missing = keys - set(obj)
     if missing:
         raise GameFormatError(f"{name} is missing keys {sorted(missing)}")
@@ -389,11 +389,7 @@ def _group_from_json(obj) -> Group:
             raise GameFormatError(str(exc)) from exc
     if set(obj) == {"field"}:
         field = obj["field"]
-        if not isinstance(field, dict):
-            raise GameFormatError("'field' must be an object")
-        _reject_unknown_keys(field, {"p", "r"}, "'field'")
-        if "p" not in field:
-            raise GameFormatError("'field' requires key 'p'")
+        _check_document(field, {"p"}, "'field'", optional=frozenset({"r"}))
         for key in field:
             if type(field[key]) is not int:
                 raise GameFormatError(f"'{key}' in 'field' must be an integer")
@@ -420,12 +416,7 @@ def game_from_json(obj) -> LinearGame:
         not isinstance(row, list) or len(row) != m_b for row in f
     ):
         raise GameFormatError("'f' must be an mA x mB table")
-    try:
-        return game_from_tables(group, q, f)
-    except GameValidationError:
-        raise
-    except ValueError as exc:
-        raise GameFormatError(str(exc)) from exc
+    return game_from_tables(group, q, f)
 
 
 def game_to_json(game: LinearGame) -> dict:

@@ -88,6 +88,9 @@ class NlcSpec:
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     """Validate and build an NLC specification; the d^n cap comes before
     d's primality, whose trial division takes about a minute for a d near 10^18."""
+    for name, value in (("d", d), ("n", n)):
+        if not _is_int(value):
+            raise NlcValidationError(f"{name} must be an integer, got {value!r}")
     d, n = int(d), int(n)
     if n < 1:
         raise NlcValidationError(f"n must be at least 1, got {n}")

@@ -488,7 +488,8 @@ def _f_entry(group, entry) -> int:
 def fraction_game_tables(group, q, f) -> LinearGame:
     """A game read from outside tables one entry at a time: a `Fraction` per
     exact q entry, scaled to the least common denominator one multiply each,
-    and `group.element(entry)` per f entry, a bool rejected first."""
+    and `group.element(entry)` per f entry, a bool rejected first.  An exact
+    entry outside [-1, 1] is named as a negative or an over-unit sum."""
     rows = [list(row) for row in q]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise GameValidationError("q must be a rectangular, nonempty table")
@@ -497,8 +498,13 @@ def fraction_game_tables(group, q, f) -> LinearGame:
         f_idx = np.array([[_f_entry(group, entry) for entry in row] for row in f], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise GameValidationError(f"invalid winning-function entry: {exc}") from exc
-    if all(isinstance(w, Fraction) and abs(w) <= 1 for row in weights for w in row):
-        den = math.lcm(*(w.denominator for row in weights for w in row))
+    flat = [w for row in weights for w in row]
+    if all(isinstance(w, Fraction) for w in flat):
+        if max(map(abs, flat)) > 1:
+            if min(flat) < 0:
+                raise GameValidationError("input probabilities must be nonnegative")
+            raise GameValidationError(f"input distribution sums to {sum(flat)}, not 1")
+        den = math.lcm(*(w.denominator for w in flat))
         if den <= 10**15:
             q_num = np.array([[int(w * den) for w in row] for row in weights], dtype=np.int64)
             return LinearGame(group=group, f_idx=f_idx, q_num=q_num, q_den=den)

@@ -108,6 +108,32 @@ def test_group_construction_rejects_bad_factors():
         FiniteAbelianGroup([0])
 
 
+@pytest.mark.parametrize(
+    "build, err",
+    [
+        (lambda: FiniteField(3.7), "field parameter p must be an integer, got 3.7"),
+        (lambda: FiniteField("3"), "field parameter p must be an integer, got '3'"),
+        (lambda: FiniteField(3, True), "field parameter r must be an integer, got True"),
+        (lambda: FiniteField(3, 2, modulus=(2.5, 1, 1)), "coordinate 2.5 of [2.5, 1, 1] is not an integer"),
+        (lambda: FiniteAbelianGroup([2.9, 3.5]), "cyclic factors must all be integers >= 2, got factors[0] = 2.9"),
+        (lambda: FiniteAbelianGroup([2, "3"]), "cyclic factors must all be integers >= 2, got factors[1] = '3'"),
+        (lambda: FiniteAbelianGroup([2, True]), "cyclic factors must all be integers >= 2, got factors[1] = True"),
+        (lambda: FiniteAbelianGroup([3, 2, 1]), "cyclic factors must all be integers >= 2, got factors[2] = 1"),
+    ],
+    ids=["p-float", "p-str", "r-bool", "modulus-float", "factor-float", "factor-str", "factor-bool", "factor-1"],
+)
+def test_group_and_field_parameters_are_checked_not_truncated(build, err):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == err
+
+
+def test_numpy_integer_parameters_are_accepted():
+    field = FiniteField(np.int64(3), np.int32(2), modulus=np.array([2, 2, 1]))
+    assert (repr(field), field.modulus) == ("GF(3^2)", (2, 2, 1))
+    assert FiniteAbelianGroup([np.int32(2), np.int64(3)]).factors == (2, 3)
+
+
 def test_character_examples():
     z2 = FiniteAbelianGroup([2])
     assert z2.character_table()[1, 1] == pytest.approx(-1.0)

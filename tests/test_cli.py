@@ -135,22 +135,64 @@ NLC_2_2 = {"d": 2, "n": 2, "g": [0, 1], "p": "uniform"}
          "invalid winning-function entry: 1.5 is not a group element"),
         ("analyze", {**GAME_2X2, "group": {"field": {"p": 3, "r": 2}}, "f": [[1.5, 0], [0, 1]]}, EXIT_FAILURE,
          "invalid winning-function entry: 1.5 is not a group element"),
+        ("analyze", {**GAME_2X2, "q": [[[10**400, 1], [0, 1]], [[0, 1], [0, 1]]]}, EXIT_FAILURE,
+         f"input distribution sums to {10**400}, not 1"),
     ],
     ids=[
         "q-zero-den", "nlc-zero-den", "mA-true", "f-true", "q-true", "g-float", "g-true",
         "coord-float", "field-coord-float", "coord-str", "factor-float", "p-float", "r-true", "p-str", "n-true",
-        "index-float", "field-index-float",
+        "index-float", "field-index-float", "q-over-float-range",
     ],
 )
 def test_bad_numbers_in_files_are_named(tmp_path, capsys, command, doc, code, err):
     # Each of these was once read: a zero denominator raised a bare
-    # ZeroDivisionError, and a bool or a float was taken as an int.
+    # ZeroDivisionError, a bool or a float was taken as an int, and a weight
+    # of 10^400 overflowed a float division.
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, err",
+    [
+        ("analyze", {**GAME_2X2, "group": 5}, EXIT_PARSE, "'group' must be an object"),
+        ("analyze", {**GAME_2X2, "group": {"field": 3}}, EXIT_PARSE, "'field' must be a JSON object"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"r": 1}}}, EXIT_PARSE, "'field' is missing keys ['p']"),
+        ("analyze", {**GAME_2X2, "group": {"field": {"p": 3, "s": 1}}}, EXIT_PARSE, "unknown keys ['s'] in 'field'"),
+        ("analyze", {**GAME_2X2, "f": [[0, 0]]}, EXIT_PARSE, "'f' must be an mA x mB table"),
+        ("nlc", {**NLC_2_2, "g": 0}, EXIT_PARSE, "'g' must be a list of target dits"),
+        ("nlc", {**NLC_2_2, "p": "flat"}, EXIT_PARSE, "'p' must be \"uniform\" or a list of [num, den] pairs"),
+        ("analyze", {**GAME_2X2, "group": {"factors": [1] + [2] * 200000}}, EXIT_PARSE,
+         "cyclic factors must all be integers >= 2, got factors[0] = 1"),
+    ],
+    ids=["group-int", "field-int", "field-no-p", "field-unknown-key", "f-short", "g-int", "p-keyword", "factor-1"],
+)
+def test_malformed_documents_are_named(tmp_path, capsys, command, doc, code, err):
+    # The 200,001-factor group once printed every factor, a 600,048-byte line.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main([command, str(path)]) == code
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "nlc"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_input_files_exit_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"d": 2, "n": 1, "g": [0], "p": "uniform"}\xff')
+    assert main([command, str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_analyze_budget_exits_3(tmp_path, capsys):
@@ -185,15 +227,33 @@ def test_chsh_rejects_composite(capsys):
 
 
 def test_chsh_over_its_work_budget_exits_3_before_building_the_game(monkeypatch, capsys):
-    # GF(1021) needs about 5.4e11 multiply-adds; a composite p is still a
-    # validation failure, checked first.
+    # GF(1021) is above the order cap; a composite p is still a validation
+    # failure, checked first.
     monkeypatch.setattr(cli, "chsh_d", lambda *args: pytest.fail("chsh_d was called"))
     assert main(["chsh", "1021"]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "over the budget of 1e+10" in captured.err
+    assert "chsh admits fields of order at most 373, got GF(1021)" in captured.err
     assert main(["chsh", "1024"]) == EXIT_FAILURE
     assert "prime" in capsys.readouterr().err
+
+
+def test_chsh_order_cap_admits_gf_373_and_rejects_gf_379(monkeypatch, capsys):
+    assert main(["chsh", "373"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("d: 373\n")
+    monkeypatch.setattr(cli, "chsh_d", lambda *args: pytest.fail("chsh_d was called"))
+    assert main(["chsh", "379"]) == EXIT_BUDGET
+    assert capsys.readouterr() == ("", "error: chsh admits fields of order at most 373, got GF(379)\n")
+
+
+def test_chsh_bound_off_its_closed_form_exits_1_after_printing(capsys):
+    # GF(81)'s bound differs from the closed form by about 1e-16, above this
+    # tolerance; the message prints the difference as a Python float.
+    assert main(["chsh", "3", "4", "--eq-tol", "1e-17"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "d: 81"
+    assert captured.out.splitlines()[-1].startswith("difference: ")
+    assert re.fullmatch(r"error: bound differs from the closed form by [0-9.e-]+\n", captured.err)
 
 
 HUGE_PRIME = 1000000000000000003

@@ -77,6 +77,28 @@ def test_spec_checks_n_and_its_cap_before_the_primality_of_d():
         nlc_spec(-1000, 2, [])
 
 
+@pytest.mark.parametrize(
+    "d, n, err",
+    [(3.9, 2.2, "d must be an integer, got 3.9"), (3, "2", "n must be an integer, got '2'"),
+     (True, 1, "d must be an integer, got True")],
+    ids=["d-float", "n-str", "d-bool"],
+)
+def test_spec_parameters_are_checked_not_truncated(d, n, err):
+    with pytest.raises(NlcValidationError) as exc:
+        nlc_spec(d, n, [0, 1, 2])
+    assert str(exc.value) == err
+    spec = nlc_spec(np.int64(3), np.int32(2), [0, 1, 2])
+    assert (type(spec.d), type(spec.n), spec.d, spec.n) == (int, int, 3, 2)
+
+
+def test_mu_outside_the_answer_range_is_rejected():
+    spec = nlc_spec(3, 2, [0, 1, 2])
+    for mu in (-1, 3):
+        with pytest.raises(NlcValidationError) as exc:
+            nlc_classical_strategy(spec, mu)
+        assert str(exc.value) == f"mu must lie in [0, 3), got {mu}"
+
+
 def test_out_of_range_target_names_one_entry():
     # At the spec cap the whole table would print as ~59,000 characters.
     with pytest.raises(NlcValidationError) as err:
