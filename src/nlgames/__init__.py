@@ -21,20 +21,16 @@ from .bounds import (
 )
 from .games import (
     Box,
-    CorrelatorTable,
     GameFormatError,
     GameValidationError,
     LinearGame,
-    box_from_correlators,
     chsh_closed_form,
     chsh_d,
-    correlators_from_box,
     evaluate_box,
     game_from_json,
     game_from_tables,
     game_to_json,
     random_xor_game,
-    win_prob_from_correlators,
 )
 from .nlc import (
     BlockStructureError,

@@ -66,13 +66,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _int_coordinates(value) -> tuple[int, ...]:
+def _int_coordinates(value, not_a_sequence: str | None = None) -> tuple[int, ...]:
     """A coordinate sequence as ints; a bool, float or string coordinate is
-    an error, not a number to round, and so is a value that is no sequence."""
+    an error, not a number to round, and so is a value that is no sequence:
+    its message is `not_a_sequence` when given, else that of no group element."""
     try:
         coords = tuple(value)
     except TypeError:
-        raise ValueError(f"{value!r} is not a group element") from None
+        raise ValueError(not_a_sequence or f"{value!r} is not a group element") from None
     for c in coords:
         if not _is_int(c):
             raise ValueError(f"coordinate {c!r} of {list(coords)!r} is not an integer")
@@ -305,7 +306,8 @@ class FiniteField(Group):
         if modulus is None:
             modulus = _smallest_irreducible(p, r)
         else:
-            modulus = tuple(c % p for c in _int_coordinates(modulus))
+            coeffs = _int_coordinates(modulus, f"modulus must be a coefficient sequence, got {modulus!r}")
+            modulus = tuple(c % p for c in coeffs)
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {r}, got coefficients {modulus}")
             if not _is_irreducible(modulus, p):

@@ -1,10 +1,8 @@
-"""Linear games, probability boxes, and the Fourier correlator machinery.
+"""Linear games, probability boxes, and the JSON game format.
 
 A linear game asks two players questions (u, v) drawn from q(u, v); they
 answer with group elements a, b and win when a + b = f(u, v).  Games are
-evaluated on boxes, conditional distributions P(a, b | u, v).  Correlators
-are the Fourier transform of a box over the answer group; they diagonalize
-the win probability and feed the spectral bound.
+evaluated on boxes, conditional distributions P(a, b | u, v).
 
 Conventions: questions are indexed 0..mA-1 and 0..mB-1; an answer is its
 group element's index.  Boxes are numpy arrays of shape (mA, mB, |G|, |G|)
@@ -27,15 +25,11 @@ __all__ = [
     "GameFormatError",
     "LinearGame",
     "Box",
-    "CorrelatorTable",
     "game_from_tables",
     "chsh_d",
     "chsh_closed_form",
     "random_xor_game",
     "evaluate_box",
-    "correlators_from_box",
-    "box_from_correlators",
-    "win_prob_from_correlators",
     "game_from_json",
     "game_to_json",
 ]
@@ -48,7 +42,7 @@ _MAX_EXACT_DENOMINATOR = 10**15
 
 
 class GameValidationError(ValueError):
-    """A game, box, or correlator table violates a structural invariant."""
+    """A game or box violates a structural invariant."""
 
 
 def _check_exact_denominator(den: int) -> None:
@@ -278,81 +272,16 @@ class Box:
         return self.table.sum(axis=2)
 
 
-def _check_shapes(game: LinearGame, box: Box) -> None:
-    expected = (game.mA, game.mB, game.order, game.order)
-    if box.table.shape != expected:
-        raise GameValidationError(
-            f"box shape {box.table.shape} does not match game shape {expected}"
-        )
-
-
 def evaluate_box(game: LinearGame, box: Box) -> float:
     """Game value sum_{u,v} q(u,v) * P(a + b = f(u,v) | u,v) of a box."""
-    _check_shapes(game, box)
+    expected = (game.mA, game.mB, game.order, game.order)
+    if box.table.shape != expected:
+        raise GameValidationError(f"box shape {box.table.shape} does not match game shape {expected}")
     u_ix = np.arange(game.mA)[:, None, None]
     v_ix = np.arange(game.mB)[None, :, None]
     a_ix = np.arange(game.order)[None, None, :]
     wins = box.table[u_ix, v_ix, a_ix, game.winning_answers()].sum(axis=2)
     return float((game.q * wins).sum())
-
-
-@dataclass(frozen=True)
-class CorrelatorTable:
-    """Generalized correlators <A_u^x B_v^y>, shape (mA, mB, n, n), axes (u, v, x, y).
-
-    Entry (u, v, e, e) is the normalization of the underlying distribution
-    and must equal 1; every entry has modulus at most 1.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.values, dtype=np.complex128)
-        if t.ndim != 4 or t.shape[2] != t.shape[3]:
-            raise GameValidationError(
-                f"correlator table must have shape (mA, mB, n, n), got {t.shape}"
-            )
-        if np.max(np.abs(t[:, :, 0, 0] - 1.0)) > 1e-9:
-            raise GameValidationError("correlator normalization entries must equal 1")
-        if np.max(np.abs(t)) > 1.0 + 1e-9:
-            raise GameValidationError("correlator moduli must not exceed 1")
-        object.__setattr__(self, "values", t)
-        t.setflags(write=False)
-
-
-def correlators_from_box(game: LinearGame, box: Box) -> CorrelatorTable:
-    """Fourier transform of each conditional distribution over G x G.
-
-    <A_u^x B_v^y> = sum_{a,b} conj(chi_x(a)) conj(chi_y(b)) P(a, b | u, v).
-    """
-    _check_shapes(game, box)
-    chars = game.group.character_table()
-    values = np.einsum("xa,yb,uvab->uvxy", chars.conj(), chars.conj(), box.table)
-    return CorrelatorTable(values)
-
-
-def box_from_correlators(game: LinearGame, table: CorrelatorTable) -> Box:
-    """Invert the correlator transform back to a probability box.
-
-    P(a, b | u, v) = (1/n^2) sum_{x,y} chi_a(x) chi_b(y) <A_u^x B_v^y>.
-    """
-    n = game.order
-    chars = game.group.character_table()
-    raw = np.einsum("xa,yb,uvxy->uvab", chars, chars, table.values) / (n * n)
-    if np.max(np.abs(raw.imag)) > 1e-9:
-        raise GameValidationError("correlator table does not invert to a real box")
-    return Box(raw.real)
-
-
-def win_prob_from_correlators(game: LinearGame, table: CorrelatorTable, u: int, v: int) -> float:
-    """P(a + b = f(u,v) | u,v) = (1/n) sum_x chi_f(u,v)(x) <A_u^x B_v^x>."""
-    n = game.order
-    chars = game.group.character_table()
-    diag = table.values[u, v].diagonal()
-    value = complex((chars[:, game.f_idx[u, v]] * diag).sum()) / n
-    if abs(value.imag) > 1e-8:
-        raise GameValidationError(f"win probability came out non-real: {value!r}")
-    return float(value.real)
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,6 @@ class NlcSpec:
     p_num: tuple[int, ...]
     p_den: int
 
-    @property
-    def p(self) -> tuple[Fraction, ...]:
-        """The prefix weights as Fractions."""
-        return tuple(Fraction(num, self.p_den) for num in self.p_num)
-
 
 def nlc_spec(d: int, n: int, g, p="uniform") -> NlcSpec:
     """Validate and build an NLC specification; the d^n cap comes before
@@ -230,7 +225,9 @@ def nlc_classical_strategy(spec: NlcSpec, mu: int | None = None) -> NlcStrategy:
     """
     if mu is None:
         mu = lambda_profile(spec).mu
-    elif not 0 <= int(mu) < spec.d:
+    elif not _is_int(mu):
+        raise NlcValidationError(f"mu must be an integer, got {mu!r}")
+    elif not 0 <= mu < spec.d:
         raise NlcValidationError(f"mu must lie in [0, {spec.d}), got {mu}")
     return _score_strategy(_row0(spec), spec.d, int(mu))
 

@@ -25,16 +25,7 @@ from .bounds import (
     ns_winning_box,
     phi_norms,
 )
-from .games import (
-    Box,
-    LinearGame,
-    box_from_correlators,
-    chsh_closed_form,
-    chsh_d,
-    correlators_from_box,
-    random_xor_game,
-    win_prob_from_correlators,
-)
+from .games import LinearGame, chsh_closed_form, chsh_d, random_xor_game
 from .nlc import nlc_spec, verify_theorem3
 from .rng import SplitMix64
 
@@ -178,51 +169,6 @@ def check_block_circulant() -> CheckResult:
     )
 
 
-def _seeded_box(rng: SplitMix64, m_a: int, m_b: int, n: int) -> Box:
-    scale = float(1 << 53)
-    t = np.empty((m_a, m_b, n, n))
-    for idx in np.ndindex(t.shape):
-        t[idx] = (rng.next_uint64() >> 11) / scale + 1e-9
-    return Box(t / t.sum(axis=(2, 3), keepdims=True))
-
-
-def check_fourier_machinery() -> CheckResult:
-    """Correlator round trips and win probabilities on 200 random boxes."""
-    start = time.perf_counter()
-    failures = []
-    rng = SplitMix64(6)
-    groups = [FiniteAbelianGroup([2]), FiniteAbelianGroup([3]), FiniteAbelianGroup([2, 2])]
-    add_tables = [g.addition_table() for g in groups]
-    for i in range(200):
-        group = groups[i % 3]
-        add = add_tables[i % 3]
-        n = group.order
-        m_a = 2 + (i % 2)
-        m_b = 2 + ((i // 2) % 2)
-        f = np.array([[rng.randbelow(n) for _ in range(m_b)] for _ in range(m_a)])
-        game = LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
-        box = _seeded_box(rng, m_a, m_b, n)
-        table = correlators_from_box(game, box)
-        back = box_from_correlators(game, table)
-        err = float(np.max(np.abs(back.table - box.table)))
-        if err >= 1e-12:
-            failures.append(f"box {i}: round-trip error {err!r}")
-        for u in range(m_a):
-            for v in range(m_b):
-                direct = sum(
-                    box.table[u, v, a, b]
-                    for a in range(n)
-                    for b in range(n)
-                    if add[a, b] == game.f_idx[u, v]
-                )
-                fourier = win_prob_from_correlators(game, table, u, v)
-                if abs(fourier - direct) >= 1e-10:
-                    failures.append(f"box {i}, ({u},{v}): {fourier!r} vs {direct!r}")
-        if len(failures) > 5:
-            break
-    return _result("fourier-machinery", start, failures, "200 random boxes")
-
-
 def _scan_corpus(seed: int, count: int):
     rng = SplitMix64(seed)
     for i in range(count):
@@ -322,7 +268,6 @@ ACCEPTANCE_CHECKS = [
     check_theorem3_exhaustive,
     check_theorem3_weighted,
     check_block_circulant,
-    check_fourier_machinery,
     check_ordering_chain,
     check_lemma2_equivalence,
 ]

@@ -48,6 +48,14 @@ on element objects:
   coordinate lists;
 - `signaling_defect(box)`: the largest variation of either party's marginal
   across the other party's question, from explicit sums over the table.
+
+The Fourier correlators <A_u^x B_v^y> of a box, which no report reads, live
+here as tests of the library's character table: `correlators_from_box`,
+its inverse `box_from_correlators` and `win_prob_from_correlators`, each
+one einsum or sum over `character_table()`, return complex arrays and
+numbers whose imaginary parts the tests' absolute differences bound.
+`correlators_directly` is the same transform as explicit loops over
+`character`, and `seeded_box` draws a box from a `SplitMix64`.
 """
 
 from __future__ import annotations
@@ -422,6 +430,39 @@ def correlators_directly(game, box) -> np.ndarray:
                             )
                     out[u, v, ix, iy] = acc
     return out
+
+
+def correlators_from_box(game, box) -> np.ndarray:
+    """<A_u^x B_v^y> = sum_{a,b} conj(chi_x(a)) conj(chi_y(b)) P(a, b | u, v),
+    shape (mA, mB, n, n) with axes (u, v, x, y)."""
+    chars = game.group.character_table()
+    return np.einsum("xa,yb,uvab->uvxy", chars.conj(), chars.conj(), box.table)
+
+
+def box_from_correlators(game, values) -> np.ndarray:
+    """P(a, b | u, v) = (1/n^2) sum_{x,y} chi_a(x) chi_b(y) <A_u^x B_v^y>."""
+    chars = game.group.character_table()
+    return np.einsum("xa,yb,uvxy->uvab", chars, chars, values) / game.order**2
+
+
+def win_prob_from_correlators(game, values, u: int, v: int) -> complex:
+    """P(a + b = f(u,v) | u,v) = (1/n) sum_x chi_f(u,v)(x) <A_u^x B_v^x>."""
+    chars = game.group.character_table()
+    return complex(chars[:, game.f_idx[u, v]] @ values[u, v].diagonal()) / game.order
+
+
+def seeded_box(rng, m_a: int, m_b: int, n: int) -> Box:
+    """A box of 53-bit SplitMix64 draws plus 1e-9, normalized per question."""
+    scale = float(1 << 53)
+    t = np.empty((m_a, m_b, n, n))
+    for idx in np.ndindex(t.shape):
+        t[idx] = (rng.next_uint64() >> 11) / scale + 1e-9
+    return Box(t / t.sum(axis=(2, 3), keepdims=True))
+
+
+def prefix_fractions(spec) -> tuple[Fraction, ...]:
+    """An NLC spec's prefix weights p_num / p_den, one `Fraction` each."""
+    return tuple(Fraction(num, spec.p_den) for num in spec.p_num)
 
 
 def fraction_prefix_weights(p, size: int) -> tuple[tuple[int, ...], int]:

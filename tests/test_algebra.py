@@ -115,12 +115,13 @@ def test_group_construction_rejects_bad_factors():
         (lambda: FiniteField("3"), "field parameter p must be an integer, got '3'"),
         (lambda: FiniteField(3, True), "field parameter r must be an integer, got True"),
         (lambda: FiniteField(3, 2, modulus=(2.5, 1, 1)), "coordinate 2.5 of [2.5, 1, 1] is not an integer"),
+        (lambda: FiniteField(3, 2, modulus=5), "modulus must be a coefficient sequence, got 5"),
         (lambda: FiniteAbelianGroup([2.9, 3.5]), "cyclic factors must all be integers >= 2, got factors[0] = 2.9"),
         (lambda: FiniteAbelianGroup([2, "3"]), "cyclic factors must all be integers >= 2, got factors[1] = '3'"),
         (lambda: FiniteAbelianGroup([2, True]), "cyclic factors must all be integers >= 2, got factors[1] = True"),
         (lambda: FiniteAbelianGroup([3, 2, 1]), "cyclic factors must all be integers >= 2, got factors[2] = 1"),
     ],
-    ids=["p-float", "p-str", "r-bool", "modulus-float", "factor-float", "factor-str", "factor-bool", "factor-1"],
+    ids=["p-float", "p-str", "r-bool", "modulus-float", "modulus-int", "factor-float", "factor-str", "factor-bool", "factor-1"],
 )
 def test_group_and_field_parameters_are_checked_not_truncated(build, err):
     with pytest.raises(ValueError) as exc:

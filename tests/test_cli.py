@@ -437,12 +437,12 @@ def test_scan_chain_violation_prints_the_offending_game(monkeypatch, capsys):
 def test_selftest_chain_violation_is_a_fail_line(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "CHAIN_SLACK", -1.0)
     results = run_all()
-    assert len(results) == 8
+    assert len(results) == 7
     failed = [r.name for r in results if not r.passed]
     assert failed == ["ordering-chain", "lemma2-equivalence"]
     assert main(["selftest"]) == EXIT_FAILURE
     out, err = capsys.readouterr()
-    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 6 + ["FAIL"] * 2
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 5 + ["FAIL"] * 2
     # stderr holds one timing line per check and nothing else.
     assert [re.fullmatch(r"(.+): \d+\.\ds", line)[1] for line in err.splitlines()] == [
         r.name for r in results
@@ -454,7 +454,7 @@ def test_selftest_stdout_is_the_same_on_every_run(capsys):
     for _ in range(2):
         assert main(["selftest"]) == EXIT_OK
         out, err = capsys.readouterr()
-        assert len(out.splitlines()) == len(err.splitlines()) == 8
+        assert len(out.splitlines()) == len(err.splitlines()) == 7
         assert not re.search(r"\d+\.\ds\b", out)
         outputs.append(out)
     assert outputs[0] == outputs[1]

@@ -10,28 +10,29 @@ from nlgames.games import (
     GameFormatError,
     GameValidationError,
     LinearGame,
-    box_from_correlators,
     chsh_d,
-    correlators_from_box,
     evaluate_box,
     game_from_json,
     game_from_tables,
     game_to_json,
     random_xor_game,
-    win_prob_from_correlators,
 )
 from nlgames.nlc import nlc_spec_from_json
 from nlgames.rng import SplitMix64
 from oracles import (
+    box_from_correlators,
     correlators_directly,
+    correlators_from_box,
     direct_win_sum,
     elements,
     evaluate_box_directly,
     fraction_game_tables,
     mul,
     random_box_table,
+    seeded_box,
     signaling_defect,
     strategy_box,
+    win_prob_from_correlators,
 )
 
 Z2 = FiniteAbelianGroup([2])
@@ -314,19 +315,19 @@ def test_uniform_box_correlators_are_delta():
     t = correlators_from_box(game, Box(np.full((3, 3, 3, 3), 1.0 / 9)))
     expected = np.zeros((3, 3, 3, 3), dtype=complex)
     expected[:, :, 0, 0] = 1.0
-    assert np.max(np.abs(t.values - expected)) < 1e-14
+    assert np.max(np.abs(t - expected)) < 1e-14
 
 
 def test_deterministic_box_correlators_have_unit_modulus():
     game = small_game(Z3, [[0]], q=[[Fraction(1)]])
     box = strategy_box(game, [1], [2])
     t = correlators_from_box(game, box)
-    assert np.allclose(np.abs(t.values), 1.0)
+    assert np.allclose(np.abs(t), 1.0)
     chars = Z3.character_table()
     for x in range(3):
         for y in range(3):
             expected = np.conj(chars[x, 1]) * np.conj(chars[y, 2])
-            assert t.values[0, 0, x, y] == pytest.approx(expected)
+            assert t[0, 0, x, y] == pytest.approx(expected)
 
 
 def test_correlators_match_loop_oracle():
@@ -334,7 +335,7 @@ def test_correlators_match_loop_oracle():
     game = small_game(FiniteAbelianGroup([2, 2]), [[0, 1], [2, 3]])
     box = Box(random_box_table(rng, 2, 2, 4))
     t = correlators_from_box(game, box)
-    assert np.max(np.abs(t.values - correlators_directly(game, box))) < 1e-12
+    assert np.max(np.abs(t - correlators_directly(game, box))) < 1e-12
 
 
 @pytest.mark.parametrize("group", GROUPS_FOR_FOURIER, ids=repr)
@@ -346,7 +347,7 @@ def test_fourier_round_trip(group):
         game = small_game(group, f)
         box = Box(random_box_table(rng, m_a, m_b, n))
         back = box_from_correlators(game, correlators_from_box(game, box))
-        assert np.max(np.abs(back.table - box.table)) < 1e-12
+        assert np.max(np.abs(back - box.table)) < 1e-12
 
 
 def test_normalization_entry_is_one():
@@ -354,7 +355,7 @@ def test_normalization_entry_is_one():
     game = chsh_d(3, 1)
     box = Box(random_box_table(rng, 3, 3, 3))
     t = correlators_from_box(game, box)
-    assert np.max(np.abs(t.values[:, :, 0, 0] - 1.0)) < 1e-12
+    assert np.max(np.abs(t[:, :, 0, 0] - 1.0)) < 1e-12
 
 
 def test_win_prob_examples():
@@ -396,6 +397,30 @@ def test_game_value_from_correlators_matches_evaluate(group):
         for v in range(3)
     )
     assert total == pytest.approx(evaluate_box(game, box), abs=1e-10)
+
+
+def test_fourier_machinery_on_200_seeded_boxes():
+    # Round trips to 1e-12 and win probabilities against direct sums to
+    # 1e-10; each game value summed from the Fourier win probabilities must
+    # also match the library's evaluate_box, so the test reads program code.
+    rng = SplitMix64(6)
+    groups = [Z2, Z3, FiniteAbelianGroup([2, 2])]
+    for i in range(200):
+        group = groups[i % 3]
+        n = group.order
+        m_a, m_b = 2 + i % 2, 2 + (i // 2) % 2
+        f = np.array([[rng.randbelow(n) for _ in range(m_b)] for _ in range(m_a)])
+        game = LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
+        box = seeded_box(rng, m_a, m_b, n)
+        t = correlators_from_box(game, box)
+        assert np.max(np.abs(box_from_correlators(game, t) - box.table)) < 1e-12, i
+        total = 0.0
+        for u in range(m_a):
+            for v in range(m_b):
+                fourier = win_prob_from_correlators(game, t, u, v)
+                assert abs(fourier - direct_win_sum(game, box, u, v)) < 1e-10, (i, u, v)
+                total += game.q[u, v] * fourier
+        assert abs(total - evaluate_box(game, box)) < 1e-10, i
 
 
 # ---------------------------------------------------------------------------

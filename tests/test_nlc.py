@@ -29,6 +29,7 @@ from oracles import (
     building_block_matrix,
     fourier_vector,
     fraction_prefix_weights,
+    prefix_fractions,
     quantum_bound,
     strategy_box,
 )
@@ -99,6 +100,15 @@ def test_mu_outside_the_answer_range_is_rejected():
         assert str(exc.value) == f"mu must lie in [0, 3), got {mu}"
 
 
+def test_mu_is_checked_not_truncated():
+    spec = nlc_spec(3, 2, [0, 1, 2])
+    for mu in (1.5, True, "1"):
+        with pytest.raises(NlcValidationError) as exc:
+            nlc_classical_strategy(spec, mu)
+        assert str(exc.value) == f"mu must be an integer, got {mu!r}"
+    assert nlc_classical_strategy(spec, np.int64(1)) == nlc_classical_strategy(spec, 1)
+
+
 def test_out_of_range_target_names_one_entry():
     # At the spec cap the whole table would print as ~59,000 characters.
     with pytest.raises(NlcValidationError) as err:
@@ -148,7 +158,7 @@ def test_prefix_weights_match_one_fraction_per_entry(d, n):
             continue
         spec = nlc_spec(d, n, g, p)
         assert (spec.p_num, spec.p_den) == expected
-        assert spec.p == tuple(Fraction(num, expected[1]) for num in expected[0])
+        assert prefix_fractions(spec) == tuple(Fraction(num, expected[1]) for num in expected[0])
     # A zero denominator is a bad entry, named like any other.
     with pytest.raises(NlcValidationError) as err:
         nlc_spec(d, n, g, [[1, 0]] * size)
@@ -161,7 +171,7 @@ def test_weighted_and_uniform_specs_are_equal():
 
 def _row0_by_fractions(spec):
     """q0's denominator and prefix numerators with one Fraction per weight."""
-    weights = [w / spec.d ** (spec.n + 1) for w in spec.p]
+    weights = [w / spec.d ** (spec.n + 1) for w in prefix_fractions(spec)]
     den = math.lcm(*(w.denominator for w in weights))
     return den, [w.numerator * (den // w.denominator) for w in weights]
 
@@ -236,7 +246,7 @@ def test_weighted_game_matches_fraction_entries():
     # of all denominators, with the prefix sums z taken digit by digit.
     path = GOLDEN / "nlc_d2_n7_weighted.json"
     spec = nlc_spec_from_json(json.loads(path.read_text()))
-    d, n = spec.d, spec.n
+    d, n, p = spec.d, spec.n, prefix_fractions(spec)
     game = nlc_game(spec)
     digits = [[(x // d**i) % d for i in reversed(range(n))] for x in range(d**n)]
     weights = []
@@ -246,7 +256,7 @@ def test_weighted_game_matches_fraction_entries():
             z = 0
             for a, b in zip(x[:-1], y[:-1]):
                 z = z * d + (a + b) % d
-            row.append(spec.p[z] / d ** (n + 1))
+            row.append(p[z] / d ** (n + 1))
         weights.append(row)
     den = math.lcm(*(w.denominator for row in weights for w in row))
     assert game.q_den == den
@@ -443,13 +453,13 @@ def test_profile_is_row_independent():
         nlc_spec(3, 3, [0, 2, 1, 1, 1, 0, 2, 2, 1], [[k, 45] for k in range(1, 10)]),
     ]:
         prof = lambda_profile(spec)
-        d = spec.d
+        d, p = spec.d, prefix_fractions(spec)
         for row in FiniteAbelianGroup([d] * (spec.n - 1)).addition_table():
             counts = [0] * d
             weighted = [Fraction(0)] * d
             for z in row:
                 counts[spec.g[z]] += 1
-                weighted[spec.g[z]] += spec.p[z] / (d * d)
+                weighted[spec.g[z]] += p[z] / (d * d)
             assert tuple(counts) == prof.counts
             assert tuple(weighted) == prof.weighted
 
@@ -488,7 +498,7 @@ def test_building_block_eigen_identity():
     ],
     # Named by the weights as Fractions, so the ids do not depend on how a
     # spec stores them.
-    ids=lambda spec: f"NlcSpec(d={spec.d}, n={spec.n}, g={spec.g}, p={spec.p})",
+    ids=lambda spec: f"NlcSpec(d={spec.d}, n={spec.n}, g={spec.g}, p={prefix_fractions(spec)})",
 )
 def test_block_circulant_structure(spec):
     report = verify_theorem3(spec)
