@@ -66,14 +66,13 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _int_coordinates(value, not_a_sequence: str | None = None) -> tuple[int, ...]:
+def _int_coordinates(value) -> tuple[int, ...]:
     """A coordinate sequence as ints; a bool, float or string coordinate is
-    an error, not a number to round, and so is a value that is no sequence:
-    its message is `not_a_sequence` when given, else that of no group element."""
+    an error, not a number to round, and so is a value that is no sequence."""
     try:
         coords = tuple(value)
     except TypeError:
-        raise ValueError(not_a_sequence or f"{value!r} is not a group element") from None
+        raise ValueError(f"{value!r} is not a group element") from None
     for c in coords:
         if not _is_int(c):
             raise ValueError(f"coordinate {c!r} of {list(coords)!r} is not an integer")
@@ -110,7 +109,7 @@ class Group:
         self._moduli = np.array(moduli, dtype=np.int64)
         self._place = np.array(place, dtype=np.int64)
         self._pairing = np.array(pairing, dtype=np.int64)
-        self.order = prod(moduli)
+        self.order = int(prod(moduli))
         self.coords = np.arange(self.order)[:, None] // self._place % self._moduli
         self.coords.setflags(write=False)
         self._exponent = lcm(*moduli)
@@ -279,19 +278,19 @@ class FiniteField(Group):
     """GF(p^r) as polynomial residues modulo a fixed irreducible polynomial,
     and as a `Group`, its additive group: the answer group of field games.
 
-    The modulus defaults to the lexicographically smallest monic irreducible
-    polynomial of degree r over Z_p, so fields are reproducible across runs;
-    a given modulus must be monic of degree r with no monic factor of degree
-    at most r/2.  An element is its integer encoding sum_i c_i * p^i, with 0
-    first and the multiplicative unit at 1: the group has moduli p and place
-    values p^i, so row m of `coords` holds the little-endian coefficients c_i
-    of element m, and its exponent is p.  The character indexed by k is the
-    trace character chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the
-    closed-form norm computations assume.  The size cap is checked before
-    primality, whose trial division takes about a minute for a p near 10^18.
+    The modulus is the lexicographically smallest monic irreducible
+    polynomial of degree r over Z_p, so fields are reproducible across runs
+    and two fields of one order have the same tables.  An element is its
+    integer encoding sum_i c_i * p^i, with 0 first and the multiplicative
+    unit at 1: the group has moduli p and place values p^i, so row m of
+    `coords` holds the little-endian coefficients c_i of element m, and its
+    exponent is p.  The character indexed by k is the trace character
+    chi_k(x) = exp(2*pi*i * Tr(k*x) / p), which is what the closed-form norm
+    computations assume.  The size cap is checked before primality, whose
+    trial division takes about a minute for a p near 10^18.
     """
 
-    def __init__(self, p: int, r: int = 1, modulus=None):
+    def __init__(self, p: int, r: int = 1):
         for name, value in (("p", p), ("r", r)):
             if not _is_int(value):
                 raise ValueError(f"field parameter {name} must be an integer, got {value!r}")
@@ -303,18 +302,9 @@ class FiniteField(Group):
             raise ValueError(f"field size {size} exceeds the supported cap {MAX_ORDER}")
         if not is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p}")
-        if modulus is None:
-            modulus = _smallest_irreducible(p, r)
-        else:
-            coeffs = _int_coordinates(modulus, f"modulus must be a coefficient sequence, got {modulus!r}")
-            modulus = tuple(c % p for c in coeffs)
-            if len(modulus) != r + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {r}, got coefficients {modulus}")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
         self.p = p
         self.r = r
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, r)
         super().__init__(
             moduli=[p] * r,
             place=[p**i for i in range(r)],

@@ -127,13 +127,14 @@ def phi_spectra(games) -> list[list[np.ndarray]]:
     per game of `games`, in input order.
 
     The games are grouped by question shape and by group presentation
-    (`Group.presentation`, not `describe`, since fields with different
-    moduli describe themselves alike), and each group of games is solved
-    from one character table.  q is real, so Phi_{-x} = conj(Phi_x), and the
-    solver gives the same bits on a conjugated matrix: each pair {x, -x} is
-    taken at its first member.  Within one game the first members fall into
-    classes of matrices with the same multiset of rows, a row being its q
-    row's float bits and its integer character exponents, compared exactly;
+    (`Group.presentation`, the integers every table is built from, so equal
+    keys give equal tables for any subclass; `describe` is only a JSON
+    label), and each group of games is solved from one character table.
+    q is real, so Phi_{-x} = conj(Phi_x), and the solver gives the same
+    bits on a conjugated matrix: each pair {x, -x} is taken at its first
+    member.  Within one game the first members fall into classes of
+    matrices with the same multiset of rows, a row being its q row's float
+    bits and its integer character exponents, compared exactly;
     matrices equal up to row order have equal singular values, so only the
     first member of each class is solved and the others take its values
     (over GF(q) every Phi_x is a row permutation of Phi_1, so one solve
@@ -235,10 +236,12 @@ def _smallest(cand: np.ndarray) -> np.ndarray:
     return cand[np.lexsort(cand.T)[0]]
 
 
-def over_budget(order: int, m_a: int, m_b: int, budget: int) -> str | None:
+def over_budget(order: int, m_a: int, m_b: int) -> str | None:
     """Why an exact classical value over `order` answers and m_a x m_b
-    questions is over `budget`, or None when its order^min(m_a, m_b)
-    assignments fit; a count far above the budget is never built."""
+    questions is over DEFAULT_ENUMERATION_BUDGET, read at the call, or None
+    when its order^min(m_a, m_b) assignments fit; a count far above the
+    budget is never built."""
+    budget = DEFAULT_ENUMERATION_BUDGET
     total = power_above(order, min(m_a, m_b), budget)
     if total is None:
         return None
@@ -246,11 +249,7 @@ def over_budget(order: int, m_a: int, m_b: int, budget: int) -> str | None:
     return f"classical enumeration needs {total} assignments for {player}, the player with fewer questions, over the budget of {budget}"
 
 
-def classical_value(
-    game: LinearGame,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    chunk_size: int | None = None,
-) -> ClassicalOptimum:
+def classical_value(game: LinearGame) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies.
 
     The player with fewer questions (Alice when mA <= mB) is enumerated and
@@ -271,12 +270,11 @@ def classical_value(
     depend on the chunking.  A shifted assignment sums the same terms in the
     same order, so its score has the same bits as its orbit's.  Exact
     weights are scored in the narrowest integer type that holds q_den (see
-    the module docstring), float weights in float64.  A chunk holds
-    `chunk_size` (>= 1) scored assignments, by default as many as fill
-    DEFAULT_CHUNK_BYTES in the score type, rounded down to whole blocks of
-    |G|^(lo - 1), at least one; when the enumeration is smaller than a
-    chunk, several responder questions share one broadcast.  Three
-    chunk-sized buffers are the working memory.
+    the module docstring), float weights in float64.  A chunk holds as many
+    scored assignments as fill DEFAULT_CHUNK_BYTES in the score type,
+    rounded down to whole blocks of |G|^(lo - 1), at least one; when the
+    enumeration is smaller than a chunk, several responder questions share
+    one broadcast.  Three chunk-sized buffers are the working memory.
 
     The result is the optimal Alice assignment with the smallest enumeration
     id (question 0 varies fastest), whichever side is enumerated: the optimal
@@ -291,9 +289,7 @@ def classical_value(
     element in canonical order, and the value is scored in that orientation,
     so the result does not depend on the chunking.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    reason = over_budget(game.order, game.mA, game.mB, budget)
+    reason = over_budget(game.order, game.mA, game.mB)
     if reason is not None:
         raise EnumerationBudgetError(reason)
     n = game.order
@@ -304,7 +300,7 @@ def classical_value(
     if game.has_exact_q:  # every score is at most q_den
         ints = (np.int8, np.int16, np.int32, np.int64)
         score_type = np.dtype(next(t for t in ints if np.iinfo(t).max >= game.q_den))
-    chunk_size = chunk_size or DEFAULT_CHUNK_BYTES // score_type.itemsize
+    chunk = DEFAULT_CHUNK_BYTES // score_type.itemsize
     winning = game.winning_answers()
     enum_weights, enum_winning = (
         (weights.T, winning.transpose(1, 0, 2)) if by_bob else (weights, winning)
@@ -317,8 +313,8 @@ def classical_value(
     low = _score_table(enum_weights[1:lo], enum_winning[1:lo], n, first)
     high = _score_table(enum_weights[lo:], enum_winning[lo:], n)
     m_resp, block, n_high = low.shape[0], low.shape[2], high.shape[2]
-    step = max(1, chunk_size // block)
-    group = min(m_resp, max(1, chunk_size // (min(step, n_high) * block)))
+    step = max(1, chunk // block)
+    group = min(m_resp, max(1, chunk // (min(step, n_high) * block)))
     buffers = np.empty((2, group, min(step, n_high), block), score_type)
     add = game.group.addition_table()
 
@@ -454,11 +450,7 @@ class GameReport:
         }
 
 
-def analyze(
-    games,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[GameReport]:
+def analyze(games, rank_tol: float = DEFAULT_RANK_TOL) -> list[GameReport]:
     """Full reports, one per game of `games` in order: classical optimum,
     spectral bound, no-signaling value.
 
@@ -466,7 +458,7 @@ def analyze(
     before any spectral solve; the spectra then come from one `phi_spectra`
     call.
     """
-    optima = [classical_value(game, budget=budget) for game in games]
+    optima = [classical_value(game) for game in games]
     solved = zip(games, optima, phi_spectra(games))
     return [_report(game, optimum, spectra, rank_tol) for game, optimum, spectra in solved]
 

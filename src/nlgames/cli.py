@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import MAX_ORDER, FiniteField
-from .bounds import DEFAULT_ENUMERATION_BUDGET, ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, over_budget, phi_norms
+from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, over_budget, phi_norms
 from .games import GameFormatError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
 from .numerics import DEFAULT_RANK_TOL
@@ -171,7 +171,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     a block's spectra are solved in one stack; a chain violation prints the
     offending game and none of its block's rows.  The enumeration budget is
     checked before the header, and before any game is drawn."""
-    reason = over_budget(args.d, args.m, args.m, DEFAULT_ENUMERATION_BUDGET) if args.count else None
+    reason = over_budget(args.d, args.m, args.m) if args.count else None
     if reason is not None:
         raise EnumerationBudgetError(reason)
     rng = SplitMix64(args.seed)

@@ -87,6 +87,8 @@ class LinearGame:
             object.__setattr__(self, "q", num / den)
             num.setflags(write=False)
         else:
+            if not np.all(np.isfinite(self.q)):
+                raise GameValidationError("input probabilities must be finite numbers")
             if np.any(self.q < 0):
                 raise GameValidationError("input probabilities must be nonnegative")
             total = float(self.q.sum())
@@ -230,15 +232,13 @@ def chsh_closed_form(d: int) -> float:
     return 1.0 / d + (d - 1) / (d * sqrt(d))
 
 
-def random_xor_game(rng: SplitMix64, d: int, m_a: int, m_b: int | None = None) -> LinearGame:
-    """Uniform-input game over Z_d with i.i.d. uniform f entries.
+def random_xor_game(rng: SplitMix64, d: int, m: int) -> LinearGame:
+    """Uniform-input m x m game over Z_d with i.i.d. uniform f entries.
 
     Entries are drawn row-major (u outer, v inner), one `randbelow(d)` call
     each, so a given seed always produces the same game.
     """
-    if m_b is None:
-        m_b = m_a
-    f_idx = np.array([[rng.randbelow(d) for _ in range(m_b)] for _ in range(m_a)])
+    f_idx = np.array([[rng.randbelow(d) for _ in range(m)] for _ in range(m)])
     return LinearGame(FiniteAbelianGroup([d]), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
 
 
@@ -256,10 +256,11 @@ class Box:
         t = np.asarray(self.table, dtype=np.float64)
         if t.ndim != 4 or t.shape[2] != t.shape[3]:
             raise GameValidationError(f"box table must have shape (mA, mB, n, n), got {t.shape}")
-        if np.any(t < -NORMALIZATION_TOL):
+        # Written so that NaN, which compares False, fails both checks.
+        if not np.all(t >= -NORMALIZATION_TOL):
             raise GameValidationError("box probabilities must be nonnegative")
         sums = t.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
+        if not np.max(np.abs(sums - 1.0)) <= NORMALIZATION_TOL:
             raise GameValidationError("box distributions must sum to 1 for every question pair")
         object.__setattr__(self, "table", t)
         t.setflags(write=False)

@@ -30,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from .algebra import FiniteAbelianGroup, _is_int, is_prime, power_above
-from .bounds import DEFAULT_ENUMERATION_BUDGET, bound_from_norms, classical_value, over_budget
+from .bounds import bound_from_norms, classical_value, over_budget
 from .games import GameFormatError, GameValidationError, LinearGame, _check_document, _check_exact_denominator, _read_weights
 
 __all__ = [
@@ -255,9 +255,7 @@ class Theorem3Report:
     norms: tuple[float, ...]
 
 
-def verify_theorem3(
-    spec: NlcSpec, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Theorem3Report:
+def verify_theorem3(spec: NlcSpec) -> Theorem3Report:
     """Check that the classical strategy meets the quantum bound exactly.
 
     Legs, read off one profile and the game's row 0: (i) the prefix-ignoring
@@ -282,7 +280,7 @@ def verify_theorem3(
         )
     size = spec.d**spec.n
     brute = None
-    if over_budget(spec.d, size, size, budget) is None:
+    if over_budget(spec.d, size, size) is None:
         game = nlc_game(spec)
         inputs = FiniteAbelianGroup([spec.d] * spec.n).addition_table()
         for name, row in (("f_idx", row0[0]), ("q_num", row0[1])):
@@ -290,7 +288,7 @@ def verify_theorem3(
                 raise BlockStructureError(
                     f"game {name} is not a function of x (+) y over Z_{spec.d}^{spec.n}"
                 )
-        brute = classical_value(game, budget=budget).exact
+        brute = classical_value(game).exact
         if brute != bound:
             raise TheoremVerificationError(
                 f"brute-force leg failed: exhaustive optimum {brute} differs "

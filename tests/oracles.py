@@ -49,6 +49,12 @@ on element objects:
 - `signaling_defect(box)`: the largest variation of either party's marginal
   across the other party's question, from explicit sums over the table.
 
+Games the library does not build: `random_f_game(group, rng, m_a, m_b)`,
+a uniform game over any group, f drawn as `random_xor_game` draws it over
+Z_d, rectangular shapes included; and `product_game(g, h)`, the two games
+played at once over `ProductGroup(G, H)`, whose Phi_(x, y) is the Kronecker
+product of Phi_x and Psi_y.
+
 The Fourier correlators <A_u^x B_v^y> of a box, which no report reads, live
 here as tests of the library's character table: `correlators_from_box`,
 its inverse `box_from_correlators` and `win_prob_from_correlators`, each
@@ -68,7 +74,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nlgames.algebra import FiniteField
+from nlgames.algebra import FiniteField, Group
 from nlgames.bounds import ClassicalOptimum, bound_from_norms, phi_norms
 from nlgames.games import Box, GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
@@ -291,6 +297,52 @@ def phi1_rank_at_most_one(game) -> bool:
             if product and (f[u][v] + f[u2][v2] - f[u][v2] - f[u2][v]) % d:
                 return False
     return True
+
+
+def random_f_game(group, rng, m_a: int, m_b: int, exact: bool = True) -> LinearGame:
+    """A uniform m_a x m_b game over `group`, f drawn row-major from a
+    `SplitMix64`, one `randbelow(order)` each, as `random_xor_game` draws
+    over Z_d; q exact, or as floats."""
+    f = np.array([[rng.randbelow(group.order) for _ in range(m_b)] for _ in range(m_a)])
+    if exact:
+        return LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
+    return LinearGame(group, f, q=np.full(f.shape, 1.0 / f.size))
+
+
+class ProductGroup(Group):
+    """G x H as one `Group`: the moduli of G, then those of H; place values
+    (place_G * |H|, place_H), so that (x, y) has index x * |H| + y; and the
+    block-diagonal pairing, each block scaled to the common exponent, so
+    that chi_(a, b)(x, y) = chi_a(x) * chi_b(y).  The moduli are passed as
+    numpy arrays."""
+
+    def __init__(self, first: Group, second: Group):
+        self.parts = (first, second)
+        big_n = math.lcm(first._exponent, second._exponent)
+        k = len(first._moduli)
+        pairing = np.zeros((k + len(second._moduli),) * 2, dtype=np.int64)
+        pairing[:k, :k] = first._pairing * (big_n // first._exponent)
+        pairing[k:, k:] = second._pairing * (big_n // second._exponent)
+        super().__init__(
+            moduli=np.concatenate([first._moduli, second._moduli]),
+            place=np.concatenate([first._place * second.order, second._place]),
+            pairing=pairing,
+        )
+
+    def describe(self) -> dict:
+        return {"product": [part.describe() for part in self.parts]}
+
+
+def product_game(first, second) -> LinearGame:
+    """The product of two exact games: questions (u1, u2) at index
+    u1 * mA2 + u2 and (v1, v2) at v1 * mB2 + v2, f = f1 * |H| + f2 over
+    `ProductGroup`, and q_num the outer product, so that Phi_(x, y) is the
+    Kronecker product of Phi_x and Psi_y."""
+    f = first.f_idx[:, None, :, None] * second.order + second.f_idx[None, :, None, :]
+    shape = (first.mA * second.mA, first.mB * second.mB)
+    group = ProductGroup(first.group, second.group)
+    q_num = np.kron(first.q_num, second.q_num)
+    return LinearGame(group, f.reshape(shape), q_num=q_num, q_den=first.q_den * second.q_den)
 
 
 def random_box_table(rng, m_a: int, m_b: int, n: int) -> np.ndarray:

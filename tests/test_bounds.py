@@ -31,9 +31,10 @@ from oracles import (
     alice_side_classical_value,
     double_enumeration_optimum,
     elements,
-    mul,
     phi1_rank_at_most_one,
+    product_game,
     quantum_bound,
+    random_f_game,
     response_scores,
     score_table_by_question,
     signaling_defect,
@@ -61,6 +62,23 @@ def rank_one_game(group, s, t):
     els = elements(group)
     f = [[list(add(group, els[su], els[tv]).coords) for tv in t] for su in s]
     return uniform_game(group, f)
+
+
+def in_chunks(game, chunk):
+    """`classical_value` with chunks of `chunk` scored assignments: the chunk
+    buffer is sized to `chunk` entries of the game's score type, the
+    narrowest integer type that holds q_den for exact weights, else float64.
+    None keeps DEFAULT_CHUNK_BYTES."""
+    if chunk is None:
+        return classical_value(game)
+    if game.has_exact_q:
+        ints = (np.int8, np.int16, np.int32, np.int64)
+        itemsize = next(np.dtype(t).itemsize for t in ints if np.iinfo(t).max >= game.q_den)
+    else:
+        itemsize = 8
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "DEFAULT_CHUNK_BYTES", chunk * itemsize)
+        return classical_value(game)
 
 
 CHSH2 = chsh_d(2, 1)
@@ -162,22 +180,6 @@ def test_bound_invariant_under_character_reindexing():
     )
 
 
-def test_bound_independent_of_field_modulus():
-    from nlgames.algebra import FiniteField
-
-    base = None
-    for modulus in [(1, 0, 1), (2, 1, 1), (2, 2, 1)]:
-        field = FiniteField(3, 2, modulus=modulus)
-        group = field
-        q = [[Fraction(1, 81)] * 9 for _ in range(9)]
-        f = [[int(mul(field, x, y)) for y in elements(field)] for x in elements(field)]
-        bound = quantum_bound(game_from_tables(group, q, f))
-        if base is None:
-            base = bound
-        assert bound == pytest.approx(base, abs=1e-12)
-        assert bound == pytest.approx(1 / 9 + 8 / 27, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Classical value
 # ---------------------------------------------------------------------------
@@ -229,17 +231,11 @@ def test_classical_value_independent_of_chunking():
     # float copy also checks that the sum over the responder's questions is
     # taken in the same order at every chunk size.
     for m_a, m_b in ((3, 3), (5, 3), (6, 6), (10, 6)):
-        game = random_xor_game(SplitMix64(21), 3, m_a, m_b)
+        game = random_f_game(Z3, SplitMix64(21), m_a, m_b)
         for g in (game, LinearGame(game.group, game.f_idx, q=game.q)):
-            results = [classical_value(g, chunk_size=c) for c in (1, 3, 16, 26, 28, 4096)]
+            results = [in_chunks(g, c) for c in (1, 3, 16, 26, 28, 4096)]
             for r in results[1:]:
                 assert r == results[0]
-
-
-@pytest.mark.parametrize("chunk_size", [0, -1])
-def test_chunk_size_below_one_is_rejected(chunk_size):
-    with pytest.raises(ValueError, match="chunk_size must be at least 1"):
-        classical_value(CHSH2, chunk_size=chunk_size)
 
 
 SPLIT_GROUPS = [
@@ -273,7 +269,7 @@ def split_game(rng, group, m_a, m_b, kind):
 @pytest.mark.parametrize("kind", SPLIT_KINDS)
 def test_split_tables_match_the_alice_side_reference(kind):
     # With all-zero f the constant assignments tie, and they lie in different
-    # high-digit blocks, so at chunk_size 1 in different chunks; with diagonal
+    # high-digit blocks, so at a chunk of 1 in different chunks; with diagonal
     # q every assignment ties.
     rng = np.random.default_rng(SPLIT_KINDS.index(kind))
     for group in SPLIT_GROUPS:
@@ -282,8 +278,8 @@ def test_split_tables_match_the_alice_side_reference(kind):
                 continue
             game = split_game(rng, group, m_a, m_b, kind)
             ref = alice_side_classical_value(game)
-            for chunk_size in (1, 4096):
-                opt = classical_value(game, chunk_size=chunk_size)
+            for chunk in (1, 4096):
+                opt = in_chunks(game, chunk)
                 assert (opt.exact, opt.alice, opt.bob) == (ref.exact, ref.alice, ref.bob)
                 assert opt.value == pytest.approx(ref.value, abs=1e-12)
 
@@ -291,7 +287,7 @@ def test_split_tables_match_the_alice_side_reference(kind):
 def test_budget_error_is_informative():
     # 3^13 = 1594323 assignments for the player with 13 questions.
     for m_a, player in ((13, "Alice"), (14, "Bob")):
-        game = random_xor_game(SplitMix64(5), 3, m_a, 13)
+        game = random_f_game(Z3, SplitMix64(5), m_a, 13)
         with pytest.raises(EnumerationBudgetError, match=f"1594323 assignments for {player}"):
             classical_value(game)
 
@@ -337,10 +333,10 @@ def test_enumerating_bob_matches_the_alice_side_reference(kind):
         game = tall_game(rng, TALL_GROUPS[i % len(TALL_GROUPS)], kind)
         ref = alice_side_classical_value(game)
         flipped = classical_value(transposed(game))
-        # At chunk_size 1 each high-digit block of Bob's assignments is its
+        # At a chunk of 1 each high-digit block of Bob's assignments is its
         # own chunk, so tied candidates are also compared across chunks.
-        for chunk_size in (1, 4096):
-            opt = classical_value(game, chunk_size=chunk_size)
+        for chunk in (1, 4096):
+            opt = in_chunks(game, chunk)
             assert opt.exact == flipped.exact
             assert opt.value == pytest.approx(flipped.value, abs=1e-12)
             if kind == "uniform float":
@@ -361,7 +357,7 @@ def test_enumerating_bob_matches_the_alice_side_reference(kind):
 @pytest.mark.parametrize("d, m_a, m_b", [(3, 41, 2), (2, 70, 3)])
 def test_tall_games_beyond_int64_ids(d, m_a, m_b):
     # d^mA > 2^63 Alice assignments: ids past int64 must not be decoded.
-    game = random_xor_game(SplitMix64(m_a), d, m_a, m_b)
+    game = random_f_game(FiniteAbelianGroup([d]), SplitMix64(m_a), m_a, m_b)
     opt = classical_value(game)
     assert opt.exact == classical_value(transposed(game)).exact
     box = strategy_box(game, opt.alice, opt.bob)
@@ -398,8 +394,8 @@ def test_kernel_matches_the_alice_side_reference_on_float_weights(shape):
         q = rng.random((m_a, m_b))
         game = LinearGame(FiniteAbelianGroup([d]), rng.integers(0, d, (m_a, m_b)), q=q / q.sum())
         ref = alice_side_classical_value(game)
-        for chunk_size in kernel_chunk_sizes(game):
-            assert classical_value(game, chunk_size=chunk_size) == ref
+        for chunk in kernel_chunk_sizes(game):
+            assert in_chunks(game, chunk) == ref
 
 
 RESPONSE_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 8)] + [
@@ -434,8 +430,8 @@ def test_best_response_scores_match_the_einsum_formula(kind):
         for m_a, m_b in RESPONSE_SHAPES:
             game = response_game(rng, group, m_a, m_b, kind)
             opt = classical_value(game)
-            for chunk_size in (1, 7):
-                assert classical_value(game, chunk_size=chunk_size) == opt
+            for chunk in (1, 7):
+                assert in_chunks(game, chunk) == opt
             scores = response_scores(game, list(opt.alice))
             assert opt.bob == tuple(scores.argmax(axis=1).tolist())
             value = scores.max(axis=1).sum()
@@ -453,8 +449,8 @@ def test_kernel_matches_the_alice_side_reference_on_a_tied_nlc_game(g):
     # optimal, so many assignments tie.
     game = nlc_game(nlc_spec(2, 4, g))
     ref = alice_side_classical_value(game)
-    for chunk_size in kernel_chunk_sizes(game):
-        assert classical_value(game, chunk_size=chunk_size) == ref
+    for chunk in kernel_chunk_sizes(game):
+        assert in_chunks(game, chunk) == ref
 
 
 # Measured peaks are 1.0 to 1.2 MiB with integer scores and 1.4 to 2.0 MiB
@@ -514,8 +510,8 @@ def test_scores_at_the_edge_of_each_integer_type(q_den):
     for game in type_edge_games(rng, q_den):
         ref = alice_side_classical_value(game)
         assert ref.exact == 1
-        for chunk_size in kernel_chunk_sizes(game):
-            assert classical_value(game, chunk_size=chunk_size) == ref
+        for chunk in kernel_chunk_sizes(game):
+            assert in_chunks(game, chunk) == ref
 
 
 SHIFT_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 8)] + [
@@ -570,8 +566,8 @@ def test_scoring_one_assignment_per_shift_orbit_matches_the_reference(kind):
         for m_a, m_b in shift_shapes(group.order):
             game = shift_game(rng, group, m_a, m_b, kind)
             ref = alice_side_classical_value(game)
-            for chunk_size in (1, 7, None):
-                assert classical_value(game, chunk_size=chunk_size) == ref, (group, m_a, m_b, chunk_size)
+            for chunk in (1, 7, None):
+                assert in_chunks(game, chunk) == ref, (group, m_a, m_b, chunk)
 
 
 @pytest.mark.parametrize("kind", SHIFT_KINDS)
@@ -582,11 +578,11 @@ def test_score_table_masks_in_one_broadcast_match_the_question_loop(monkeypatch,
         for group in SHIFT_GROUPS
         for m_a, m_b in shift_shapes(group.order)
     ]
-    for chunk_size in (1, 7, None):
-        optima = [classical_value(game, chunk_size=chunk_size) for game in corpus]
+    for chunk in (1, 7, None):
+        optima = [in_chunks(game, chunk) for game in corpus]
         monkeypatch.setattr(bounds, "_score_table", score_table_by_question)
         for game, opt in zip(corpus, optima):
-            ref = classical_value(game, chunk_size=chunk_size)
+            ref = in_chunks(game, chunk)
             assert (opt.value.hex(), opt.exact, opt.alice, opt.bob) == (
                 ref.value.hex(),
                 ref.exact,
@@ -841,26 +837,23 @@ def test_ordering_chain_on_seeded_corpus():
         assert report.ns_value == pytest.approx(1.0, abs=1e-12)
 
 
-def random_f_game(group, rng, m_a, m_b, exact=True):
-    f = np.array([[rng.randbelow(group.order) for _ in range(m_b)] for _ in range(m_a)])
-    if exact:
-        return LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size)
-    return LinearGame(group, f, q=np.full(f.shape, 1.0 / f.size))
-
-
 def test_analyze_mixed_list_equals_solo_reports():
-    # GF(9) under the moduli x^2 + 1 (the default) and x^2 + 2x + 2 describes
-    # itself alike, but its character tables differ: grouping by `describe`
-    # would solve the second game with the first one's characters.
+    # One index table over Z3 x Z3 and over GF(9), and one over Z2 x Z2 and
+    # over GF(4): groups of one order and one question shape whose character
+    # tables differ, so a grouping key that merged them would solve one game
+    # of each pair with the other's characters.
     rng = SplitMix64(12)
-    gf9 = [FiniteField(3, 2, modulus=m) for m in (None, (2, 2, 1))]
-    assert gf9[0].describe() == gf9[1].describe()
     f9 = np.array([[rng.randbelow(9) for _ in range(3)] for _ in range(3)])
-    gf9_games = [LinearGame(g, f9, q_num=np.ones_like(f9), q_den=9) for g in gf9]
+    z3z3, gf9 = FiniteAbelianGroup([3, 3]), FiniteField(3, 2)
+    gf9_games = [LinearGame(g, f9, q_num=np.ones_like(f9), q_den=9) for g in (z3z3, gf9)]
     z5 = [random_f_game(FiniteAbelianGroup([5]), rng, 3, 3) for _ in range(3)]
     z2 = [random_f_game(Z2, rng, 4, 4) for _ in range(3)]
     z2z3 = [random_f_game(FiniteAbelianGroup([2, 3]), rng, 2, 3, exact=False) for _ in range(2)]
-    games = [z5[0], z2[0], gf9_games[0], z2z3[0], z5[1], gf9_games[1], z2[1], z2z3[1], z5[2], z2[2]]
+    f4 = np.array([[rng.randbelow(4) for _ in range(4)] for _ in range(2)])
+    z2z2, gf4 = FiniteAbelianGroup([2, 2]), FiniteField(2, 2)
+    gf4_games = [LinearGame(g, f4, q_num=np.ones_like(f4), q_den=8) for g in (z2z2, gf4)]
+    games = [z5[0], z2[0], gf9_games[0], z2z3[0], z5[1], gf9_games[1], z2[1]]
+    games += [gf4_games[0], z2z3[1], z5[2], gf4_games[1], z2[2]]
     mixed = analyze(games)
     assert len(mixed) == len(games)
     for report, game in zip(mixed, games):
@@ -868,6 +861,7 @@ def test_analyze_mixed_list_equals_solo_reports():
         assert report == solo
         assert np.array(report.norms).tobytes() == np.array(solo.norms).tobytes()
     assert mixed[2].norms != mixed[5].norms
+    assert mixed[7].norms != mixed[10].norms
 
 
 def test_phi_spectra_groups_games_of_different_groups():
@@ -881,3 +875,44 @@ def test_phi_spectra_groups_games_of_different_groups():
             assert np.array_equal(s, solo)
     assert phi_spectra([]) == []
     assert analyze([]) == []
+
+
+# ---------------------------------------------------------------------------
+# Product games
+# ---------------------------------------------------------------------------
+
+
+def test_chsh_and_chsh_has_classical_value_five_eighths():
+    # Two CHSH games played at once are won classically with 10/16, not the
+    # 9/16 of playing each alone (Barrett, Collins, Hardy, Kent and Popescu,
+    # 2002); the uniform bound is the CHSH bound squared, to the bit.
+    chsh, both = analyze([CHSH2, product_game(CHSH2, CHSH2)])
+    assert both.classical_value_exact == Fraction(5, 8)
+    assert both.quantum_bound_raw == 0.7285533905932737 == chsh.quantum_bound_raw**2
+
+
+def test_chsh_cubed_has_classical_value_31_64(monkeypatch):
+    # 8^8 assignments, over the default budget.
+    monkeypatch.setattr(bounds, "DEFAULT_ENUMERATION_BUDGET", 10**8)
+    game = product_game(product_game(CHSH2, CHSH2), CHSH2)
+    assert analyze([game])[0].classical_value_exact == Fraction(31, 64)
+
+
+def test_product_norms_are_kronecker_products_of_the_factors_norms():
+    # Phi_(x, y) is Phi_x (x) Psi_y, so its norm is ||Phi_x|| * ||Psi_y||,
+    # with ||Phi_e|| = ||q||_2; for uniform q the bound is multiplicative,
+    # and playing the factors' optimal strategies side by side is one
+    # strategy for the product.
+    rng = SplitMix64(0)
+    for _ in range(40):
+        first = random_xor_game(rng, 2 + rng.randbelow(3), 2)
+        second = random_xor_game(rng, 2 + rng.randbelow(3), 2)
+        product = product_game(first, second)
+        reports = analyze([first, second, product])
+        bound = [r.quantum_bound_raw for r in reports]
+        value = [r.classical_value_exact for r in reports]
+        assert abs(bound[2] - bound[0] * bound[1]) <= 1e-15
+        assert value[2] >= value[0] * value[1]
+        norms = [[np.linalg.norm(g.q, 2), *phi_norms(g)] for g in (first, second)]
+        want = np.outer(*norms).ravel()[1:]
+        assert np.all(np.abs(np.array(phi_norms(product)) - want) <= 1e-15 * want)

@@ -195,6 +195,18 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys, command, kind):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_nan_weight_is_a_validation_error(tmp_path, capsys):
+    # Python's json reads NaN, which compares False with every bound, and
+    # Infinity.
+    for token in ("NaN", "Infinity"):
+        path = tmp_path / f"{token}.json"
+        path.write_text('{"group": {"factors": [2]}, "mA": 1, "mB": 2, "q": [[%s, 1.0]], "f": [[0, 1]]}' % token)
+        assert main(["analyze", str(path)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input probabilities must be finite numbers\n"
+
+
 def test_analyze_budget_exits_3(tmp_path, capsys):
     doc = {
         "group": {"factors": [3]},

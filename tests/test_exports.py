@@ -2,8 +2,9 @@
 the package re-exports only names in its modules' `__all__`.  A deleted
 function that stays listed breaks only `from ... import *`, which nothing
 else runs.  Every function, class and method in src/nlgames is named by the
-code there, so nothing in src is kept for tests alone, and every oracle in
-tests/oracles.py is named by a test, so no oracle outlives what it checks."""
+code there, and every defaulted parameter is passed by some call there, so
+nothing in src is kept for tests alone; every oracle in tests/oracles.py is
+named by a test, so no oracle outlives what it checks."""
 
 import ast
 import importlib
@@ -89,6 +90,70 @@ def test_every_definition_in_src_is_referenced_in_src():
     # A name only tests call is deleted, or moved to tests/oracles.py when
     # tests compare library results against it.
     assert sorted(set(_unreferenced_definitions()) - UNREFERENCED_ALLOWED) == []
+
+
+# Defaulted parameters that no call in src/nlgames passes, each with the
+# reason it stays.
+UNPASSED_ALLOWED = {
+    "cli.main argv": "the benchmark and the tests call main(argv) in-process; the console script passes nothing",
+}
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter `name`, at `position` when it is
+    positional: by position, by keyword, or through *args or **kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args[: position + 1])
+
+
+def _unpassed_parameters() -> list[str]:
+    """"module.function parameter" for each defaulted parameter of a
+    module-level function, a method or an `__init__` in src/nlgames that no
+    call there passes.  A call is matched by the name it calls; a method is
+    called bound, so `self` takes no position, and an `__init__` is called
+    through its class's name or as `__init__`."""
+    calls: dict[str | None, list[ast.Call]] = {}
+    definitions = []  # (label, names it is called by, definition, positions taken by self)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                definitions.append((f"{path.stem}.{node.name}", {node.name}, node, 0))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = {node.name, item.name} if item.name == "__init__" else {item.name}
+                        definitions.append((f"{path.stem}.{node.name}.{item.name}", names, item, 1))
+    unpassed = []
+    for label, names, node, skip in definitions:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+        defaulted += [(arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        sites = [call for name in names for call in calls.get(name, ())]
+        unpassed += [
+            f"{label} {arg.arg}"
+            for arg, position in defaulted
+            if not any(_passes(call, position, arg.arg) for call in sites)
+        ]
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # A default that only tests override is made a constant; a test that
+    # needs another value monkeypatches the constant.
+    unpassed = _unpassed_parameters()
+    assert sorted(set(unpassed) - set(UNPASSED_ALLOWED)) == []
+    assert set(UNPASSED_ALLOWED) <= set(unpassed)
 
 
 def test_every_oracle_is_named_by_a_test():

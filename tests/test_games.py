@@ -129,6 +129,8 @@ ONES = np.ones((2, 2), dtype=np.int64)
         ({"f_idx": F22, "q": np.full((2, 2), 0.3)}, "sums to"),
         ({"f_idx": F22, "q": np.array([[0.75, -0.25], [0.25, 0.25]])}, "nonnegative"),
         ({"f_idx": F22[0], "q": np.full(2, 0.5)}, "rectangular"),
+        # NaN compares False with everything, so it fails no sign or sum test.
+        ({"f_idx": F22, "q": np.array([[np.nan, 1.0], [0.0, 0.0]])}, "must be finite"),
     ],
 )
 def test_linear_game_validates_its_arrays(kwargs, message):
@@ -150,12 +152,12 @@ def assert_same_game(built, parsed):
     assert built.q_den == parsed.q_den
 
 
-@pytest.mark.parametrize("d, m_a, m_b", [(2, 3, 3), (3, 4, 2), (5, 7, 3)])
-def test_random_xor_game_matches_parsed_tables(d, m_a, m_b):
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 4), (5, 7)])
+def test_random_xor_game_matches_parsed_tables(d, m):
     rng = SplitMix64(11)
-    f = [[rng.randbelow(d) for _ in range(m_b)] for _ in range(m_a)]
-    game = random_xor_game(SplitMix64(11), d, m_a, m_b)
-    parsed = game_from_tables(game.group, [[Fraction(1, m_a * m_b)] * m_b] * m_a, f)
+    f = [[rng.randbelow(d) for _ in range(m)] for _ in range(m)]
+    game = random_xor_game(SplitMix64(11), d, m)
+    parsed = game_from_tables(game.group, [[Fraction(1, m * m)] * m] * m, f)
     assert_same_game(game, parsed)
 
 
@@ -222,6 +224,9 @@ def test_box_validation():
         Box(np.array([[[[1.2, -0.2], [0.0, 0.0]]]]))
     with pytest.raises(GameValidationError, match="shape"):
         Box(np.full((2, 2, 2, 3), 1.0 / 6))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GameValidationError):
+            Box(np.array([[[[bad, 0.5], [0.5, 0.0]]]]))
 
 
 def test_uniform_box_marginals():

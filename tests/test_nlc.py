@@ -397,8 +397,9 @@ def test_verify_theorem3_weighted_rational():
 
 
 def test_verify_theorem3_skips_brute_force_over_budget():
-    spec = nlc_spec(3, 2, [0, 1, 2])
-    report = verify_theorem3(spec, budget=100)
+    # 3^27 assignments, over the default budget.
+    spec = nlc_spec(3, 3, [0, 1, 2, 1, 2, 0, 2, 0, 1])
+    report = verify_theorem3(spec)
     assert report.brute_force_value is None
     assert report.spectral_bound == pytest.approx(float(report.profile.bound), abs=1e-10)
 
