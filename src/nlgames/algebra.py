@@ -148,6 +148,11 @@ class Group:
             self._negation = table
         return self._negation
 
+    def difference(self, x, y) -> np.ndarray:
+        """Index of element x minus element y, elementwise over broadcast
+        index arrays, from their coordinates; no table is built."""
+        return (self.coords[x] - self.coords[y]) % self._moduli @ self._place
+
     def subtraction_table(self) -> np.ndarray:
         """Index table T[i, j] of element i minus element j."""
         return self.addition_table()[:, self.negation_table()]

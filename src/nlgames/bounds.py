@@ -75,11 +75,6 @@ class ChainViolationError(RuntimeError):
         self.game = game
 
 
-def _game_matrix(game: LinearGame, chars: np.ndarray, x: int, out=None) -> np.ndarray:
-    """Phi_x[u, v] = q(u, v) * chi_x(f(u, v)), from the character table `chars`."""
-    return np.multiply(game.q, chars[x][game.f_idx], out=out)
-
-
 def _representatives(game: LinearGame, exponents: np.ndarray, xs) -> list[int]:
     """For each x of `xs`, the first x of `xs` whose Phi_x has the same
     multiset of rows, and so the same singular values.
@@ -165,8 +160,8 @@ def phi_spectra(games) -> list[list[np.ndarray]]:
         for start in range(0, len(jobs), per_stack):
             batch = jobs[start : start + per_stack]
             stack = np.empty((len(batch), *shape), dtype=np.complex128)
-            for phi, (i, x) in zip(stack, batch):
-                _game_matrix(games[i], chars, x, out=phi)
+            for phi, (i, x) in zip(stack, batch):  # Phi_x[u, v] = q(u, v) * chi_x(f(u, v))
+                np.multiply(games[i].q, chars[x][games[i].f_idx], out=phi)
             values.update(zip(batch, stacked_singular_values(stack)))
         for i in members:
             spectra[i] = [values[solved_as[i, x]] for x in first]
@@ -288,10 +283,36 @@ def classical_value(game: LinearGame) -> ClassicalOptimum:
     best-responds to that assignment, ties broken toward the smallest group
     element in canonical order, and the value is scored in that orientation,
     so the result does not depend on the chunking.
+
+    Over the budget, a uniform game passing `_uniform_rank_one` has a perfect
+    strategy, and its smallest-id perfect Alice assignment, the identity at
+    the last question, is a(u) = f(u, 0) - f(mA - 1, 0); Bob and the value
+    follow as above.  Any other game over the budget raises.
     """
     reason = over_budget(game.order, game.mA, game.mB)
-    if reason is not None:
+    if reason is None:
+        alice_idx = _smallest_optimal_alice(game)
+    elif np.all(game.q == game.q.flat[0]) and _uniform_rank_one(game):
+        alice_idx = game.group.difference(game.f_idx[:, 0], game.f_idx[-1, 0])
+    else:
         raise EnumerationBudgetError(reason)
+    weights = game.q_num if game.has_exact_q else game.q
+    # Bob's winnings per question and answer, from the score table of Alice's
+    # one assignment: Bob wins at (u, v) by answering f(u, v) - alice[u].
+    winning = game.group.difference(game.f_idx, alice_idx[:, None])
+    per_question = _score_table(weights, winning[..., None], game.order)[..., 0]
+    value = per_question.max(axis=1).sum()
+    alice = tuple(alice_idx.tolist())
+    bob = tuple(per_question.argmax(axis=1).tolist())
+    if game.has_exact_q:
+        exact_value = Fraction(int(value), game.q_den)
+        return ClassicalOptimum(float(exact_value), exact_value, alice, bob)
+    return ClassicalOptimum(float(value), None, alice, bob)
+
+
+def _smallest_optimal_alice(game: LinearGame) -> np.ndarray:
+    """The smallest-id optimal Alice assignment, found by the enumeration
+    `classical_value` describes."""
     n = game.order
     by_bob = game.mB < game.mA
     m_enum = min(game.mA, game.mB)
@@ -346,22 +367,13 @@ def classical_value(game: LinearGame) -> ClassicalOptimum:
             cand = np.vstack([alice_idx, cand])
         alice_idx = _smallest(cand)
         best_val = top
-
-    # Bob's winnings per question and answer, from the score table of Alice's one assignment.
-    per_question = _score_table(weights, winning[np.arange(game.mA), :, alice_idx, None], n)[..., 0]
-    value = per_question.max(axis=1).sum()
-    alice = tuple(alice_idx.tolist())
-    bob = tuple(per_question.argmax(axis=1).tolist())
-    if game.has_exact_q:
-        exact_value = Fraction(int(value), game.q_den)
-        return ClassicalOptimum(float(exact_value), exact_value, alice, bob)
-    return ClassicalOptimum(float(value), None, alice, bob)
+    return alice_idx
 
 
 def _uniform_rank_one(game: LinearGame) -> bool:
     """Whether f(u, v) - f(u, 0) - f(0, v) + f(0, 0) = 0 in G for all u, v,
-    decided in integers from the game's winning answers W[u, v, a] =
-    f(u, v) - a, which are its subtraction table read at f.
+    decided in integers as whether f(u, v) - f(u, 0) is the same for
+    every u.
 
     This holds exactly when a perfect classical strategy exists over a q
     with full support (a(u) = f(u, 0) - f(0, 0), b(v) = f(0, v)), and, since
@@ -369,8 +381,7 @@ def _uniform_rank_one(game: LinearGame) -> bool:
     For uniform q, ||Phi_x|| <= ||Phi_x||_F = 1/sqrt(mA * mB) with equality
     iff Phi_x has rank one, so it holds exactly when the bound equals 1.
     """
-    rows = np.arange(game.mA)[:, None]
-    diff = game.winning_answers()[rows, np.arange(game.mB), game.f_idx[:, :1]]
+    diff = game.group.difference(game.f_idx, game.f_idx[:, :1])
     return bool(np.all(diff == diff[0]))
 
 
@@ -450,7 +461,7 @@ class GameReport:
         }
 
 
-def analyze(games, rank_tol: float = DEFAULT_RANK_TOL) -> list[GameReport]:
+def analyze(games) -> list[GameReport]:
     """Full reports, one per game of `games` in order: classical optimum,
     spectral bound, no-signaling value.
 
@@ -460,17 +471,17 @@ def analyze(games, rank_tol: float = DEFAULT_RANK_TOL) -> list[GameReport]:
     """
     optima = [classical_value(game) for game in games]
     solved = zip(games, optima, phi_spectra(games))
-    return [_report(game, optimum, spectra, rank_tol) for game, optimum, spectra in solved]
+    return [_report(game, optimum, spectra) for game, optimum, spectra in solved]
 
 
-def _report(game: LinearGame, optimum: ClassicalOptimum, spectra, rank_tol: float) -> GameReport:
+def _report(game: LinearGame, optimum: ClassicalOptimum, spectra) -> GameReport:
     """Report for `game` from its classical optimum and the singular values
     of its Phi_x.
 
     Enforces the ordering chain lemma1 <= classical <= min(1, bound) and the
     unit no-signaling value; a violation means an internal defect and raises.
     """
-    rank1 = singular_value_rank(spectra[0], rank_tol)
+    rank1 = singular_value_rank(spectra[0], DEFAULT_RANK_TOL)
     norms = [float(s[0]) for s in spectra]
     raw = bound_from_norms(game.order, game.mA, game.mB, norms)
     clamped = min(1.0, raw)

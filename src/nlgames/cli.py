@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from .algebra import MAX_ORDER, FiniteField
 from .bounds import ChainViolationError, EnumerationBudgetError, GameReport, analyze, bound_from_norms, over_budget, phi_norms
 from .games import GameFormatError, chsh_closed_form, chsh_d, game_from_json, game_to_json, random_xor_game
 from .nlc import lambda_profile, nlc_classical_strategy, nlc_spec_from_json, verify_theorem3
-from .numerics import DEFAULT_RANK_TOL
 from .rng import SplitMix64
 from .selftest import run_all
 
@@ -34,6 +32,7 @@ EXIT_BUDGET = 3
 # Largest field order `chsh` admits; GF(373) took 0.39-0.55 s as a whole
 # command on a 2-vCPU host, one BLAS thread, three runs.
 CHSH_MAX_ORDER = 373
+CHSH_EQ_TOL = 1e-10  # largest difference `chsh` admits from the closed form
 
 SCAN_BLOCK = 32  # games per block, whose spectra are solved in one stack
 
@@ -104,7 +103,7 @@ def _print_report(report: GameReport, fmt: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     game = game_from_json(_load_json(args.path))
-    report = analyze([game], rank_tol=args.rank_tol)[0]
+    report = analyze([game])[0]
     _print_report(report, args.format)
     return EXIT_OK
 
@@ -128,7 +127,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     print(f"bound: {fmt_float(bound)}")
     print(f"closed_form: {fmt_float(closed)}")
     print(f"difference: {fmt_float(diff)}")
-    if diff >= args.eq_tol:
+    if diff >= CHSH_EQ_TOL:
         print(
             f"error: bound differs from the closed form by {diff!r}",
             file=sys.stderr,
@@ -170,7 +169,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     """Analyze the games in blocks of SCAN_BLOCK, one `analyze` call each, so
     a block's spectra are solved in one stack; a chain violation prints the
     offending game and none of its block's rows.  The enumeration budget is
-    checked before the header, and before any game is drawn."""
+    checked after the options and before the header, and before any game is
+    drawn."""
+    for name, least in (("count", 0), ("d", 2), ("m", 1)):
+        value = getattr(args, name)
+        if value < least:
+            raise GameFormatError(f"scan --{name} must be at least {least}, got {value}")
+    if args.d > MAX_ORDER:
+        raise GameFormatError(f"scan --d must be at most {MAX_ORDER}, got {args.d}")
     reason = over_budget(args.d, args.m, args.m) if args.count else None
     if reason is not None:
         raise EnumerationBudgetError(reason)
@@ -181,7 +187,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         size = min(SCAN_BLOCK, args.count - start)
         block = [random_xor_game(rng, args.d, args.m) for _ in range(size)]
         try:
-            reports = analyze(block, rank_tol=args.rank_tol)
+            reports = analyze(block)
         except ChainViolationError as exc:
             print(
                 "chain violation; offending game: " + json.dumps(game_to_json(exc.game)),
@@ -210,13 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.set_defaults(run=cmd_analyze)
     analyze_p.add_argument("path")
     analyze_p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    analyze_p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
     chsh_p = sub.add_parser("chsh", help="field-multiplication game closed form")
     chsh_p.set_defaults(run=cmd_chsh)
     chsh_p.add_argument("p", type=int)
     chsh_p.add_argument("r", type=int, nargs="?", default=1)
-    chsh_p.add_argument("--eq-tol", type=float, default=1e-10)
 
     nlc_p = sub.add_parser("nlc", help="analyze an NLC spec JSON file")
     nlc_p.set_defaults(run=cmd_nlc)
@@ -229,31 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--count", type=int, default=10)
     scan_p.add_argument("--d", type=int, default=2)
     scan_p.add_argument("--m", type=int, default=3)
-    scan_p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
     sub.add_parser("selftest", help="run the acceptance suite").set_defaults(run=cmd_selftest)
     return parser
 
 
-def _check_options(args: argparse.Namespace) -> None:
-    """Reject option values no command can use, before anything is printed."""
-    for name in ("rank_tol", "eq_tol"):
-        value = getattr(args, name, 1.0)
-        if not 0 < value < math.inf:
-            raise GameFormatError(f"tolerances must be positive and finite, got {value}")
-    if args.command == "scan":
-        for name, least in (("count", 0), ("d", 2), ("m", 1)):
-            value = getattr(args, name)
-            if value < least:
-                raise GameFormatError(f"scan --{name} must be at least {least}, got {value}")
-        if args.d > MAX_ORDER:
-            raise GameFormatError(f"scan --d must be at most {MAX_ORDER}, got {args.d}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_options(args)
         return args.run(args)
     except (json.JSONDecodeError, GameFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -216,18 +216,16 @@ class NlcStrategy:
     value: Fraction
 
 
-def nlc_classical_strategy(spec: NlcSpec, mu: int | None = None) -> NlcStrategy:
+def nlc_classical_strategy(spec: NlcSpec, mu: int) -> NlcStrategy:
     """Build the strategy that plays mu times the last dit and score it exactly.
 
-    `mu` defaults to the (smallest) maximizer of the weighted multiplicity
-    profile; any maximizer achieves the same value.  The score is evaluated
-    exactly from the game's row 0, not read off a closed form.
+    Every maximizer of the weighted multiplicity profile, such as its
+    smallest, `lambda_profile(spec).mu`, achieves the same value.  The score is
+    evaluated exactly from the game's row 0, not read off a closed form.
     """
-    if mu is None:
-        mu = lambda_profile(spec).mu
-    elif not _is_int(mu):
+    if not _is_int(mu):
         raise NlcValidationError(f"mu must be an integer, got {mu!r}")
-    elif not 0 <= mu < spec.d:
+    if not 0 <= mu < spec.d:
         raise NlcValidationError(f"mu must lie in [0, {spec.d}), got {mu}")
     return _score_strategy(_row0(spec), spec.d, int(mu))
 

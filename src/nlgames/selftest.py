@@ -273,16 +273,14 @@ ACCEPTANCE_CHECKS = [
 ]
 
 
-def run_all(stream=None, timings=None) -> list[CheckResult]:
+def run_all(stream, timings) -> list[CheckResult]:
     """Run every acceptance check, printing one PASS/FAIL line per check to
-    `stream` and one `name: seconds` line to `timings`, each when given."""
+    `stream` and one `name: seconds` line to `timings`."""
     results = []
     for check in ACCEPTANCE_CHECKS:
         result = check()
         results.append(result)
-        if stream is not None:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{status} {result.name}: {result.detail}", file=stream)
-        if timings is not None:
-            print(f"{result.name}: {result.seconds:.1f}s", file=timings)
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{status} {result.name}: {result.detail}", file=stream)
+        print(f"{result.name}: {result.seconds:.1f}s", file=timings)
     return results

@@ -37,6 +37,8 @@ on element objects:
   is not zero;
 - `quantum_bound(game)`: `bound_from_norms` of the game's `phi_norms`,
   unclamped;
+- `game_matrix(game, chars, x)`: Phi_x[u, v] = q(u, v) * chi_x(f(u, v)),
+  read from the character table `chars`, the product `phi_spectra` stacks;
 - `character(group, a, x)`: over a product of cyclic groups, the product of
   exp(2*pi*i * a_j * x_j / n_j) over `group.factors` and element coordinates;
   over a field, exp(2*pi*i * Tr(a*x) / p) through `mul`
@@ -210,6 +212,11 @@ def inv(field, a):
 def quantum_bound(game) -> float:
     """Upper bound on the quantum value; may exceed 1 (reports clamp it)."""
     return bound_from_norms(game.order, game.mA, game.mB, phi_norms(game))
+
+
+def game_matrix(game, chars, x: int) -> np.ndarray:
+    """Phi_x[u, v] = q(u, v) * chi_x(f(u, v)), from the character table `chars`."""
+    return game.q * chars[x][game.f_idx]
 
 
 def strategy_box(game, alice, bob) -> Box:

@@ -198,6 +198,8 @@ def test_tables_are_consistent(kind, args):
     plus = g.addition_table()
     diff = g.subtraction_table()
     minus = g.negation_table()
+    index = np.arange(g.order)
+    assert np.array_equal(g.difference(index[:, None], index), diff)
     chars = g.character_table()
     els = elements(g)
     for i, x in enumerate(els):

@@ -9,7 +9,6 @@ from nlgames import bounds
 from nlgames.algebra import FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
     EnumerationBudgetError,
-    _game_matrix,
     analyze,
     classical_value,
     lemma1_bound,
@@ -31,6 +30,7 @@ from oracles import (
     alice_side_classical_value,
     double_enumeration_optimum,
     elements,
+    game_matrix,
     phi1_rank_at_most_one,
     product_game,
     quantum_bound,
@@ -48,7 +48,7 @@ Z3 = FiniteAbelianGroup([3])
 def game_matrices(game) -> list:
     """Phi_x for x = 1..|G|-1 in canonical order."""
     chars = game.group.character_table()
-    return [_game_matrix(game, chars, x) for x in range(1, game.order)]
+    return [game_matrix(game, chars, x) for x in range(1, game.order)]
 
 
 def uniform_game(group, f):
@@ -289,6 +289,48 @@ def test_budget_error_is_informative():
     for m_a, player in ((13, "Alice"), (14, "Bob")):
         game = random_f_game(Z3, SplitMix64(5), m_a, 13)
         with pytest.raises(EnumerationBudgetError, match=f"1594323 assignments for {player}"):
+            classical_value(game)
+
+
+RANK_ONE_GROUPS = [FiniteAbelianGroup([d]) for d in range(2, 7)] + [
+    FiniteAbelianGroup([2, 2]),
+    FiniteAbelianGroup([2, 3]),
+    FiniteField(2, 2),
+    FiniteField(3, 2),
+]
+
+
+def test_over_budget_uniform_perfect_games_report_the_enumerated_optimum(monkeypatch):
+    # f(u, v) = s(u) + t(v) under uniform q has a perfect strategy.  Over the
+    # budget, Alice plays a(u) = f(u, 0) - f(mA - 1, 0), and Bob and the
+    # value come from the lines an enumerated game uses: the same optimum,
+    # to the bit, in both orientations, exact and float.
+    rng = np.random.default_rng(33)
+    corpus = []
+    for i in range(600):
+        group = RANK_ONE_GROUPS[i % len(RANK_ONE_GROUPS)]
+        m_a, m_b = rng.integers(1, 6, 2)
+        f = group.addition_table()[rng.integers(0, group.order, m_a)[:, None], rng.integers(0, group.order, m_b)]
+        if i % 4:
+            corpus.append(LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size))
+        else:
+            corpus.append(LinearGame(group, f, q=np.full(f.shape, 1.0 / f.size)))
+    optima = [classical_value(game) for game in corpus]
+    assert {opt.exact for opt in optima} == {None, 1}
+    assert any(game.mA < game.mB for game in corpus) and any(game.mA > game.mB for game in corpus)
+    monkeypatch.setattr(bounds, "DEFAULT_ENUMERATION_BUDGET", 0)
+    for game, opt in zip(corpus, optima):
+        closed = classical_value(game)
+        assert (closed.value.hex(), closed.exact, closed.alice, closed.bob) == (
+            opt.value.hex(),
+            opt.exact,
+            opt.alice,
+            opt.bob,
+        )
+    # No perfect strategy, or q not uniform: still over the budget.
+    weighted = LinearGame(Z2, np.zeros((2, 2), dtype=np.int64), q_num=np.array([[1, 2], [3, 4]]), q_den=10)
+    for game in (CHSH2, weighted):
+        with pytest.raises(EnumerationBudgetError, match="over the budget of 0"):
             classical_value(game)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import time
@@ -213,7 +214,8 @@ def test_analyze_budget_exits_3(tmp_path, capsys):
         "mA": 13,
         "mB": 13,
         "q": [[[1, 169]] * 13 for _ in range(13)],
-        "f": [[(u + v) % 3 for v in range(13)] for u in range(13)],
+        # u * v has no perfect strategy; a game with one would be valued.
+        "f": [[(u * v) % 3 for v in range(13)] for u in range(13)],
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
@@ -258,14 +260,19 @@ def test_chsh_order_cap_admits_gf_373_and_rejects_gf_379(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: chsh admits fields of order at most 373, got GF(379)\n")
 
 
-def test_chsh_bound_off_its_closed_form_exits_1_after_printing(capsys):
+def test_chsh_bound_off_its_closed_form_exits_1_after_printing(monkeypatch, capsys):
     # GF(81)'s bound differs from the closed form by about 1e-16, above this
     # tolerance; the message prints the difference as a Python float.
-    assert main(["chsh", "3", "4", "--eq-tol", "1e-17"]) == EXIT_FAILURE
+    monkeypatch.setattr(cli, "CHSH_EQ_TOL", 1e-17)
+    assert main(["chsh", "3", "4"]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "d: 81"
     assert captured.out.splitlines()[-1].startswith("difference: ")
     assert re.fullmatch(r"error: bound differs from the closed form by [0-9.e-]+\n", captured.err)
+    # The tolerance is a constant: argparse rejects the retired option.
+    with pytest.raises(SystemExit) as exc:
+        main(["chsh", "3", "--eq-tol", "1e-10"])
+    assert exc.value.code == EXIT_PARSE
 
 
 HUGE_PRIME = 1000000000000000003
@@ -448,7 +455,7 @@ def test_scan_chain_violation_prints_the_offending_game(monkeypatch, capsys):
 
 def test_selftest_chain_violation_is_a_fail_line(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "CHAIN_SLACK", -1.0)
-    results = run_all()
+    results = run_all(io.StringIO(), io.StringIO())
     assert len(results) == 7
     failed = [r.name for r in results if not r.passed]
     assert failed == ["ordering-chain", "lemma2-equivalence"]
@@ -472,26 +479,6 @@ def test_selftest_stdout_is_the_same_on_every_run(capsys):
     assert outputs[0] == outputs[1]
 
 
-NOT_FINITE_AND_POSITIVE = ["0", "-1", "nan", "inf", "-inf"]
-
-
-def test_bad_tolerance_exits_2(chsh2_file, capsys):
-    for tol in NOT_FINITE_AND_POSITIVE:
-        for argv in (["analyze", chsh2_file], ["scan", "--count", "2"]):
-            assert main([*argv, f"--rank-tol={tol}"]) == EXIT_PARSE
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert "tolerances must be positive" in err
-
-
-def test_bad_eq_tolerance_exits_2(capsys):
-    for tol in NOT_FINITE_AND_POSITIVE:
-        assert main(["chsh", "3", f"--eq-tol={tol}"]) == EXIT_PARSE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "tolerances must be positive" in err
-
-
 @pytest.mark.parametrize(
     "flags",
     [["--count", "-3"], ["--d", "1"], ["--d", "0"], ["--m", "0"], ["--m", "-2"], ["--d", "5000", "--count", "2"]],
@@ -511,6 +498,20 @@ def test_scan_over_budget_is_not_a_chain_violation(capsys):
     assert "chain violation" not in err
 
 
+def uniform_z2_file(tmp_path, f) -> str:
+    """A uniform 21 x 21 game over Z_2, 2^21 assignments: over the budget."""
+    doc = {
+        "group": {"factors": [2]},
+        "mA": 21,
+        "mB": 21,
+        "q": [[[1, 441]] * 21 for _ in range(21)],
+        "f": [[f(u, v) % 2 for v in range(21)] for u in range(21)],
+    }
+    path = tmp_path / "over_budget.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsys):
     from nlgames import bounds, numerics
     from nlgames.algebra import Group
@@ -519,20 +520,22 @@ def test_analyze_budget_is_checked_before_any_solve(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(numerics, "_jacobi", lambda *args: started.append("solve"))
     monkeypatch.setattr(bounds, "stacked_singular_values", lambda *args: started.append("solve"))
     monkeypatch.setattr(Group, "character_table", lambda self: started.append("table"))
-    doc = {
-        "group": {"factors": [2]},
-        "mA": 21,
-        "mB": 21,
-        "q": [[[1, 441]] * 21 for _ in range(21)],
-        "f": [[(u + v) % 2 for v in range(21)] for u in range(21)],
-    }
-    path = tmp_path / "over_budget.json"
-    path.write_text(json.dumps(doc))
-    assert main(["analyze", str(path)]) == EXIT_BUDGET
+    # f = u * v has no perfect strategy, so only enumeration could value it.
+    assert main(["analyze", uniform_z2_file(tmp_path, lambda u, v: u * v)]) == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
     assert main(["scan", "--d", "2", "--m", "21"]) == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
     assert started == []
+
+
+def test_over_budget_uniform_game_with_a_perfect_strategy_is_reported(tmp_path, capsys):
+    # f = u + v passes the integer perfect-play test, so no enumeration is needed.
+    assert main(["analyze", uniform_z2_file(tmp_path, lambda u, v: u + v), "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classical_value_exact"] == "1/1"
+    assert doc["pseudo_telepathy_possible"] is True
+    assert doc["classical_strategy"]["alice"] == [[u % 2] for u in range(21)]
+    assert doc["classical_strategy"]["bob"] == [[v % 2] for v in range(21)]
 
 
 def test_nonconverging_eigensolver_exits_1(chsh2_file, monkeypatch, capsys):

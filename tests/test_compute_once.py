@@ -15,11 +15,10 @@ import pytest
 
 from nlgames import algebra, bounds, cli, games, nlc, numerics, selftest
 from nlgames.algebra import FiniteAbelianGroup, Group
-from nlgames.bounds import _game_matrix
 from nlgames.cli import EXIT_OK, main
 from nlgames.games import LinearGame, chsh_d, game_from_tables, random_xor_game
 from nlgames.rng import SplitMix64
-from oracles import quantum_bound
+from oracles import game_matrix, quantum_bound
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -97,7 +96,7 @@ FIELDS = [(p, r) for p in range(2, 62) if algebra.is_prime(p) for r in range(1, 
 
 def solo_values(game, x):
     """Singular values of Phi_x solved alone."""
-    phi = _game_matrix(game, game.group.character_table(), x)
+    phi = game_matrix(game, game.group.character_table(), x)
     return numerics.stacked_singular_values(phi[None])[0]
 
 

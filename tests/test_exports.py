@@ -2,9 +2,10 @@
 the package re-exports only names in its modules' `__all__`.  A deleted
 function that stays listed breaks only `from ... import *`, which nothing
 else runs.  Every function, class and method in src/nlgames is named by the
-code there, and every defaulted parameter is passed by some call there, so
-nothing in src is kept for tests alone; every oracle in tests/oracles.py is
-named by a test, so no oracle outlives what it checks."""
+code there, and every defaulted parameter is passed by some call there and
+left out by another, so nothing in src is kept for tests alone; every oracle
+in tests/oracles.py is named by a test, so no oracle outlives what it
+checks."""
 
 import ast
 import importlib
@@ -109,12 +110,12 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args[: position + 1])
 
 
-def _unpassed_parameters() -> list[str]:
-    """"module.function parameter" for each defaulted parameter of a
-    module-level function, a method or an `__init__` in src/nlgames that no
-    call there passes.  A call is matched by the name it calls; a method is
-    called bound, so `self` takes no position, and an `__init__` is called
-    through its class's name or as `__init__`."""
+def _defaulted_parameters() -> dict[str, list[bool]]:
+    """For each defaulted parameter of a module-level function, a method or
+    an `__init__` in src/nlgames, as "module.function parameter", whether
+    each call there passes it.  A call is matched by the name it calls; a
+    method is called bound, so `self` takes no position, and an `__init__`
+    is called through its class's name or as `__init__`."""
     calls: dict[str | None, list[ast.Call]] = {}
     definitions = []  # (label, names it is called by, definition, positions taken by self)
     for path in sorted(SRC.glob("*.py")):
@@ -132,7 +133,7 @@ def _unpassed_parameters() -> list[str]:
                     if isinstance(item, ast.FunctionDef):
                         names = {node.name, item.name} if item.name == "__init__" else {item.name}
                         definitions.append((f"{path.stem}.{node.name}.{item.name}", names, item, 1))
-    unpassed = []
+    passed = {}
     for label, names, node, skip in definitions:
         args = node.args
         positional = args.posonlyargs + args.args
@@ -140,20 +141,30 @@ def _unpassed_parameters() -> list[str]:
         defaulted = [(arg, i - skip) for i, arg in enumerate(positional) if i >= first]
         defaulted += [(arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
         sites = [call for name in names for call in calls.get(name, ())]
-        unpassed += [
-            f"{label} {arg.arg}"
-            for arg, position in defaulted
-            if not any(_passes(call, position, arg.arg) for call in sites)
-        ]
-    return unpassed
+        for arg, position in defaulted:
+            passed[f"{label} {arg.arg}"] = [_passes(call, position, arg.arg) for call in sites]
+    return passed
 
 
 def test_every_defaulted_parameter_is_passed_in_src():
     # A default that only tests override is made a constant; a test that
     # needs another value monkeypatches the constant.
-    unpassed = _unpassed_parameters()
+    unpassed = [label for label, passes in _defaulted_parameters().items() if not any(passes)]
     assert sorted(set(unpassed) - set(UNPASSED_ALLOWED)) == []
     assert set(UNPASSED_ALLOWED) <= set(unpassed)
+
+
+# Defaulted parameters that every call in src/nlgames passes, each with the
+# reason the default stays.
+OVERRIDDEN_ALLOWED: dict[str, str] = {}
+
+
+def test_every_default_serves_a_call_in_src():
+    # A default that every call in src overrides serves only tests: the
+    # parameter is made required, or its one value inlined.
+    overridden = [label for label, passes in _defaulted_parameters().items() if passes and all(passes)]
+    assert sorted(set(overridden) - set(OVERRIDDEN_ALLOWED)) == []
+    assert set(OVERRIDDEN_ALLOWED) <= set(overridden)
 
 
 def test_every_oracle_is_named_by_a_test():

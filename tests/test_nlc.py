@@ -10,7 +10,7 @@ import pytest
 
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import _game_matrix, phi_spectra
+from nlgames.bounds import phi_spectra
 from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box
 from nlgames.nlc import (
     BlockStructureError,
@@ -29,6 +29,7 @@ from oracles import (
     building_block_matrix,
     fourier_vector,
     fraction_prefix_weights,
+    game_matrix,
     prefix_fractions,
     quantum_bound,
     strategy_box,
@@ -217,7 +218,7 @@ def test_single_dit_game_is_building_block(d, t):
             assert Fraction(int(game.q_num[x, y]), game.q_den) == Fraction(1, d * d)
     chars = game.group.character_table()
     for k in range(1, d):
-        phi = _game_matrix(game, chars, k)
+        phi = game_matrix(game, chars, k)
         assert np.max(np.abs(phi - building_block_matrix(d, k, t) / d**2)) < 1e-14
 
 
@@ -319,7 +320,7 @@ def test_uniform_bound_instances():
 )
 def test_constant_g_saturates_bound(spec):
     assert lambda_profile(spec).bound == 1
-    strat = nlc_classical_strategy(spec)
+    strat = nlc_classical_strategy(spec, lambda_profile(spec).mu)
     assert strat.value == 1
     assert strat.mu == spec.g[0]
 
@@ -332,7 +333,7 @@ def test_strategy_value_matches_box_evaluation():
     weights = [rng.randrange(1, 10) for _ in range(27)]
     seeded = nlc_spec(3, 4, g, [[w, sum(weights)] for w in weights])
     for spec in (nlc_spec(3, 2, [0, 2, 2], [[1, 2], [1, 3], [1, 6]]), seeded):
-        strat = nlc_classical_strategy(spec)
+        strat = nlc_classical_strategy(spec, lambda_profile(spec).mu)
         game = nlc_game(spec)
         box = strategy_box(game, list(strat.alice), list(strat.bob))
         assert evaluate_box(game, box) == pytest.approx(float(strat.value), abs=1e-12)
@@ -351,14 +352,14 @@ def test_strategy_value_equal_across_tied_maximizers():
 
 def test_non_maximizer_mu_scores_strictly_less():
     spec = nlc_spec(2, 3, [0, 0, 0, 1])
-    best = nlc_classical_strategy(spec).value
+    best = nlc_classical_strategy(spec, lambda_profile(spec).mu).value
     worse = nlc_classical_strategy(spec, mu=1).value
     assert worse < best
 
 
 def test_strategy_ignores_prefix():
     spec = nlc_spec(3, 2, [1, 0, 2])
-    strat = nlc_classical_strategy(spec)
+    strat = nlc_classical_strategy(spec, lambda_profile(spec).mu)
     for x in range(9):
         assert strat.alice[x] == strat.alice[x % 3 + (x // 3) * 3]
         assert strat.alice[x] == (strat.mu * (x % 3)) % 3
