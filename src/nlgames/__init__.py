@@ -1,5 +1,5 @@
 """Two-player linear games: exact classical values, spectral quantum bounds,
-and no-signaling boxes, including distributed-computation games over Z_d."""
+and no-signaling values, including distributed-computation games over Z_d."""
 
 from .algebra import (
     FiniteAbelianGroup,
@@ -16,17 +16,14 @@ from .bounds import (
     bound_from_norms,
     classical_value,
     lemma1_bound,
-    ns_winning_box,
     phi_norms,
 )
 from .games import (
-    Box,
     GameFormatError,
     GameValidationError,
     LinearGame,
     chsh_closed_form,
     chsh_d,
-    evaluate_box,
     game_from_json,
     game_from_tables,
     game_to_json,

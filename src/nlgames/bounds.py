@@ -1,5 +1,5 @@
 """Game matrices, the spectral quantum bound, exact classical optima, and
-the no-signaling winning box.
+the no-signaling value.
 
 For each nonidentity group element x the game matrix Phi_x has entries
 q(u, v) * chi_x(f(u, v)).  The quantum value is bounded by
@@ -25,6 +25,11 @@ Exact weights are scored in the narrowest of int8, int16, int32 and int64
 that holds q_den.  This is exact: every table entry, every sum of a high and
 a low entry and every chunk score adds each weight q_num(u, v) at most once,
 so none exceeds the sum of all of them, q_den.
+
+The no-signaling box P(a, b | u, v) = 1/|G| when a + b = f(u, v), else 0,
+wins every linear game.  It is never built as a table: its uniform
+marginals and its winning support are checked exactly on the integer table
+`winning_answers()`, and its value is summed in closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import power_above
-from .games import Box, LinearGame, evaluate_box
+from .games import LinearGame
 from .numerics import DEFAULT_RANK_TOL, singular_value_rank, stacked_singular_values
 
 __all__ = [
@@ -49,7 +54,6 @@ __all__ = [
     "over_budget",
     "classical_value",
     "lemma1_bound",
-    "ns_winning_box",
     "analyze",
 ]
 
@@ -67,8 +71,8 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class ChainViolationError(RuntimeError):
-    """The value ordering lemma1 <= classical <= bound <= ns failed for
-    `.game`."""
+    """The value ordering lemma1 <= classical <= bound <= ns, or an exact
+    check of the no-signaling box, failed for `.game`."""
 
     def __init__(self, message: str, game: LinearGame):
         super().__init__(message)
@@ -385,21 +389,6 @@ def _uniform_rank_one(game: LinearGame) -> bool:
     return bool(np.all(diff == diff[0]))
 
 
-def ns_winning_box(game: LinearGame) -> Box:
-    """No-signaling box that wins the game with certainty.
-
-    P(a, b | u, v) = 1/|G| when a + b = f(u, v), else 0.  Both marginals are
-    uniform for every input, so nothing can be signaled.
-    """
-    n = game.order
-    table = np.zeros((game.mA, game.mB, n, n))
-    u_ix = np.arange(game.mA)[:, None, None]
-    v_ix = np.arange(game.mB)[None, :, None]
-    a_ix = np.arange(n)[None, None, :]
-    table[u_ix, v_ix, a_ix, game.winning_answers()] = 1.0 / n
-    return Box(table)
-
-
 @dataclass(frozen=True)
 class GameReport:
     """All computed values for one game; serializes to a versioned JSON schema.
@@ -463,7 +452,8 @@ class GameReport:
 
 def analyze(games) -> list[GameReport]:
     """Full reports, one per game of `games` in order: classical optimum,
-    spectral bound, no-signaling value.
+    spectral bound, no-signaling value (the value of the box that answers
+    uniformly and wins every question pair, checked exactly in integers).
 
     Every classical value is found, and so every enumeration budget checked,
     before any spectral solve; the spectra then come from one `phi_spectra`
@@ -479,14 +469,21 @@ def _report(game: LinearGame, optimum: ClassicalOptimum, spectra) -> GameReport:
     of its Phi_x.
 
     Enforces the ordering chain lemma1 <= classical <= min(1, bound) and the
-    unit no-signaling value; a violation means an internal defect and raises.
+    no-signaling box P(a, b | u, v) = 1/|G| * [b = W[u, v, a]], for
+    W = `game.winning_answers()`: every row W[u, v, :] must be a permutation
+    of the answers, so both marginals are exactly uniform, and every pair it
+    supports must win, a + W[u, v, a] = f(u, v) in the addition table.  Its
+    value, sum_{u,v} q(u, v) * sum_a 1/|G|, adds the |G| entries 1/|G| as
+    scoring the dense box table would, so it has that score's bits, and must
+    be 1 to 1e-12.  A violation means an internal defect and raises.
     """
     rank1 = singular_value_rank(spectra[0], DEFAULT_RANK_TOL)
     norms = [float(s[0]) for s in spectra]
     raw = bound_from_norms(game.order, game.mA, game.mB, norms)
     clamped = min(1.0, raw)
     lemma1 = lemma1_bound(game)
-    ns_value = evaluate_box(game, ns_winning_box(game))
+    n = game.order
+    ns_value = float((game.q * np.full(n, 1.0 / n).sum()).sum())
     if np.all(game.q == game.q.flat[0]):
         perfect = _uniform_rank_one(game)
     else:
@@ -503,6 +500,14 @@ def _report(game: LinearGame, optimum: ClassicalOptimum, spectra) -> GameReport:
             f"classical value {optimum.value} exceeds the quantum bound {clamped}",
             game,
         )
+    winning = game.winning_answers()
+    if not np.all(np.sort(winning, axis=2) == np.arange(n)):
+        raise ChainViolationError(
+            "a row of winning answers is not a permutation, so the no-signaling box signals",
+            game,
+        )
+    if not np.all(game.group.addition_table()[np.arange(n), winning] == game.f_idx[:, :, None]):
+        raise ChainViolationError("the no-signaling box supports a losing answer pair", game)
     if abs(ns_value - 1.0) > 1e-12:
         raise ChainViolationError(f"no-signaling winning box scored {ns_value}, not 1", game)
 

@@ -1,12 +1,10 @@
-"""Linear games, probability boxes, and the JSON game format.
+"""Linear games and the JSON game format.
 
 A linear game asks two players questions (u, v) drawn from q(u, v); they
-answer with group elements a, b and win when a + b = f(u, v).  Games are
-evaluated on boxes, conditional distributions P(a, b | u, v).
+answer with group elements a, b and win when a + b = f(u, v).
 
 Conventions: questions are indexed 0..mA-1 and 0..mB-1; an answer is its
-group element's index.  Boxes are numpy arrays of shape (mA, mB, |G|, |G|)
-with axes (u, v, a, b).
+group element's index.
 """
 
 from __future__ import annotations
@@ -24,12 +22,10 @@ __all__ = [
     "GameValidationError",
     "GameFormatError",
     "LinearGame",
-    "Box",
     "game_from_tables",
     "chsh_d",
     "chsh_closed_form",
     "random_xor_game",
-    "evaluate_box",
     "game_from_json",
     "game_to_json",
 ]
@@ -42,7 +38,7 @@ _MAX_EXACT_DENOMINATOR = 10**15
 
 
 class GameValidationError(ValueError):
-    """A game or box violates a structural invariant."""
+    """A game violates a structural invariant."""
 
 
 def _check_exact_denominator(den: int) -> None:
@@ -240,49 +236,6 @@ def random_xor_game(rng: SplitMix64, d: int, m: int) -> LinearGame:
     """
     f_idx = np.array([[rng.randbelow(d) for _ in range(m)] for _ in range(m)])
     return LinearGame(FiniteAbelianGroup([d]), f_idx, q_num=np.ones_like(f_idx), q_den=f_idx.size)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Conditional distribution P(a, b | u, v) as an (mA, mB, n, n) array.
-
-    Construction validates nonnegativity and per-question normalization.
-    No-signaling is not an invariant: boxes that signal are representable.
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 4 or t.shape[2] != t.shape[3]:
-            raise GameValidationError(f"box table must have shape (mA, mB, n, n), got {t.shape}")
-        # Written so that NaN, which compares False, fails both checks.
-        if not np.all(t >= -NORMALIZATION_TOL):
-            raise GameValidationError("box probabilities must be nonnegative")
-        sums = t.sum(axis=(2, 3))
-        if not np.max(np.abs(sums - 1.0)) <= NORMALIZATION_TOL:
-            raise GameValidationError("box distributions must sum to 1 for every question pair")
-        object.__setattr__(self, "table", t)
-        t.setflags(write=False)
-
-    def alice_marginals(self) -> np.ndarray:
-        """P(a | u, v) = sum_b P(a, b | u, v), shape (mA, mB, n)."""
-        return self.table.sum(axis=3)
-
-    def bob_marginals(self) -> np.ndarray:
-        return self.table.sum(axis=2)
-
-
-def evaluate_box(game: LinearGame, box: Box) -> float:
-    """Game value sum_{u,v} q(u,v) * P(a + b = f(u,v) | u,v) of a box."""
-    expected = (game.mA, game.mB, game.order, game.order)
-    if box.table.shape != expected:
-        raise GameValidationError(f"box shape {box.table.shape} does not match game shape {expected}")
-    u_ix = np.arange(game.mA)[:, None, None]
-    v_ix = np.arange(game.mB)[None, :, None]
-    a_ix = np.arange(game.order)[None, None, :]
-    wins = box.table[u_ix, v_ix, a_ix, game.winning_answers()].sum(axis=2)
-    return float((game.q * wins).sum())
 
 
 # ---------------------------------------------------------------------------

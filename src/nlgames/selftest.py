@@ -22,7 +22,6 @@ from .bounds import (
     analyze,
     bound_from_norms,
     classical_value,
-    ns_winning_box,
     phi_norms,
 )
 from .games import LinearGame, chsh_closed_form, chsh_d, random_xor_game
@@ -178,8 +177,9 @@ def _scan_corpus(seed: int, count: int):
 
 
 def check_ordering_chain() -> CheckResult:
-    """500 seeded games: value chain holds (`analyze` enforces it) and the
-    winning box has uniform marginals."""
+    """500 seeded games: the value chain holds and the no-signaling box has
+    exactly uniform marginals (`analyze` enforces both), and every lemma 1
+    bound is at least 1/|G|."""
     start = time.perf_counter()
     corpus = list(_scan_corpus(seed=0, count=500))
     detail = f"{len(corpus)} seeded games"
@@ -192,13 +192,6 @@ def check_ordering_chain() -> CheckResult:
         d = game.order
         if 1.0 / d > report.lemma1_bound + 1e-12:
             failures.append(f"game {i}: lemma1 bound {report.lemma1_bound} below 1/{d}")
-        box = ns_winning_box(game)
-        marg = max(
-            float(np.max(np.abs(box.alice_marginals() - 1.0 / d))),
-            float(np.max(np.abs(box.bob_marginals() - 1.0 / d))),
-        )
-        if marg > 1e-12:
-            failures.append(f"game {i}: marginal deviation {marg!r}")
         if len(failures) > 5:
             break
     return _result("ordering-chain", start, failures, detail)

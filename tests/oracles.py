@@ -48,8 +48,16 @@ on element objects:
 - `strategy_box(game, alice, bob)`: the deterministic box with a 1 at
   (u, v, alice[u], bob[v]), set entry by entry, from answer indices or
   coordinate lists;
+- `ns_winning_box(game)`: the no-signaling box, 1/|G| at every (a, b) with
+  a + b = f(u, v), set entry by entry through `add`;
+- `evaluate_box(game, box)`: a box's game value, its entries at
+  `winning_answers()` summed over a, the dense scoring whose bits
+  `analyze`'s closed-form `ns_value` must reproduce;
 - `signaling_defect(box)`: the largest variation of either party's marginal
   across the other party's question, from explicit sums over the table.
+
+Boxes, which the library does not have, are numpy arrays of shape
+(mA, mB, |G|, |G|) with axes (u, v, a, b), each entry P(a, b | u, v).
 
 Games the library does not build: `random_f_game(group, rng, m_a, m_b)`,
 a uniform game over any group, f drawn as `random_xor_game` draws it over
@@ -78,7 +86,7 @@ import numpy as np
 
 from nlgames.algebra import FiniteField, Group
 from nlgames.bounds import ClassicalOptimum, bound_from_norms, phi_norms
-from nlgames.games import Box, GameValidationError, LinearGame
+from nlgames.games import GameValidationError, LinearGame
 from nlgames.nlc import NlcValidationError
 
 
@@ -219,7 +227,7 @@ def game_matrix(game, chars, x: int) -> np.ndarray:
     return game.q * chars[x][game.f_idx]
 
 
-def strategy_box(game, alice, bob) -> Box:
+def strategy_box(game, alice, bob) -> np.ndarray:
     """Deterministic box from assignments a: Q_A -> G and b: Q_B -> G, given
     as answer indices or coordinate lists."""
     group = game.group
@@ -230,12 +238,41 @@ def strategy_box(game, alice, bob) -> Box:
     for u in range(game.mA):
         for v in range(game.mB):
             table[u, v, a_idx[u], b_idx[v]] = 1.0
-    return Box(table)
+    return table
+
+
+def ns_winning_box(game) -> np.ndarray:
+    """The no-signaling box of the paper: P(a, b | u, v) = 1/|G| when
+    a + b = f(u, v), else 0, set entry by entry through `add`."""
+    group = game.group
+    els = elements(group)
+    n = game.order
+    table = np.zeros((game.mA, game.mB, n, n))
+    for u in range(game.mA):
+        for v in range(game.mB):
+            target = els[game.f_idx[u, v]]
+            for ia, a in enumerate(els):
+                for ib, b in enumerate(els):
+                    if add(group, a, b) == target:
+                        table[u, v, ia, ib] = 1.0 / n
+    return table
+
+
+def evaluate_box(game, box) -> float:
+    """Game value sum_{u,v} q(u, v) * P(a + b = f(u, v) | u, v): the box's
+    entries at Bob's winning answers `game.winning_answers()` summed over
+    Alice's answer, then weighted by q and summed; on the no-signaling box,
+    `analyze`'s closed-form `ns_value` must match it bit for bit."""
+    u_ix = np.arange(game.mA)[:, None, None]
+    v_ix = np.arange(game.mB)[None, :, None]
+    a_ix = np.arange(game.order)[None, None, :]
+    wins = box[u_ix, v_ix, a_ix, game.winning_answers()].sum(axis=2)
+    return float((game.q * wins).sum())
 
 
 def signaling_defect(box) -> float:
     """Largest change of P(a | u, v) over v, or of P(b | u, v) over u."""
-    t = box.table
+    t = box
     m_a, m_b, n, _ = t.shape
     defect = 0.0
     for u in range(m_a):
@@ -366,7 +403,7 @@ def direct_win_sum(game, box, u: int, v: int) -> float:
     for ia, a in enumerate(els):
         for ib, b in enumerate(els):
             if add(group, a, b) == target:
-                total += box.table[u, v, ia, ib]
+                total += box[u, v, ia, ib]
     return total
 
 
@@ -485,7 +522,7 @@ def correlators_directly(game, box) -> np.ndarray:
                             acc += (
                                 np.conj(character(group, x, a))
                                 * np.conj(character(group, y, b))
-                                * box.table[u, v, ia, ib]
+                                * box[u, v, ia, ib]
                             )
                     out[u, v, ix, iy] = acc
     return out
@@ -495,7 +532,7 @@ def correlators_from_box(game, box) -> np.ndarray:
     """<A_u^x B_v^y> = sum_{a,b} conj(chi_x(a)) conj(chi_y(b)) P(a, b | u, v),
     shape (mA, mB, n, n) with axes (u, v, x, y)."""
     chars = game.group.character_table()
-    return np.einsum("xa,yb,uvab->uvxy", chars.conj(), chars.conj(), box.table)
+    return np.einsum("xa,yb,uvab->uvxy", chars.conj(), chars.conj(), box)
 
 
 def box_from_correlators(game, values) -> np.ndarray:
@@ -510,13 +547,13 @@ def win_prob_from_correlators(game, values, u: int, v: int) -> complex:
     return complex(chars[:, game.f_idx[u, v]] @ values[u, v].diagonal()) / game.order
 
 
-def seeded_box(rng, m_a: int, m_b: int, n: int) -> Box:
+def seeded_box(rng, m_a: int, m_b: int, n: int) -> np.ndarray:
     """A box of 53-bit SplitMix64 draws plus 1e-9, normalized per question."""
     scale = float(1 << 53)
     t = np.empty((m_a, m_b, n, n))
     for idx in np.ndindex(t.shape):
         t[idx] = (rng.next_uint64() >> 11) / scale + 1e-9
-    return Box(t / t.sum(axis=(2, 3), keepdims=True))
+    return t / t.sum(axis=(2, 3), keepdims=True)
 
 
 def prefix_fractions(spec) -> tuple[Fraction, ...]:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +10,18 @@ import pytest
 from nlgames import bounds
 from nlgames.algebra import FiniteAbelianGroup, FiniteField
 from nlgames.bounds import (
+    ChainViolationError,
     EnumerationBudgetError,
     analyze,
     classical_value,
     lemma1_bound,
-    ns_winning_box,
     phi_norms,
     phi_spectra,
 )
 from nlgames.games import (
     LinearGame,
     chsh_d,
-    evaluate_box,
+    game_from_json,
     game_from_tables,
     random_xor_game,
 )
@@ -30,7 +32,9 @@ from oracles import (
     alice_side_classical_value,
     double_enumeration_optimum,
     elements,
+    evaluate_box,
     game_matrix,
+    ns_winning_box,
     phi1_rank_at_most_one,
     product_game,
     quantum_bound,
@@ -43,6 +47,8 @@ from oracles import (
 
 Z2 = FiniteAbelianGroup([2])
 Z3 = FiniteAbelianGroup([3])
+GOLDEN = Path(__file__).parent / "golden"
+GAME_FILES = sorted(p for p in GOLDEN.glob("*.json") if not p.name.startswith("nlc_"))
 
 
 def game_matrices(game) -> list:
@@ -658,19 +664,92 @@ def test_ns_winning_box_is_pr_box_for_chsh2():
         for v in range(2):
             for a in range(2):
                 expected[u, v, a, (u * v - a) % 2] = 0.5
-    assert np.array_equal(box.table, expected)
+    assert np.array_equal(box, expected)
+    assert analyze([CHSH2])[0].ns_value == 1.0
 
 
 def test_ns_winning_box_scores_one_with_uniform_marginals():
     rng = SplitMix64(33)
     games = [CHSH2, CHSH3, chsh_d(2, 2)] + [random_xor_game(rng, 3, 4) for _ in range(5)]
-    for game in games:
+    for game, report in zip(games, analyze(games)):
         box = ns_winning_box(game)
-        assert evaluate_box(game, box) == pytest.approx(1.0, abs=1e-12)
+        assert report.ns_value == evaluate_box(game, box) == pytest.approx(1.0, abs=1e-12)
         n = game.order
-        assert np.max(np.abs(box.alice_marginals() - 1.0 / n)) < 1e-15
-        assert np.max(np.abs(box.bob_marginals() - 1.0 / n)) < 1e-15
+        assert np.max(np.abs(box.sum(axis=3) - 1.0 / n)) < 1e-15
+        assert np.max(np.abs(box.sum(axis=2) - 1.0 / n)) < 1e-15
         assert signaling_defect(box) <= 1e-10
+
+
+def _ns_corpus():
+    """Golden game files, then seeded games over cyclic, product and field
+    groups with uniform exact, random exact and random float weights."""
+    games = [game_from_json(json.loads(path.read_text())) for path in GAME_FILES]
+    rng = SplitMix64(34)
+    groups = [FiniteAbelianGroup([d]) for d in (2, 3, 5, 7, 16, 100)]
+    groups += [FiniteAbelianGroup([2, 3]), FiniteAbelianGroup([3, 3, 2])]
+    groups += [FiniteField(2, 2), FiniteField(3, 2), FiniteField(7, 2)]
+    for i, group in enumerate(groups * 4):
+        m_a, m_b = 1 + i % 3, 1 + (i // 3) % 4
+        f = np.array([[rng.randbelow(group.order) for _ in range(m_b)] for _ in range(m_a)])
+        if i % 3 == 0:
+            games.append(LinearGame(group, f, q_num=np.ones_like(f), q_den=f.size))
+            continue
+        num = np.array([[1 + rng.randbelow(97) for _ in range(m_b)] for _ in range(m_a)])
+        if i % 3 == 1:
+            games.append(LinearGame(group, f, q_num=num, q_den=int(num.sum())))
+        else:
+            games.append(LinearGame(group, f, q=num / num.sum()))
+    return games
+
+
+def test_ns_value_closed_form_has_the_dense_box_bits():
+    games = _ns_corpus()
+    for i, (game, report) in enumerate(zip(games, analyze(games))):
+        scored = evaluate_box(game, ns_winning_box(game))
+        assert report.ns_value.hex() == scored.hex(), i
+
+
+def _with_winning_row(monkeypatch, game, row):
+    """`winning_answers()` that returns `row` at question pair (0, 0)."""
+    winning = game.winning_answers().copy()
+    winning[0, 0] = row
+    monkeypatch.setattr(LinearGame, "winning_answers", lambda self: winning)
+
+
+def test_winning_row_that_is_not_a_permutation_violates_the_chain(monkeypatch):
+    # f = s(u) + t(v) has perfect strategies at every shift, so one bad row
+    # leaves the classical value at 1 and only the no-signaling check fails.
+    game = rank_one_game(Z3, [0, 1, 2], [2, 1, 0])
+    row = game.winning_answers()[0, 0]
+    _with_winning_row(monkeypatch, game, [row[0], row[0], row[2]])
+    with pytest.raises(ChainViolationError, match="not a permutation") as info:
+        analyze([game])
+    assert info.value.game is game
+
+
+def test_supported_losing_pair_violates_the_chain(monkeypatch):
+    game = rank_one_game(Z3, [0, 1, 2], [2, 1, 0])
+    row = game.winning_answers()[0, 0]
+    _with_winning_row(monkeypatch, game, [row[1], row[0], row[2]])
+    with pytest.raises(ChainViolationError, match="losing answer pair") as info:
+        analyze([game])
+    assert info.value.game is game
+
+
+def test_report_on_a_large_group_builds_no_box():
+    # The dense box of this game would be 1 x 3 x 4096 x 4096 floats, 403 MB.
+    f = np.array([[5, 17, 4000]])
+    game = LinearGame(FiniteAbelianGroup([4096]), f, q_num=np.ones_like(f), q_den=3)
+    optimum = classical_value(game)
+    (spectra,) = phi_spectra([game])
+    tracemalloc.start()
+    try:
+        report = bounds._report(game, optimum, spectra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert report.ns_value == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 
 from nlgames import nlc
 from nlgames.algebra import FiniteAbelianGroup
-from nlgames.bounds import phi_spectra
-from nlgames.games import GameFormatError, GameValidationError, LinearGame, evaluate_box
+from nlgames.bounds import analyze, phi_spectra
+from nlgames.games import GameFormatError, GameValidationError, LinearGame
 from nlgames.nlc import (
     BlockStructureError,
     LambdaProfile,
@@ -24,9 +24,9 @@ from nlgames.nlc import (
     nlc_spec_from_json,
     verify_theorem3,
 )
-from nlgames.bounds import ns_winning_box
 from oracles import (
     building_block_matrix,
+    evaluate_box,
     fourier_vector,
     fraction_prefix_weights,
     game_matrix,
@@ -361,7 +361,7 @@ def test_strategy_ignores_prefix():
     spec = nlc_spec(3, 2, [1, 0, 2])
     strat = nlc_classical_strategy(spec, lambda_profile(spec).mu)
     for x in range(9):
-        assert strat.alice[x] == strat.alice[x % 3 + (x // 3) * 3]
+        assert strat.alice[x] == strat.alice[x % 3]
         assert strat.alice[x] == (strat.mu * (x % 3)) % 3
 
 
@@ -417,7 +417,7 @@ def test_ns_box_beats_quantum_bound_witness():
     ]
     for spec in specs:
         game = nlc_game(spec)
-        assert evaluate_box(game, ns_winning_box(game)) == pytest.approx(1.0, abs=1e-12)
+        assert analyze([game])[0].ns_value == pytest.approx(1.0, abs=1e-12)
         assert float(lambda_profile(spec).bound) < 1.0
         assert quantum_bound(game) < 1.0
 
